@@ -23,7 +23,6 @@ from enum import IntEnum
 import numpy as np
 
 NORM_ATOL = 1e-12
-DEGENERATE_RATE_RTOL = 1e-9
 
 
 class ModeLabel(IntEnum):
@@ -60,12 +59,12 @@ class DecayParams:
     delta_t: float
 
     def __post_init__(self):
-        if not self.gamma_b > 0.0:
-            raise ValueError(f"gamma_b must be positive, got {self.gamma_b}")
-        if not self.gamma_x > 0.0:
-            raise ValueError(f"gamma_x must be positive, got {self.gamma_x}")
-        if self.delta_t < 0.0:
-            raise ValueError(f"delta_t must be non-negative, got {self.delta_t}")
+        if not (math.isfinite(self.gamma_b) and self.gamma_b > 0.0):
+            raise ValueError(f"gamma_b must be positive and finite, got {self.gamma_b}")
+        if not (math.isfinite(self.gamma_x) and self.gamma_x > 0.0):
+            raise ValueError(f"gamma_x must be positive and finite, got {self.gamma_x}")
+        if not (math.isfinite(self.delta_t) and self.delta_t >= 0.0):
+            raise ValueError(f"delta_t must be non-negative and finite, got {self.delta_t}")
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,10 @@ class Amplitudes:
 
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
-            if value < 0.0 or value > 1.0 + NORM_ATOL:
+            if not 0.0 <= value <= 1.0 + NORM_ATOL:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         norm = self.alpha**2 + self.beta**2 + self.gamma**2
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"amplitudes are not normalized: sum of squares is {norm:.15g}")
 
     @property
@@ -106,17 +105,18 @@ def amplitudes(p: DecayParams) -> Amplitudes:
     """Branch amplitudes after free decay for the delay ``p.delta_t``.
 
     alpha^2 = exp(-gamma_b dt) is the surviving biexciton population and
-    beta^2 the exciton population fed by it; the degenerate-rate case
-    gamma_x == gamma_b is handled by its analytic limit
-    gamma_b dt exp(-gamma_b dt).
+    beta^2 = gamma_b (exp(-gamma_b dt) - exp(-gamma_x dt)) / (gamma_x - gamma_b)
+    the exciton population fed by it, evaluated in the form symmetric in the
+    two rates, gamma_b dt exp(-min(gamma_b, gamma_x) dt) (1 - exp(-y)) / y
+    with y = |gamma_x - gamma_b| dt. It has no cancellation near equal rates,
+    where it tends to gamma_b dt exp(-gamma_b dt), and no overflow at long
+    delays.
     """
     gb, gx, dt = p.gamma_b, p.gamma_x, p.delta_t
     alpha2 = math.exp(-gb * dt)
-    if abs(gx - gb) < DEGENERATE_RATE_RTOL * max(gx, gb):
-        beta2 = gb * dt * math.exp(-gb * dt)
-    else:
-        beta2 = gb * (math.exp(-gb * dt) - math.exp(-gx * dt)) / (gx - gb)
-    beta2 = min(max(beta2, 0.0), 1.0)
+    y = abs(gx - gb) * dt
+    beta2 = gb * dt * math.exp(-min(gb, gx) * dt) * (-math.expm1(-y) / y if y > 0.0 else 1.0)
+    beta2 = min(beta2, 1.0)
     gamma2 = max(1.0 - alpha2 - beta2, 0.0)
     return Amplitudes(math.sqrt(alpha2), math.sqrt(beta2), math.sqrt(gamma2))
 

@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_VALIDATION_FAILURE = 1
 EXIT_BAD_ARGUMENTS = 2
 EXIT_IO_ERROR = 3
+EXIT_NUMERICAL_ERROR = 4
 
 
 def _fmt(x: float) -> str:
@@ -75,6 +76,9 @@ class SweepSpec:
     eve: frozenset[ModeLabel] = frozenset()
 
     def __post_init__(self):
+        for name in ("gamma_b", "gamma_x", "dt_min", "dt_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite")
         if self.gamma_b <= 0.0:
             raise ValueError("gamma_b: must be positive")
         if self.gamma_x <= 0.0:
@@ -242,8 +246,8 @@ def optimize_delay(
     1e-6 of the original bracket width.
     """
     lo, hi = bracket
-    if not lo < hi:
-        raise ValueError(f"empty bracket: ({lo}, {hi})")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"empty or unbounded bracket: ({lo}, {hi})")
 
     if objective is None:
         def objective(dt: float) -> float:
@@ -425,15 +429,27 @@ def _add_rate_args(p: argparse.ArgumentParser) -> None:
                    help="JSON file with defaults for any flag (flags override)")
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        for key, value in loaded.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None:
-                setattr(args, attr, value)
-    return args
+def _with_config(
+    parser: argparse.ArgumentParser, argv: Sequence[str] | None, args: argparse.Namespace
+) -> argparse.Namespace:
+    """Re-parse with the JSON object in ``--config`` as defaults of the chosen
+    subcommand, so flags given on the command line still win."""
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = subparsers.choices[args.command]
+    options = {a.dest: a for a in command._actions if a.option_strings}
+    config = {key.replace("-", "_"): value for key, value in config.items()}
+    unknown = sorted(set(config) - set(options))
+    if unknown:
+        raise ValueError(f"unknown config keys for {args.command}: {unknown}")
+    for key, value in config.items():
+        if options[key].choices is not None and value not in options[key].choices:
+            raise ValueError(f"config {key} must be one of {list(options[key].choices)}, got {value!r}")
+    command.set_defaults(**config)
+    return parser.parse_args(argv)
 
 
 def _resolve_rates(args: argparse.Namespace) -> tuple[float, float]:
@@ -666,9 +682,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        if getattr(args, "config", None):
+            args = _with_config(parser, argv, args)
         return args.handler(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    # LinAlgError subclasses ValueError, so it is caught before bad arguments
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGUMENTS
     except OSError as exc:

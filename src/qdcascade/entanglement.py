@@ -127,8 +127,8 @@ class EveSplit:
         return cls(alice=a, bob=ALL_MODES - a - e, eve=e)
 
 
-def _require_four_mode_density(rho) -> np.ndarray:
-    m = qmath.require_density_matrix(rho)
+def _four_mode_matrix(rho) -> np.ndarray:
+    m = np.asarray(rho, dtype=np.complex128)
     if m.shape != (16, 16):
         raise ValueError(f"dimension mismatch: expected a 16x16 four-mode density matrix, got {m.shape}")
     return m
@@ -140,17 +140,20 @@ def _subsystem_entropy(rho: np.ndarray, modes: Iterable[ModeLabel]) -> float:
 
 
 def _clamp_roundoff(value: float, what: str) -> float:
-    if value < -NEGATIVE_ROUNDOFF_TOL:
+    if not value >= -NEGATIVE_ROUNDOFF_TOL:
         raise ArithmeticError(f"{what} came out {value:.3e}, far below zero")
     return max(0.0, value)
 
 
 def mutual_information(rho, ch: Channel) -> float:
-    """I(p1 : p2) = S(p1) + S(p2) - S(p1, p2), in bits."""
-    m = _require_four_mode_density(rho)
+    """I(p1 : p2) = S(p1) + S(p2) - S(p1, p2), in bits.
+
+    S(p1, p2) is computed first: its entropy validates the full state.
+    """
+    m = _four_mode_matrix(rho)
+    s12 = qmath.vn_entropy(m)
     s1 = _subsystem_entropy(m, ch.p1)
     s2 = _subsystem_entropy(m, ch.p2)
-    s12 = qmath.vn_entropy(m)
     return _clamp_roundoff(s1 + s2 - s12, "mutual information")
 
 
@@ -164,20 +167,21 @@ def conditional_mutual_information(rho, split: EveSplit) -> float:
     """Secret rate I(Alice : Bob | Eve) = I(A : BE) - I(A : E), in bits.
 
     The same quantity is recomputed through the four-entropy identity
-    S(AE) + S(BE) - S(E) - S(ABE) as an internal consistency guard.
+    S(AE) + S(BE) - S(E) - S(ABE) as an internal consistency guard. S(ABE)
+    is computed first: its entropy validates the full state.
     """
-    m = _require_four_mode_density(rho)
+    m = _four_mode_matrix(rho)
+    s_abe = qmath.vn_entropy(m)
     s_a = _subsystem_entropy(m, split.alice)
     s_e = _subsystem_entropy(m, split.eve)
     s_ae = _subsystem_entropy(m, split.alice | split.eve)
     s_be = _subsystem_entropy(m, split.bob | split.eve)
-    s_abe = qmath.vn_entropy(m)
 
     i_a_be = s_a + s_be - s_abe
     i_a_e = s_a + s_e - s_ae
     difference_of_mis = i_a_be - i_a_e
     four_entropy = s_ae + s_be - s_e - s_abe
-    if abs(difference_of_mis - four_entropy) > CMI_CONSISTENCY_ATOL:
+    if not abs(difference_of_mis - four_entropy) <= CMI_CONSISTENCY_ATOL:
         raise ArithmeticError(
             "conditional mutual information paths disagree: "
             f"{difference_of_mis:.15g} vs {four_entropy:.15g}"
@@ -187,6 +191,6 @@ def conditional_mutual_information(rho, split: EveSplit) -> float:
 
 def negativity(rho, ch: Channel) -> float:
     """Entanglement negativity (||rho^(T_p1)||_1 - 1) / 2 across a channel."""
-    m = _require_four_mode_density(rho)
+    m = qmath.require_density_matrix(_four_mode_matrix(rho))
     transposed = qmath.partial_transpose(m, FOUR_MODE_DIMS, _sorted_ordinals(ch.p1))
     return (qmath.trace_norm(transposed) - 1.0) / 2.0

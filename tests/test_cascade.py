@@ -88,6 +88,20 @@ def test_amplitudes_degenerate_limit_value():
     assert abs(a.beta2 - math.exp(-1.0)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "gamma_b,gamma_x,dt,beta2",
+    [
+        # mpmath at 50 digits of gb (exp(-gb dt) - exp(-gx dt)) / (gx - gb), at the
+        # double nearest each argument
+        (1.0, 1.0 + 2e-9, 0.7, 0.34760971241065986182),  # near-degenerate rates
+        (2.0, 1.0, 400.0, 3.83033919342801139e-174),  # deep tail, gb > gx
+    ],
+)
+def test_amplitudes_beta2_matches_high_precision_value(gamma_b, gamma_x, dt, beta2):
+    got = cascade.amplitudes(DecayParams(gamma_b, gamma_x, dt)).beta2
+    assert abs(got - beta2) <= 1e-14 * beta2
+
+
 def test_decay_params_validation():
     with pytest.raises(ValueError):
         DecayParams(0.0, 1.0, 1.0)
@@ -95,6 +109,13 @@ def test_decay_params_validation():
         DecayParams(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         DecayParams(1.0, 1.0, -0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DecayParams(bad, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            DecayParams(1.0, bad, 1.0)
+        with pytest.raises(ValueError):
+            DecayParams(1.0, 1.0, bad)
 
 
 def test_amplitude_container_validation():
@@ -102,6 +123,8 @@ def test_amplitude_container_validation():
         cascade.Amplitudes(1.0, 0.5, 0.0)
     with pytest.raises(ValueError):
         cascade.Amplitudes(-0.6, 0.8, 0.0)
+    with pytest.raises(ValueError):
+        cascade.Amplitudes(math.nan, 0.0, 1.0)
 
 
 # --------------------------------------------------------------------------

@@ -313,9 +313,42 @@ def test_cli_bad_arguments_exit_code():
     assert code == 2
     code, _ = run_main(["amplitudes", "--ratio", "2", "--gamma-b", "3"])
     assert code == 2
+    for argv in (
+        ["amplitudes", "--dt", "nan"],
+        ["amplitudes", "--gamma-b", "inf"],
+        ["amplitudes", "--dt", "inf"],
+        ["secure-rate", "--alice", "eb", "--eve", "ex", "--dt", "nan"],
+        ["sweep", "--dt-min", "0.1", "--dt-max", "inf", "--points", "3"],
+        ["optimize-dt", "--alice", "eb", "--eve", "ex", "--dt-max", "inf"],
+    ):
+        code, out = run_main(argv)
+        assert (code, out) == (2, ""), argv
     with pytest.raises(SystemExit) as exc:
         run_main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cli_long_delay_exit_code():
+    code, out = run_main(["secure-rate", "--alice", "eb", "--eve", "ex", "--dt", "800"])
+    assert code == 0
+    assert read_csv_text(out)[0]["cmi"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "target,error",
+    [
+        ((entanglement, "conditional_mutual_information"), ArithmeticError("paths disagree")),
+        ((np.linalg, "eigvalsh"), np.linalg.LinAlgError("eigenvalues did not converge")),
+    ],
+)
+def test_cli_numerical_error_exit_code(monkeypatch, target, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(*target, fail)
+    code, out = run_main(["secure-rate", "--alice", "eb", "--eve", "ex"])
+    assert (code, out) == (cli.EXIT_NUMERICAL_ERROR, "")
+    assert cli.EXIT_NUMERICAL_ERROR == 4
 
 
 def test_cli_io_error_exit_code(tmp_path):
@@ -332,6 +365,18 @@ def test_cli_config_file_with_flag_override(tmp_path):
     code, out = run_main(["amplitudes", "--config", str(config), "--gamma-b", "8.0"])
     assert code == 0
     assert abs(read_csv_text(out)[0]["alpha2"] - 0.25) < 1e-12
+    # flags whose parser default is not None take their value from the file too
+    config.write_text(json.dumps({"gamma-b": 4.0, "dt": LN2 / 4, "format": "json"}))
+    code, out = run_main(["amplitudes", "--config", str(config)])
+    assert code == 0
+    assert abs(json.loads(out)[0]["alpha2"] - 0.5) < 1e-12
+    code, out = run_main(["amplitudes", "--config", str(config), "--format", "csv"])
+    assert code == 0
+    assert abs(read_csv_text(out)[0]["alpha2"] - 0.5) < 1e-12
+    for bad in ([1, 2], {"gamma-b": 4.0, "no-such-flag": 1}, {"trials": 10}, {"format": "xml"}):
+        config.write_text(json.dumps(bad))
+        code, out = run_main(["amplitudes", "--config", str(config)])
+        assert (code, out) == (2, ""), bad
 
 
 def test_csv_formatting_is_stable():

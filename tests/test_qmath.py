@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qdcascade import qmath
+from qdcascade import entanglement, qmath
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -350,9 +350,26 @@ def test_trace_norm_rejects_non_hermitian():
         qmath.trace_norm(np.array([[0, 2], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "measure,dim",
+    [
+        (qmath.vn_entropy, 2),
+        (qmath.eig_hermitian, 2),
+        (qmath.trace_norm, 2),
+        (lambda m: entanglement.mutual_information(m, entanglement.channel_by_id(1)), 16),
+    ],
+    ids=["vn_entropy", "eig_hermitian", "trace_norm", "mutual_information"],
+)
+def test_guards_reject_nan_matrix(measure, dim):
+    with pytest.raises(ValueError):
+        measure(np.full((dim, dim), np.nan))
+
+
 def test_entropy_helpers():
     assert qmath.binary_entropy(0.0) == 0.0
     assert qmath.binary_entropy(0.5) == 1.0
     assert abs(qmath.shannon_entropy((0.25, 0.25, 0.25, 0.25)) - 2.0) < 1e-14
     with pytest.raises(ValueError):
         qmath.shannon_entropy((1.5,))
+    with pytest.raises(ValueError):
+        qmath.shannon_entropy((math.nan,))
