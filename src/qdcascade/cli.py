@@ -12,11 +12,10 @@ given explicitly; times are in the inverse rate units.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,9 +27,6 @@ from .entanglement import EveSplit
 DEFAULT_GAMMA_X = 1.0
 DEFAULT_RATIO = 2.0
 DEFAULT_DT = math.log(2.0) / 2.0  # alpha^2 = 1/2 for the default ratio-2 rates
-FIG_GRID_LO = 1e-2
-FIG_GRID_HI = 10.0
-FIG_GRID_POINTS = 200
 RK4_MAX_DEVIATION = 1e-6
 MC_MAX_ZSCORE = 5.0
 COARSE_SCAN_POINTS = 64
@@ -105,20 +101,8 @@ class SweepSpec:
         return np.linspace(self.dt_min, self.dt_max, self.points)
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One sweep point: populations, fidelity, per-channel mutual information."""
-
-    dt: float
-    gx_dt: float
-    alpha2: float
-    beta2: float
-    gamma2: float
-    fidelity: float
-    mi: dict[int, float] = field(default_factory=dict)
-    mi_avg: float = 0.0
-    cmi: float | None = None
-    cmi_ghz: float | None = None
+# the figures' grid: 200 log-spaced delays in [1e-2, 10] at gamma_b : gamma_x = 2 : 1
+FIG_SPEC = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=1e-2, dt_max=10.0, points=200, scale="log")
 
 
 def _state_density(params: DecayParams, dephase: float | None) -> np.ndarray:
@@ -131,68 +115,45 @@ def _ghz_density() -> np.ndarray:
     return qmath.density_from_state(cascade.ghz_state(4))
 
 
-def evaluate_point(
-    gamma_b: float,
-    gamma_x: float,
-    dt: float,
-    dephase: float | None = None,
-    ghz_reference: bool = False,
-    split: EveSplit | None = None,
-) -> ResultRow:
-    params = DecayParams(gamma_b=gamma_b, gamma_x=gamma_x, delta_t=dt)
-    amps = cascade.amplitudes(params)
-    rho = _ghz_density() if ghz_reference else _state_density(params, dephase)
-    channels = entanglement.enumerate_channels()
-    mi = {ch.id: entanglement.mutual_information(rho, ch) for ch in channels}
-    row = ResultRow(
-        dt=dt,
-        gx_dt=gamma_x * dt,
-        alpha2=amps.alpha2,
-        beta2=amps.beta2,
-        gamma2=amps.gamma2,
-        fidelity=cascade.ghz_fidelity(params),
-        mi=mi,
-        mi_avg=sum(mi.values()) / len(mi),
-    )
-    if split is not None:
-        row = dataclasses.replace(
-            row,
-            cmi=entanglement.conditional_mutual_information(rho, split),
-            cmi_ghz=entanglement.conditional_mutual_information(_ghz_density(), split),
-        )
-    return row
+def _grid_densities(gamma_b: float, gamma_x: float, grid, dephase: float | None) -> np.ndarray:
+    """The state densities along a delay grid as one stack, shape (N, 16, 16)."""
+    rho = np.empty((len(grid), 16, 16), dtype=np.complex128)
+    for i, dt in enumerate(grid):
+        rho[i] = _state_density(DecayParams(gamma_b, gamma_x, float(dt)), dephase)
+    return rho
 
 
-def run_sweep(spec: SweepSpec) -> list[ResultRow]:
-    """Evaluate every grid point independently; rows come back dt-ascending."""
-    split = None
+def _table(columns: dict, n: int) -> tuple[list[str], list[list[float]]]:
+    """Header and rows of named columns, each n values or one value for all rows."""
+    return list(columns), [list(row) for row in zip(*(np.broadcast_to(c, (n,)) for c in columns.values()))]
+
+
+def _sweep_columns(spec: SweepSpec) -> dict:
+    """Every sweep column, each measure from one call on the stack of grid
+    states; keys in output order."""
+    grid = spec.grid()
+    params = [DecayParams(spec.gamma_b, spec.gamma_x, float(dt)) for dt in grid]
+    amps = [cascade.amplitudes(p) for p in params]
+    if spec.ghz_reference:
+        rho = np.broadcast_to(_ghz_density(), (len(grid), 16, 16))
+    else:
+        rho = _grid_densities(spec.gamma_b, spec.gamma_x, grid, spec.dephase)
+    mi = {ch.id: entanglement.mutual_information(rho, ch) for ch in entanglement.enumerate_channels()}
+    columns = {"dt": grid, "gx_dt": spec.gamma_x * grid}
+    columns.update({name: [getattr(a, name) for a in amps] for name in ("alpha2", "beta2", "gamma2")})
+    columns["fidelity"] = [cascade.ghz_fidelity(p) for p in params]
+    columns.update({f"mi_ch{c}": mi[c] for c in spec.channels})
+    columns["mi_avg"] = sum(mi.values()) / len(mi)
     if spec.alice is not None:
         split = EveSplit.from_alice_eve(spec.alice, spec.eve)
-    return [
-        evaluate_point(
-            spec.gamma_b, spec.gamma_x, float(dt),
-            dephase=spec.dephase, ghz_reference=spec.ghz_reference, split=split,
-        )
-        for dt in spec.grid()
-    ]
+        columns["cmi"] = entanglement.conditional_mutual_information(rho, split)
+        columns["cmi_ghz"] = entanglement.conditional_mutual_information(_ghz_density(), split)
+    return columns
 
 
-def sweep_table(spec: SweepSpec, rows: list[ResultRow]) -> tuple[list[str], list[list[float]]]:
-    header = ["dt", "gx_dt", "alpha2", "beta2", "gamma2", "fidelity"]
-    header += [f"mi_ch{c}" for c in spec.channels]
-    header += ["mi_avg"]
-    with_cmi = spec.alice is not None
-    if with_cmi:
-        header += ["cmi", "cmi_ghz"]
-    table = []
-    for r in rows:
-        line = [r.dt, r.gx_dt, r.alpha2, r.beta2, r.gamma2, r.fidelity]
-        line += [r.mi[c] for c in spec.channels]
-        line += [r.mi_avg]
-        if with_cmi:
-            line += [r.cmi, r.cmi_ghz]
-        table.append(line)
-    return header, table
+def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
+    """Header and dt-ascending rows of a delay sweep."""
+    return _table(_sweep_columns(spec), spec.points)
 
 
 def secure_rate(
@@ -237,7 +198,6 @@ def optimize_delay(
     split: EveSplit,
     bracket: tuple[float, float],
     dephase: float | None = None,
-    objective: Callable[[float], float] | None = None,
 ) -> tuple[float, float]:
     """Locate the delay maximizing the secret rate inside ``bracket``.
 
@@ -249,75 +209,50 @@ def optimize_delay(
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"empty or unbounded bracket: ({lo}, {hi})")
 
-    if objective is None:
-        def objective(dt: float) -> float:
-            params = DecayParams(gamma_b=gamma_b, gamma_x=gamma_x, delta_t=dt)
-            rho = _state_density(params, dephase)
-            return entanglement.conditional_mutual_information(rho, split)
+    def objective(dt: float) -> float:
+        rho = _state_density(DecayParams(gamma_b, gamma_x, dt), dephase)
+        return entanglement.conditional_mutual_information(rho, split)
 
     xs = np.linspace(lo, hi, COARSE_SCAN_POINTS)
-    values = [objective(float(x)) for x in xs]
-    k = int(np.argmax(values))
+    rho = _grid_densities(gamma_b, gamma_x, xs, dephase)
+    k = int(np.argmax(entanglement.conditional_mutual_information(rho, split)))
     refined_lo = float(xs[max(0, k - 1)])
     refined_hi = float(xs[min(COARSE_SCAN_POINTS - 1, k + 1)])
     tol = GOLDEN_TOL_FRACTION * (hi - lo)
     return golden_section_max(objective, refined_lo, refined_hi, tol)
 
 
-_FIG_RATES = {"gamma_b": 2.0, "gamma_x": 1.0}
-
-
-def _fig_grid() -> np.ndarray:
-    return np.geomspace(FIG_GRID_LO, FIG_GRID_HI, FIG_GRID_POINTS)
-
-
 def fig3_table() -> tuple[list[str], list[list[float]]]:
     """Per-channel mutual information and the channel average across the
     delay grid, with the flat GHZ reference."""
-    header = ["gx_dt"] + [f"mi_ch{c}" for c in range(1, 8)] + ["mi_avg", "mi_ghz"]
-    mi_ghz = entanglement.mutual_information(_ghz_density(), entanglement.channel_by_id(1))
-    rows = []
-    for gx_dt in _fig_grid():
-        row = evaluate_point(_FIG_RATES["gamma_b"], _FIG_RATES["gamma_x"], float(gx_dt))
-        rows.append([row.gx_dt] + [row.mi[c] for c in range(1, 8)] + [row.mi_avg, mi_ghz])
-    return header, rows
+    columns = _sweep_columns(FIG_SPEC)
+    columns["mi_ghz"] = entanglement.mutual_information(_ghz_density(), entanglement.channel_by_id(1))
+    names = ["gx_dt"] + [f"mi_ch{c}" for c in range(1, 8)] + ["mi_avg", "mi_ghz"]
+    return _table({name: columns[name] for name in names}, FIG_SPEC.points)
 
 
 def fig4_table() -> tuple[list[str], list[list[float]]]:
     """Secret rates across the delay grid for the single-mode channel (Alice
     holds early-B, Eve takes one of Bob's three modes) and the balanced
     early|late channel (Eve takes either late mode), with GHZ baselines."""
-    ch1_splits = {
-        "early_x": EveSplit.from_alice_eve({ModeLabel.EARLY_B}, {ModeLabel.EARLY_X}),
-        "late_b": EveSplit.from_alice_eve({ModeLabel.EARLY_B}, {ModeLabel.LATE_B}),
-        "late_x": EveSplit.from_alice_eve({ModeLabel.EARLY_B}, {ModeLabel.LATE_X}),
+    eb, ex, lb, lx = ModeLabel
+    splits = {  # column: (Alice, Eve); the ghz_ columns use the GHZ state
+        "cmi_ch1_eve_early_x": ({eb}, {ex}),
+        "cmi_ch1_eve_late_b": ({eb}, {lb}),
+        "cmi_ch1_eve_late_x": ({eb}, {lx}),
+        "ghz_ch1": ({eb}, {ex}),
+        "cmi_ch5_eve_late_b": ({eb, ex}, {lb}),
+        "cmi_ch5_eve_late_x": ({eb, ex}, {lx}),
+        "ghz_ch5": ({eb, ex}, {lb}),
     }
-    ch5_alice = {ModeLabel.EARLY_B, ModeLabel.EARLY_X}
-    ch5_splits = {
-        "late_b": EveSplit.from_alice_eve(ch5_alice, {ModeLabel.LATE_B}),
-        "late_x": EveSplit.from_alice_eve(ch5_alice, {ModeLabel.LATE_X}),
-    }
-    ghz = _ghz_density()
-    ghz_ch1 = entanglement.conditional_mutual_information(ghz, ch1_splits["early_x"])
-    ghz_ch5 = entanglement.conditional_mutual_information(ghz, ch5_splits["late_b"])
-    header = (
-        ["gx_dt"]
-        + [f"cmi_ch1_eve_{k}" for k in ch1_splits]
-        + ["ghz_ch1"]
-        + [f"cmi_ch5_eve_{k}" for k in ch5_splits]
-        + ["ghz_ch5"]
-    )
-    rows = []
-    for gx_dt in _fig_grid():
-        params = DecayParams(_FIG_RATES["gamma_b"], _FIG_RATES["gamma_x"], float(gx_dt))
-        rho = _state_density(params, None)
-        line = [params.gamma_x * params.delta_t]
-        line += [entanglement.conditional_mutual_information(rho, s) for s in ch1_splits.values()]
-        line += [ghz_ch1]
-        line += [entanglement.conditional_mutual_information(rho, s) for s in ch5_splits.values()]
-        line += [ghz_ch5]
-        rows.append(line)
-    return header, rows
+    grid = FIG_SPEC.grid()
+    rho = _grid_densities(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid, None)
+    columns = {"gx_dt": FIG_SPEC.gamma_x * grid}
+    for name, (alice, eve) in splits.items():
+        state = _ghz_density() if name.startswith("ghz") else rho
+        split = EveSplit.from_alice_eve(alice, eve)
+        columns[name] = entanglement.conditional_mutual_information(state, split)
+    return _table(columns, len(grid))
 
 
 def _write_text(path: str, data: str) -> None:
@@ -326,13 +261,11 @@ def _write_text(path: str, data: str) -> None:
 
 
 def reproduce_fig3(path: str) -> None:
-    header, rows = fig3_table()
-    _write_text(path, _csv_lines(header, rows))
+    _write_text(path, _csv_lines(*fig3_table()))
 
 
 def reproduce_fig4(path: str) -> None:
-    header, rows = fig4_table()
-    _write_text(path, _csv_lines(header, rows))
+    _write_text(path, _csv_lines(*fig4_table()))
 
 
 @dataclass(frozen=True)
@@ -429,11 +362,32 @@ def _add_rate_args(p: argparse.ArgumentParser) -> None:
                    help="JSON file with defaults for any flag (flags override)")
 
 
+def _has_json_type(option_type, value) -> bool:
+    json_types = {float: (int, float), int: (int,)}.get(option_type, (str,))
+    return isinstance(value, json_types) and not isinstance(value, bool)
+
+
+def _config_value(action: argparse.Action, value):
+    """``value`` as the option's type if it has the option's JSON type: a
+    number that is not a bool for a numeric option, a string for a string
+    option, a bool for a switch, a list of such items for a repeatable one."""
+    if isinstance(action, argparse._StoreTrueAction):
+        ok = isinstance(value, bool)
+    elif isinstance(action, argparse._AppendAction):
+        ok = isinstance(value, list) and all(_has_json_type(action.type, v) for v in value)
+    else:
+        ok = _has_json_type(action.type, value)
+    if not ok:
+        raise ValueError(f"config {action.dest} has the wrong type: {value!r}")
+    return float(value) if action.type is float else value
+
+
 def _with_config(
     parser: argparse.ArgumentParser, argv: Sequence[str] | None, args: argparse.Namespace
 ) -> argparse.Namespace:
     """Re-parse with the JSON object in ``--config`` as defaults of the chosen
-    subcommand, so flags given on the command line still win."""
+    subcommand, so flags given on the command line still win; a repeatable
+    flag replaces the file's list."""
     with open(args.config) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
@@ -446,8 +400,12 @@ def _with_config(
     if unknown:
         raise ValueError(f"unknown config keys for {args.command}: {unknown}")
     for key, value in config.items():
+        config[key] = _config_value(options[key], value)
         if options[key].choices is not None and value not in options[key].choices:
             raise ValueError(f"config {key} must be one of {list(options[key].choices)}, got {value!r}")
+        # a repeatable flag would extend the file's list; given, it replaces it
+        if isinstance(options[key], argparse._AppendAction) and getattr(args, key) is not None:
+            config[key] = None
     command.set_defaults(**config)
     return parser.parse_args(argv)
 
@@ -469,8 +427,6 @@ def _resolve_params(args: argparse.Namespace) -> DecayParams:
 
 
 def _resolve_split(args: argparse.Namespace) -> EveSplit:
-    if not getattr(args, "alice", None):
-        raise ValueError("--alice is required")
     alice = parse_mode_list(args.alice)
     eve = parse_mode_list(args.eve) if getattr(args, "eve", None) else frozenset()
     return EveSplit.from_alice_eve(alice, eve)
@@ -520,9 +476,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         channels=channels, dephase=args.dephase, ghz_reference=args.ghz,
         alice=alice, eve=eve,
     )
-    rows = run_sweep(spec)
-    header, table = sweep_table(spec, rows)
-    _emit(args, header, table)
+    _emit(args, *sweep_table(spec))
     return EXIT_OK
 
 
@@ -530,8 +484,7 @@ def _cmd_secure_rate(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     split = _resolve_split(args)
     result = secure_rate(params, split, args.dephase)
-    header = list(result.keys())
-    _emit(args, header, [[result[k] for k in header]])
+    _emit(args, list(result), [list(result.values())])
     return EXIT_OK
 
 
@@ -547,13 +500,8 @@ def _cmd_optimize_dt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    reproduce_fig3(args.out)
-    return EXIT_OK
-
-
-def _cmd_fig4(args: argparse.Namespace) -> int:
-    reproduce_fig4(args.out)
+def _cmd_figure(args: argparse.Namespace) -> int:
+    {"fig3": reproduce_fig3, "fig4": reproduce_fig4}[args.command](args.out)
     return EXIT_OK
 
 
@@ -653,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(200 log points, rates 2:1) plus average and GHZ reference",
     )
     p.add_argument("--out", type=str, required=True)
-    p.set_defaults(handler=_cmd_fig3)
+    p.set_defaults(handler=_cmd_figure)
 
     p = sub.add_parser(
         "fig4",
@@ -661,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
              "single-mode and balanced channels with GHZ baselines",
     )
     p.add_argument("--out", type=str, required=True)
-    p.set_defaults(handler=_cmd_fig4)
+    p.set_defaults(handler=_cmd_figure)
 
     p = sub.add_parser(
         "validate",

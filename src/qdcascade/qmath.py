@@ -6,6 +6,12 @@ per-factor dimensions; index 0 is the leftmost (most significant) tensor
 factor, so the basis index of a product state is the big-endian mixed-radix
 encoding of the per-factor indices. All entropies are in bits.
 
+Every matrix function acts on the last two axes and broadcasts over any
+leading axes, so a stack of shape (..., n, n) is evaluated in one call: a
+2-D input gives a scalar (``np.float64``), a stack gives an array of the
+leading shape. Each guard reduces over the whole stack, so one bad matrix
+fails the call.
+
 Spectra come from LAPACK through ``np.linalg.eigvalsh``. Every guard is
 written so that NaN fails it.
 """
@@ -23,15 +29,17 @@ EIG_CLAMP_FLOOR = -1e-8
 
 def _as_square(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise ValueError(f"expected a nonempty square matrix or stack of them, got shape {m.shape}")
     return m
 
 
 def hermiticity_defect(a) -> float:
-    """Largest absolute deviation of a matrix from its conjugate transpose."""
+    """Largest absolute deviation of a matrix from its conjugate transpose,
+    the worst over a stack."""
     m = _as_square(a)
-    return float(np.max(np.abs(m - m.conj().T)))
+    defect = m.conj().swapaxes(-1, -2)  # in place below: one temporary stack, not two
+    return float(np.max(np.abs(np.subtract(defect, m, out=defect))))
 
 
 def _require_hermitian(m: np.ndarray) -> None:
@@ -41,9 +49,9 @@ def _require_hermitian(m: np.ndarray) -> None:
 
 
 def _require_unit_trace(m: np.ndarray) -> None:
-    tr = complex(np.trace(m))
-    if not abs(tr - 1.0) <= DENSITY_ATOL:
-        raise ValueError(f"density matrix trace is {tr:.15g}, expected 1")
+    defect = np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0))
+    if not defect <= DENSITY_ATOL:
+        raise ValueError(f"density matrix trace is off 1 by {defect:.3e}")
 
 
 def require_density_matrix(rho) -> np.ndarray:
@@ -92,37 +100,38 @@ def partial_trace(rho, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     the 1x1 matrix [[tr(rho)]].
     """
     m = _as_square(rho)
-    dims = _check_shape(dims, m.shape[0])
+    dims = _check_shape(dims, m.shape[-1])
     keep = _check_subset(keep, len(dims), "keep")
-    tensor = m.reshape(dims + dims)
+    lead = m.shape[:-2]
+    tensor = m.reshape(lead + dims + dims)
     remaining = list(dims)
     for ax in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        tensor = np.trace(tensor, axis1=ax, axis2=ax + len(remaining))
+        tensor = np.trace(tensor, axis1=len(lead) + ax, axis2=len(lead) + ax + len(remaining))
         del remaining[ax]
-    d = math.prod(remaining) if remaining else 1
-    return tensor.reshape(d, d)
+    d = math.prod(remaining)
+    return tensor.reshape(lead + (d, d))
 
 
 def partial_transpose(rho, dims: Sequence[int], subset: Iterable[int]) -> np.ndarray:
     """Transpose the listed tensor factors, leaving the rest untouched."""
     m = _as_square(rho)
-    dims = _check_shape(dims, m.shape[0])
+    dims = _check_shape(dims, m.shape[-1])
     subset = _check_subset(subset, len(dims), "transpose")
-    n = len(dims)
-    axes = list(range(2 * n))
+    lead, n = m.ndim - 2, len(dims)
+    axes = list(range(lead + 2 * n))
     for i in subset:
-        axes[i], axes[i + n] = axes[i + n], axes[i]
-    return m.reshape(dims + dims).transpose(axes).reshape(m.shape)
+        axes[lead + i], axes[lead + i + n] = axes[lead + i + n], axes[lead + i]
+    return m.reshape(m.shape[:-2] + dims + dims).transpose(axes).reshape(m.shape)
 
 
 def eig_hermitian(h) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending."""
+    """Real eigenvalues of a Hermitian matrix, ascending along the last axis."""
     a = _as_square(h)
     _require_hermitian(a)
     return np.linalg.eigvalsh(a)
 
 
-def vn_entropy(rho) -> float:
+def vn_entropy(rho) -> float | np.ndarray:
     """Von Neumann entropy in bits, -sum(lambda log2 lambda), 0 log 0 := 0.
 
     Small negative eigenvalues (round-off from partial traces) are dropped;
@@ -131,15 +140,16 @@ def vn_entropy(rho) -> float:
     m = _as_square(rho)
     _require_unit_trace(m)
     evals = eig_hermitian(m)
-    if not evals[0] >= EIG_CLAMP_FLOOR:
-        raise ValueError(f"eigenvalue {evals[0]:.3e} below {EIG_CLAMP_FLOOR:.0e}; not a density matrix")
-    pos = evals[evals > 0.0]
-    return max(0.0, float(-np.sum(pos * np.log2(pos))))
+    lowest = np.min(evals[..., 0])
+    if not lowest >= EIG_CLAMP_FLOOR:
+        raise ValueError(f"eigenvalue {lowest:.3e} below {EIG_CLAMP_FLOOR:.0e}; not a density matrix")
+    pos = np.where(evals > 0.0, evals, 1.0)  # 1 log2 1 = 0 stands in for the dropped ones
+    return np.maximum(-np.sum(pos * np.log2(pos), axis=-1), 0.0)[()]  # (x, 0.0) maps -0.0 to 0.0
 
 
-def trace_norm(a) -> float:
+def trace_norm(a) -> float | np.ndarray:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(eig_hermitian(a))))
+    return np.sum(np.abs(eig_hermitian(a)), axis=-1)[()]
 
 
 def binary_entropy(p: float) -> float:

@@ -37,42 +37,64 @@ def read_csv_text(text):
 # sweeps
 # --------------------------------------------------------------------------
 
+def sweep_columns(spec):
+    header, rows = cli.sweep_table(spec)
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
 def test_sweep_product_state_endpoints():
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.0, dt_max=40.0, points=2)
-    rows = cli.run_sweep(spec)
-    assert all(rows[0].mi[c] < 1e-9 for c in range(1, 8))
-    assert all(rows[-1].mi[c] < 1e-6 for c in range(1, 8))
+    cols = sweep_columns(spec)
+    assert all(cols[f"mi_ch{c}"][0] < 1e-9 for c in range(1, 8))
+    assert all(cols[f"mi_ch{c}"][-1] < 1e-6 for c in range(1, 8))
 
 
 def test_sweep_channel1_peaks_at_half_occupation():
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.05, dt_max=1.0, points=101)
-    rows = cli.run_sweep(spec)
-    mi1 = [r.mi[1] for r in rows]
+    cols = sweep_columns(spec)
+    mi1 = cols["mi_ch1"]
     k = int(np.argmax(mi1))
     grid_step = (1.0 - 0.05) / 100
-    assert abs(rows[k].dt - LN2 / 2) <= grid_step
+    assert abs(cols["dt"][k] - LN2 / 2) <= grid_step
     assert abs(mi1[k] - 2.0) < 5e-4
 
 
 def test_sweep_ghz_reference_mode_is_flat():
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.1, dt_max=2.0, points=5,
                      ghz_reference=True)
-    rows = cli.run_sweep(spec)
-    for row in rows:
+    cols = sweep_columns(spec)
+    for k in range(spec.points):
         for c in range(1, 8):
-            assert abs(row.mi[c] - 2.0) < 1e-9
-        assert abs(row.mi_avg - 2.0) < 1e-9
+            assert abs(cols[f"mi_ch{c}"][k] - 2.0) < 1e-9
+        assert abs(cols["mi_avg"][k] - 2.0) < 1e-9
 
 
 def test_sweep_rows_ascending_and_independent():
+    # each row of the stacked evaluation equals, bit for bit, the evaluation
+    # of its own state as a single 16x16 matrix
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.1, dt_max=1.5, points=7,
-                     scale="log")
-    rows = cli.run_sweep(spec)
-    dts = [r.dt for r in rows]
-    assert dts == sorted(dts)
-    for row in rows:
-        single = cli.evaluate_point(2.0, 1.0, row.dt)
-        assert single == row
+                     scale="log", alice=frozenset({EB}), eve=frozenset({LB}))
+    cols = sweep_columns(spec)
+    assert cols["dt"] == sorted(cols["dt"])
+    channels = entanglement.enumerate_channels()
+    split = EveSplit.from_alice_eve({EB}, {LB})
+    for k, dt in enumerate(cols["dt"]):
+        params = DecayParams(2.0, 1.0, dt)
+        rho = qmath.density_from_state(cascade.final_state(params))
+        assert rho.ndim == 2
+        a = cascade.amplitudes(params)
+        single = {
+            "gx_dt": 1.0 * dt, "alpha2": a.alpha2, "beta2": a.beta2, "gamma2": a.gamma2,
+            "fidelity": cascade.ghz_fidelity(params),
+            "cmi": entanglement.conditional_mutual_information(rho, split),
+            "cmi_ghz": entanglement.conditional_mutual_information(
+                qmath.density_from_state(cascade.ghz_state(4)), split),
+        }
+        mi = [entanglement.mutual_information(rho, ch) for ch in channels]
+        single.update({f"mi_ch{ch.id}": v for ch, v in zip(channels, mi)})
+        single["mi_avg"] = sum(mi) / len(mi)
+        for name, value in single.items():
+            assert cols[name][k] == value, (name, k)
 
 
 def test_sweep_spec_validation_names_fields():
@@ -94,9 +116,9 @@ def test_sweep_spec_validation_names_fields():
 def test_sweep_with_secret_rate_column():
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=LN2 / 2, dt_max=1.0, points=2,
                      alice=frozenset({EB}), eve=frozenset({EX}))
-    rows = cli.run_sweep(spec)
-    assert abs(rows[0].cmi - 1.9083982468759764) < 1e-9
-    assert abs(rows[0].cmi_ghz - 1.0) < 1e-10
+    cols = sweep_columns(spec)
+    assert abs(cols["cmi"][0] - 1.9083982468759764) < 1e-9
+    assert abs(cols["cmi_ghz"][0] - 1.0) < 1e-10
 
 
 # --------------------------------------------------------------------------
@@ -373,10 +395,31 @@ def test_cli_config_file_with_flag_override(tmp_path):
     code, out = run_main(["amplitudes", "--config", str(config), "--format", "csv"])
     assert code == 0
     assert abs(read_csv_text(out)[0]["alpha2"] - 0.5) < 1e-12
-    for bad in ([1, 2], {"gamma-b": 4.0, "no-such-flag": 1}, {"trials": 10}, {"format": "xml"}):
+    for bad in ([1, 2], {"gamma-b": 4.0, "no-such-flag": 1}, {"trials": 10}, {"format": "xml"},
+                {"dt": [1]}, {"dt": True}, {"dt": "0.5"}, {"format": 1}):
         config.write_text(json.dumps(bad))
         code, out = run_main(["amplitudes", "--config", str(config)])
         assert (code, out) == (2, ""), bad
+    # each value must have its option's JSON type; a --channel flag replaces
+    # the file's list
+    sweep = ["sweep", "--dt-min", "0.1", "--dt-max", "1.0", "--points", "2", "--config", str(config)]
+    for bad in ({"channel": 3}, {"channel": [True]}, {"ghz": 1}, {"points": 2.5}, {"alice": 1}):
+        config.write_text(json.dumps(bad))
+        code, out = run_main(sweep)
+        assert (code, out) == (2, ""), bad
+    config.write_text(json.dumps({"channel": [3], "ghz": True}))
+    code, out = run_main(sweep)
+    assert code == 0
+    assert out.splitlines()[0] == "dt,gx_dt,alpha2,beta2,gamma2,fidelity,mi_ch3,mi_avg"
+    assert all(row["mi_ch3"] == 2.0 for row in read_csv_text(out))
+    code, out = run_main(sweep + ["--channel", "5"])
+    assert code == 0
+    assert out.splitlines()[0] == "dt,gx_dt,alpha2,beta2,gamma2,fidelity,mi_ch5,mi_avg"
+    # an integer for a float option is taken as a float
+    config.write_text(json.dumps({"dt": 1, "format": "json"}))
+    code, out = run_main(["amplitudes", "--config", str(config)])
+    assert code == 0
+    assert out == run_main(["amplitudes", "--dt", "1", "--format", "json"])[1]
 
 
 def test_csv_formatting_is_stable():

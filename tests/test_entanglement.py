@@ -1,12 +1,15 @@
 """Channel enumeration, mutual information, secret rates, negativity."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdcascade import cascade, entanglement, qmath
-from qdcascade.cascade import DecayParams, ModeLabel
+from qdcascade.cascade import FOUR_MODE_DIMS, DecayParams, ModeLabel
 from qdcascade.entanglement import Channel, EveSplit
 
 LN2 = math.log(2.0)
@@ -35,6 +38,15 @@ def h(p):
 def branch_probs(params):
     a = cascade.amplitudes(params)
     return a.alpha2, a.beta2, a.gamma2
+
+
+def grid_params(dts, gamma_b=2.0, gamma_x=1.0):
+    return [DecayParams(gamma_b, gamma_x, float(dt)) for dt in dts]
+
+
+def grid_stack(grid, d=1.0):
+    """The dephased densities of a delay grid as one (N, 16, 16) stack."""
+    return np.stack([cascade.dephased_density(p, d) for p in grid])
 
 
 # --------------------------------------------------------------------------
@@ -132,20 +144,23 @@ def test_mi_pure_state_shortcut():
 
 
 def test_mi_closed_forms_across_delay_grid():
-    for dt in np.geomspace(0.02, 5.0, 25):
-        params = DecayParams(2.0, 1.0, float(dt))
+    grid = grid_params(np.geomspace(0.02, 5.0, 25))
+    stacked = {c: entanglement.mutual_information(grid_stack(grid), entanglement.channel_by_id(c))
+               for c in range(1, 8)}
+    for k, params in enumerate(grid):
         a2, b2, g2 = branch_probs(params)
         rho = final_density(params)
-        mi = {c: entanglement.mutual_information(rho, entanglement.channel_by_id(c))
-              for c in range(1, 8)}
+        single = {c: entanglement.mutual_information(rho, entanglement.channel_by_id(c))
+                  for c in range(1, 8)}
         lam_plus = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * a2 * g2))
-        assert abs(mi[1] - 2 * h(a2)) < 1e-10
-        assert abs(mi[2] - 2 * h(g2)) < 1e-10
-        assert abs(mi[3] - 2 * h(g2)) < 1e-10
-        assert abs(mi[4] - 2 * h(a2)) < 1e-10
-        assert abs(mi[5] - 2 * qmath.shannon_entropy((a2, b2, g2))) < 1e-10
-        assert abs(mi[6] - mi[5]) < 1e-10
-        assert abs(mi[7] - 2 * h(lam_plus)) < 1e-10
+        for mi in (single, {c: stacked[c][k] for c in range(1, 8)}):
+            assert abs(mi[1] - 2 * h(a2)) < 1e-10
+            assert abs(mi[2] - 2 * h(g2)) < 1e-10
+            assert abs(mi[3] - 2 * h(g2)) < 1e-10
+            assert abs(mi[4] - 2 * h(a2)) < 1e-10
+            assert abs(mi[5] - 2 * qmath.shannon_entropy((a2, b2, g2))) < 1e-10
+            assert abs(mi[6] - mi[5]) < 1e-10
+            assert abs(mi[7] - 2 * h(lam_plus)) < 1e-10
 
 
 def test_mi_rejects_wrong_dimension():
@@ -201,30 +216,36 @@ def test_cmi_channel5_symmetric_point():
 
 def test_cmi_channel5_closed_forms_across_grid():
     # eve = late-B: H3 + h(alpha^2) - h(gamma^2); eve = late-X: mirrored sign
-    for dt in np.geomspace(0.05, 3.0, 15):
-        params = DecayParams(2.0, 1.0, float(dt))
+    eve_lb = EveSplit.from_alice_eve({EB, EX}, {LB})
+    eve_lx = EveSplit.from_alice_eve({EB, EX}, {LX})
+    grid = grid_params(np.geomspace(0.05, 3.0, 15))
+    stack = grid_stack(grid)
+    stacked_b = entanglement.conditional_mutual_information(stack, eve_lb)
+    stacked_x = entanglement.conditional_mutual_information(stack, eve_lx)
+    for k, params in enumerate(grid):
         a2, b2, g2 = branch_probs(params)
         rho = final_density(params)
         h3 = qmath.shannon_entropy((a2, b2, g2))
-        got_b = entanglement.conditional_mutual_information(
-            rho, EveSplit.from_alice_eve({EB, EX}, {LB}))
-        got_x = entanglement.conditional_mutual_information(
-            rho, EveSplit.from_alice_eve({EB, EX}, {LX}))
-        assert abs(got_b - (h3 + h(a2) - h(g2))) < 1e-10
-        assert abs(got_x - (h3 - h(a2) + h(g2))) < 1e-10
+        got_b = entanglement.conditional_mutual_information(rho, eve_lb)
+        got_x = entanglement.conditional_mutual_information(rho, eve_lx)
+        for b, x in ((got_b, got_x), (stacked_b[k], stacked_x[k])):
+            assert abs(b - (h3 + h(a2) - h(g2))) < 1e-10
+            assert abs(x - (h3 - h(a2) + h(g2))) < 1e-10
 
 
 def test_cmi_eve_late_x_never_beats_ghz():
     # reduced state of (early-B, late-X) has eigenvalues (1 +- sqrt(1 - 4
     # alpha^2 gamma^2))/2, so the rate is h(lambda+) <= 1
     split = EveSplit.from_alice_eve({EB}, {LX})
-    for dt in np.geomspace(0.01, 8.0, 30):
-        params = DecayParams(2.0, 1.0, float(dt))
+    grid = grid_params(np.geomspace(0.01, 8.0, 30))
+    stacked = entanglement.conditional_mutual_information(grid_stack(grid), split)
+    for k, params in enumerate(grid):
         a2, _, g2 = branch_probs(params)
         lam_plus = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * a2 * g2))
-        cmi = entanglement.conditional_mutual_information(final_density(params), split)
-        assert abs(cmi - h(lam_plus)) < 1e-10
-        assert cmi <= 1.0 + 1e-9
+        single = entanglement.conditional_mutual_information(final_density(params), split)
+        for cmi in (single, stacked[k]):
+            assert abs(cmi - h(lam_plus)) < 1e-10
+            assert cmi <= 1.0 + 1e-9
 
 
 def test_cmi_with_empty_eve_reduces_to_mi():
@@ -306,3 +327,68 @@ def test_classical_correlations_survive_full_dephasing():
     ch1 = entanglement.channel_by_id(1)
     assert entanglement.mutual_information(rho, ch1) > 0.1
     assert entanglement.negativity(rho, ch1) < 1e-10
+
+
+# --------------------------------------------------------------------------
+# stacks of states
+# --------------------------------------------------------------------------
+
+def test_dephased_stack_matches_single_matrices_bitwise():
+    grid = grid_params(np.geomspace(0.01, 10.0, 20), gamma_b=1.3)
+    stack = grid_stack(grid, d=0.73)
+    split = EveSplit.from_alice_eve({EB, EX}, {LX})
+    for ch in entanglement.enumerate_channels():
+        mi = entanglement.mutual_information(stack, ch)
+        neg = entanglement.negativity(stack, ch)
+        assert mi.shape == neg.shape == (len(grid),)
+        for k, rho in enumerate(stack):
+            assert mi[k] == entanglement.mutual_information(rho, ch)
+            assert neg[k] == entanglement.negativity(rho, ch)
+    cmi = entanglement.conditional_mutual_information(stack, split)
+    assert list(cmi) == [entanglement.conditional_mutual_information(rho, split) for rho in stack]
+
+
+# --------------------------------------------------------------------------
+# invariants over drawn rates, delay grids and dephasing
+# --------------------------------------------------------------------------
+
+ALL_SPLITS = [
+    EveSplit.from_alice_eve(alice, eve)
+    for alice in itertools.chain.from_iterable(
+        itertools.combinations(ModeLabel, k) for k in (1, 2, 3))
+    for eve in itertools.chain.from_iterable(
+        itertools.combinations(sorted(set(ModeLabel) - set(alice)), k) for k in range(4 - len(alice)))
+]
+
+rates = st.floats(0.1, 10.0)
+delay_grids = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6)
+property_settings = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+
+
+@property_settings
+@given(gb=rates, gx=rates, dts=delay_grids, d=st.floats(0.0, 1.0), split=st.sampled_from(ALL_SPLITS))
+def test_invariants_on_drawn_stacks(gb, gx, dts, d, split):
+    grid = grid_params(dts, gamma_b=gb, gamma_x=gx)
+    for a2, b2, g2 in map(branch_probs, grid):
+        assert abs(a2 + b2 + g2 - 1.0) <= 1e-12
+    stack = grid_stack(grid, d)
+    for ch in entanglement.enumerate_channels():
+        mi = entanglement.mutual_information(stack, ch)
+        assert np.all((0.0 <= mi) & (mi <= 2.0 * min(len(ch.p1), len(ch.p2))))
+    assert np.all(entanglement.conditional_mutual_information(stack, split) >= 0.0)
+
+
+@property_settings
+@given(gb=rates, gx=rates, dts=delay_grids, d=st.floats(0.0, 1.0), lower=st.floats(0.0, 1.0))
+def test_pure_and_dephasing_invariants_on_drawn_stacks(gb, gx, dts, d, lower):
+    grid = grid_params(dts, gamma_b=gb, gamma_x=gx)
+    pure = grid_stack(grid)
+    for k in range(1, 8):
+        keep = [m for m in range(4) if k >> m & 1]
+        complement = [m for m in range(4) if m not in keep]
+        s = qmath.vn_entropy(qmath.partial_trace(pure, FOUR_MODE_DIMS, keep))
+        s_c = qmath.vn_entropy(qmath.partial_trace(pure, FOUR_MODE_DIMS, complement))
+        np.testing.assert_allclose(s, s_c, rtol=0.0, atol=1e-10)
+    more, less = grid_stack(grid, d), grid_stack(grid, d * lower)
+    for ch in entanglement.enumerate_channels():
+        assert np.all(entanglement.negativity(less, ch) <= entanglement.negativity(more, ch) + 1e-12)

@@ -350,7 +350,7 @@ def test_trace_norm_rejects_non_hermitian():
         qmath.trace_norm(np.array([[0, 2], [0, 0]], dtype=complex))
 
 
-@pytest.mark.parametrize(
+GUARDED = pytest.mark.parametrize(
     "measure,dim",
     [
         (qmath.vn_entropy, 2),
@@ -360,9 +360,44 @@ def test_trace_norm_rejects_non_hermitian():
     ],
     ids=["vn_entropy", "eig_hermitian", "trace_norm", "mutual_information"],
 )
+
+
+@GUARDED
 def test_guards_reject_nan_matrix(measure, dim):
-    with pytest.raises(ValueError):
-        measure(np.full((dim, dim), np.nan))
+    for lead in [(), (3,), (2, 2)]:
+        with pytest.raises(ValueError):
+            measure(np.full(lead + (dim, dim), np.nan))
+
+
+def _nan_entry(m):
+    m[0, -1] = np.nan
+
+
+def _non_hermitian(m):
+    m[0, -1] += 1e-6
+
+
+def _trace_over_one(m):
+    m[0, 0] += 0.1
+
+
+def _negative_eigenvalue(m):
+    m[:] = np.diag([1.0 + 1e-6] + [0.0] * (len(m) - 2) + [-1e-6])
+
+
+@GUARDED
+@pytest.mark.parametrize("spoil", [_nan_entry, _non_hermitian, _trace_over_one, _negative_eigenvalue])
+def test_guards_reject_bad_last_slice_of_stack(measure, dim, spoil):
+    rng = np.random.default_rng(61)
+    stack = np.stack([random_density(rng, dim) for _ in range(4)])
+    measure(stack)  # the valid stack passes
+    spoil(stack[-1])
+    # eig_hermitian and trace_norm check only Hermiticity (and NaN): a
+    # partial transpose is neither positive nor, in general, of unit trace
+    guards_density = measure not in (qmath.eig_hermitian, qmath.trace_norm)
+    if guards_density or spoil in (_nan_entry, _non_hermitian):
+        with pytest.raises(ValueError):
+            measure(stack)
 
 
 def test_entropy_helpers():
