@@ -46,9 +46,6 @@ class ModeLabel(IntEnum):
             raise ValueError(f"unknown mode label {token!r} (use early-b, early-x, late-b, late-x)")
         return aliases[key]
 
-    def short_name(self) -> str:
-        return {0: "early_b", 1: "early_x", 2: "late_b", 3: "late_x"}[int(self)]
-
 
 @dataclass(frozen=True)
 class DecayParams:
@@ -110,12 +107,16 @@ def amplitudes(p: DecayParams) -> Amplitudes:
     two rates, gamma_b dt exp(-min(gamma_b, gamma_x) dt) (1 - exp(-y)) / y
     with y = |gamma_x - gamma_b| dt. It has no cancellation near equal rates,
     where it tends to gamma_b dt exp(-gamma_b dt), and no overflow at long
-    delays.
+    delays. Where gamma_b dt itself overflows, the product would be inf * 0;
+    there dt / y is cancelled to 1 / |gamma_x - gamma_b| instead.
     """
     gb, gx, dt = p.gamma_b, p.gamma_x, p.delta_t
     alpha2 = math.exp(-gb * dt)
+    decay = math.exp(-min(gb, gx) * dt)
     y = abs(gx - gb) * dt
-    beta2 = gb * dt * math.exp(-min(gb, gx) * dt) * (-math.expm1(-y) / y if y > 0.0 else 1.0)
+    beta2 = gb * dt * decay * (-math.expm1(-y) / y if y > 0.0 else 1.0)
+    if math.isnan(beta2):
+        beta2 = gb * decay * (-math.expm1(-y) / abs(gx - gb) if gx != gb else dt)
     beta2 = min(beta2, 1.0)
     gamma2 = max(1.0 - alpha2 - beta2, 0.0)
     return Amplitudes(math.sqrt(alpha2), math.sqrt(beta2), math.sqrt(gamma2))
@@ -123,7 +124,6 @@ def amplitudes(p: DecayParams) -> Amplitudes:
 
 # basis index helpers for the 3LS (x) early-B (x) early-X space, dims (3, 2, 2)
 _G, _X, _B = 0, 1, 2
-EARLY_DIMS = (3, 2, 2)
 FOUR_MODE_DIMS = (2, 2, 2, 2)
 
 

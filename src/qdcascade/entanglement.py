@@ -70,11 +70,6 @@ class Channel:
                 p1, p2 = p2, p1
         return cls(id=id, p1=p1, p2=p2)
 
-    def describe(self) -> str:
-        lhs = "+".join(m.short_name() for m in sorted(self.p1))
-        rhs = "+".join(m.short_name() for m in sorted(self.p2))
-        return f"{lhs} | {rhs}"
-
 
 _CHANNEL_P1 = (
     (ModeLabel.EARLY_B,),

@@ -74,8 +74,8 @@ class PatternCounts:
 def rate_equation_populations(p: DecayParams, step: float) -> Populations:
     """Integrate dP_B/dt = -gamma_b P_B, dP_X/dt = gamma_b P_B - gamma_x P_X
     from (1, 0, 0) to t = delta_t with classical RK4."""
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     if p.delta_t == 0.0:
         return Populations(1.0, 0.0, 0.0)
     if step > p.delta_t / 10.0:

@@ -95,6 +95,8 @@ def test_amplitudes_degenerate_limit_value():
         # double nearest each argument
         (1.0, 1.0 + 2e-9, 0.7, 0.34760971241065986182),  # near-degenerate rates
         (2.0, 1.0, 400.0, 3.83033919342801139e-174),  # deep tail, gb > gx
+        (2.0, 1.0, 1e308, 0.0),  # about 1.9 * 10^(-4.34e307), which rounds to 0
+        (1e300, 1e-300, 1e10, 1.0),  # 1 - ~1e-290; gb dt and |gx - gb| dt overflow
     ],
 )
 def test_amplitudes_beta2_matches_high_precision_value(gamma_b, gamma_x, dt, beta2):

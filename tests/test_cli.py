@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdcascade import cascade, cli, entanglement, qmath
 from qdcascade.cascade import DecayParams, ModeLabel
@@ -139,8 +141,10 @@ def test_secure_rate_rejects_overlapping_subsets():
         EveSplit.from_alice_eve({EB, EX}, {EX})
 
 
-def test_golden_section_on_constant_zero():
-    dt_star, value = cli.golden_section_max(lambda _x: 0.0, 0.1, 2.0, 1e-6)
+def test_optimize_delay_on_constant_zero(monkeypatch):
+    monkeypatch.setattr(entanglement, "conditional_mutual_information", lambda rho, split: np.zeros(len(rho)))
+    split = EveSplit.from_alice_eve({EB}, {EX})
+    dt_star, value = cli.optimize_delay(2.0, 1.0, split, (0.1, 2.0))
     assert 0.1 <= dt_star <= 2.0
     assert value == 0.0
 
@@ -173,6 +177,61 @@ def test_optimize_delay_rejects_empty_bracket():
     split = EveSplit.from_alice_eve({EB}, {EX})
     with pytest.raises(ValueError, match="bracket"):
         cli.optimize_delay(2.0, 1.0, split, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("bracket", [(0.3, 0.30000000001), (5.0, 5.000000000000001)])
+def test_optimize_delay_ends_on_brackets_narrower_than_its_tolerance(monkeypatch, bracket):
+    # 1e-6 of these widths is below the spacing of doubles near the bracket;
+    # the counter turns a search that never narrows further into a failure
+    calls = []
+    cmi = entanglement.conditional_mutual_information
+
+    def counted(rho, split):
+        calls.append(len(rho))
+        if len(calls) > 50:
+            raise AssertionError("optimize_delay does not terminate")
+        return cmi(rho, split)
+
+    monkeypatch.setattr(entanglement, "conditional_mutual_information", counted)
+    split = EveSplit.from_alice_eve({EB}, {EX})
+    dt_star, cmi_star = cli.optimize_delay(2.0, 1.0, split, bracket)
+    assert bracket[0] <= dt_star <= bracket[1]
+    assert cmi_star == cmi(qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt_star))), split)
+
+
+FIG4_SPLITS = [({EB}, {EX}), ({EB}, {LB}), ({EB}, {LX}), ({EB, EX}, {LB}), ({EB, EX}, {LX})]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    ratio=st.floats(0.05, 20.0),
+    d=st.floats(0.0, 1.0),
+    split=st.sampled_from(FIG4_SPLITS),
+    lo=st.floats(0.0, 5.0),
+    width=st.floats(1e-6, 10.0),
+)
+def test_optimize_delay_returns_the_best_evaluated_point(ratio, d, split, lo, width):
+    split = EveSplit.from_alice_eve(*split)
+    hi = lo + width
+    dt_star, cmi_star = cli.optimize_delay(ratio, 1.0, split, (lo, hi), dephase=d)
+    assert lo <= dt_star <= hi
+    rho = cascade.dephased_density(DecayParams(ratio, 1.0, dt_star), d)
+    assert cmi_star == entanglement.conditional_mutual_information(rho, split)
+    grid = np.linspace(lo, hi, 64)
+    stack = np.stack([cascade.dephased_density(DecayParams(ratio, 1.0, float(x)), d) for x in grid])
+    assert entanglement.conditional_mutual_information(stack, split).max() <= cmi_star + 1e-12
+
+
+def test_cli_optimize_dt_notes_an_edge_optimum(capsys):
+    code, out = run_main(["optimize-dt", "--ratio", "0.05", "--alice", "eb", "--eve", "ex"])
+    assert code == 0
+    assert out.splitlines()[0] == "dt_star,gx_dt_star,cmi_star,cmi_ghz"
+    assert out.splitlines()[1].split(",")[:2] == ["10", "10"]
+    assert "bracket edge" in capsys.readouterr().err
+    code, out = run_main(["optimize-dt", "--alice", "eb", "--eve", "ex"])
+    assert code == 0
+    assert 0.001 < read_csv_text(out)[0]["dt_star"] < 10.0
+    assert capsys.readouterr().err == ""
 
 
 # --------------------------------------------------------------------------
@@ -342,6 +401,7 @@ def test_cli_bad_arguments_exit_code():
         ["secure-rate", "--alice", "eb", "--eve", "ex", "--dt", "nan"],
         ["sweep", "--dt-min", "0.1", "--dt-max", "inf", "--points", "3"],
         ["optimize-dt", "--alice", "eb", "--eve", "ex", "--dt-max", "inf"],
+        ["validate", "--step", "nan"],
     ):
         code, out = run_main(argv)
         assert (code, out) == (2, ""), argv
@@ -354,6 +414,14 @@ def test_cli_long_delay_exit_code():
     code, out = run_main(["secure-rate", "--alice", "eb", "--eve", "ex", "--dt", "800"])
     assert code == 0
     assert read_csv_text(out)[0]["cmi"] == 0.0
+    for argv, beta2 in (
+        (["amplitudes", "--dt", "1e308"], 0.0),
+        (["amplitudes", "--gamma-b", "1e300", "--gamma-x", "1e-300", "--dt", "1e10"], 1.0),
+    ):
+        code, out = run_main(argv)
+        assert code == 0, argv
+        row = read_csv_text(out)[0]
+        assert (row["alpha2"], row["beta2"]) == (0.0, beta2)
 
 
 @pytest.mark.parametrize(

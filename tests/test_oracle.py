@@ -75,6 +75,9 @@ def test_rk4_step_validation():
         oracle.rate_equation_populations(DecayParams(2.0, 1.0, 1.0), -1e-3)
     with pytest.raises(ValueError):
         oracle.rate_equation_populations(DecayParams(2.0, 1.0, 1.0), 0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="step"):
+            oracle.rate_equation_populations(DecayParams(2.0, 1.0, 1.0), bad)
 
 
 def test_populations_validation():
