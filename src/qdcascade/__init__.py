@@ -11,10 +11,7 @@ from .cascade import (
     DecayParams,
     ModeLabel,
     amplitudes,
-    apply_second_pulse,
-    complete_late_decay,
     dephased_density,
-    early_state,
     final_state,
     ghz_fidelity,
     ghz_state,
@@ -22,12 +19,12 @@ from .cascade import (
 from .entanglement import (
     Channel,
     EveSplit,
-    average_mutual_information,
     channel_by_id,
     conditional_mutual_information,
     enumerate_channels,
     mutual_information,
     negativity,
+    subset_entropies,
 )
 from .oracle import (
     PatternCounts,
@@ -47,13 +44,9 @@ __all__ = [
     "PatternCounts",
     "Populations",
     "amplitudes",
-    "apply_second_pulse",
-    "average_mutual_information",
     "channel_by_id",
-    "complete_late_decay",
     "conditional_mutual_information",
     "dephased_density",
-    "early_state",
     "enumerate_channels",
     "final_state",
     "ghz_fidelity",
@@ -62,4 +55,5 @@ __all__ = [
     "mutual_information",
     "negativity",
     "rate_equation_populations",
+    "subset_entropies",
 ]

@@ -6,7 +6,6 @@ photon modes, receives a second pulse that swaps the |g> and |B> amplitudes,
 and then completes its cascade into the "late" modes. Conventions used
 throughout:
 
-* three-level basis order (g, X, B) = (0, 1, 2), bottom of the ladder first;
 * photon modes are qubits in the photon-number basis, ordered
   (early-B, early-X, late-B, late-X), most significant factor first, so the
   four-mode basis index of a pattern is its big-endian bit encoding;
@@ -62,6 +61,8 @@ class DecayParams:
             raise ValueError(f"gamma_x must be positive and finite, got {self.gamma_x}")
         if not (math.isfinite(self.delta_t) and self.delta_t >= 0.0):
             raise ValueError(f"delta_t must be non-negative and finite, got {self.delta_t}")
+        if not math.isfinite(self.gamma_x * self.delta_t):
+            raise ValueError(f"gamma_x * delta_t must be finite, got {self.gamma_x} * {self.delta_t}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,11 @@ class Amplitudes:
     def gamma2(self) -> float:
         return self.gamma**2
 
+    @property
+    def ghz_fidelity(self) -> float:
+        """Overlap |<GHZ|psi>|^2 of the four-mode state with GHZ_4: (alpha+gamma)^2 / 2."""
+        return (self.alpha + self.gamma) ** 2 / 2.0
+
 
 def amplitudes(p: DecayParams) -> Amplitudes:
     """Branch amplitudes after free decay for the delay ``p.delta_t``.
@@ -122,63 +128,7 @@ def amplitudes(p: DecayParams) -> Amplitudes:
     return Amplitudes(math.sqrt(alpha2), math.sqrt(beta2), math.sqrt(gamma2))
 
 
-# basis index helpers for the 3LS (x) early-B (x) early-X space, dims (3, 2, 2)
-_G, _X, _B = 0, 1, 2
 FOUR_MODE_DIMS = (2, 2, 2, 2)
-
-
-def _early_index(level: int, n_b: int, n_x: int) -> int:
-    return level * 4 + n_b * 2 + n_x
-
-
-def early_state(p: DecayParams) -> np.ndarray:
-    """Joint emitter + early-mode state at the end of the first decay window.
-
-    alpha |B>|00> + beta |X>|10> + gamma |g>|11>, over dims (3, 2, 2).
-    """
-    a = amplitudes(p)
-    v = np.zeros(12, dtype=np.complex128)
-    v[_early_index(_B, 0, 0)] = a.alpha
-    v[_early_index(_X, 1, 0)] = a.beta
-    v[_early_index(_G, 1, 1)] = a.gamma
-    return v
-
-
-def apply_second_pulse(state: np.ndarray) -> np.ndarray:
-    """Swap the |g> and |B> amplitudes for every photonic configuration.
-
-    The pulse drives the two-photon g-B resonance only; |X> amplitudes are
-    untouched. Norm is preserved exactly.
-    """
-    v = np.asarray(state, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != 12:
-        raise ValueError(f"expected a dimension-12 state over (3LS, early-B, early-X), got {v.shape[0]}")
-    out = v.copy()
-    out[0:4] = v[8:12]
-    out[8:12] = v[0:4]
-    return out
-
-
-def complete_late_decay(state: np.ndarray) -> np.ndarray:
-    """Let every ladder branch finish its cascade into the late modes.
-
-    |g> emits nothing, |X> emits a late X photon, |B> emits both late
-    photons; the emitter factor is dropped (it always ends in |g>). Maps a
-    dimension-12 state onto the four-mode space (early-B, early-X, late-B,
-    late-X).
-    """
-    v = np.asarray(state, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != 12:
-        raise ValueError(f"expected a dimension-12 state over (3LS, early-B, early-X), got {v.shape[0]}")
-    late_pattern = {_G: 0b00, _X: 0b01, _B: 0b11}
-    out = np.zeros(16, dtype=np.complex128)
-    for level in (_G, _X, _B):
-        for n_b in (0, 1):
-            for n_x in (0, 1):
-                amp = v[_early_index(level, n_b, n_x)]
-                if amp != 0.0:
-                    out[(n_b * 2 + n_x) * 4 + late_pattern[level]] += amp
-    return out
 
 
 def final_state(p: DecayParams) -> np.ndarray:
@@ -206,8 +156,7 @@ def ghz_state(n: int) -> np.ndarray:
 
 def ghz_fidelity(p: DecayParams) -> float:
     """Overlap |<GHZ|psi>|^2 of the four-mode state with GHZ_4: (alpha+gamma)^2 / 2."""
-    a = amplitudes(p)
-    return (a.alpha + a.gamma) ** 2 / 2.0
+    return amplitudes(p).ghz_fidelity
 
 
 def dephased_density(p: DecayParams, d: float) -> np.ndarray:

@@ -95,6 +95,8 @@ class SweepSpec:
             raise ValueError(f"channels: ids must be in 1..7, got {bad}")
         if self.dephase is not None and not 0.0 <= self.dephase <= 1.0:
             raise ValueError("dephase: must lie in [0, 1]")
+        if not math.isfinite(self.gamma_x * self.dt_max):
+            raise ValueError("dt_max: gamma_x * dt_max must be finite")
 
     def grid(self) -> np.ndarray:
         if self.scale == "log":
@@ -106,21 +108,30 @@ class SweepSpec:
 FIG_SPEC = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=1e-2, dt_max=10.0, points=200, scale="log")
 
 
-def _state_density(params: DecayParams, dephase: float | None) -> np.ndarray:
-    if dephase is None:
-        return qmath.density_from_state(cascade.final_state(params))
-    return cascade.dephased_density(params, dephase)
-
-
 def _ghz_density() -> np.ndarray:
     return qmath.density_from_state(cascade.ghz_state(4))
 
 
-def _grid_densities(gamma_b: float, gamma_x: float, grid, dephase: float | None) -> np.ndarray:
-    """The state densities along a delay grid as one stack, shape (N, 16, 16)."""
-    rho = np.empty((len(grid), 16, 16), dtype=np.complex128)
-    for i, dt in enumerate(grid):
-        rho[i] = _state_density(DecayParams(gamma_b, gamma_x, float(dt)), dephase)
+def _grid_amplitudes(gamma_b: float, gamma_x: float, grid) -> list[cascade.Amplitudes]:
+    return [cascade.amplitudes(DecayParams(gamma_b, gamma_x, float(dt))) for dt in grid]
+
+
+def _grid_densities(amps: Sequence[cascade.Amplitudes], dephase: float | None, ghz: bool = False) -> np.ndarray:
+    """The final-state densities of ``amps`` as one stack, shape (N, 16, 16),
+    with the GHZ density appended as slice N if ``ghz``: bit for bit the
+    per-point ``cascade.dephased_density`` (the projector if ``dephase`` is
+    None) and ``_ghz_density``."""
+    n = len(amps)
+    kets = np.zeros((n + ghz, 16), dtype=np.complex128)
+    kets[:n, [0b0000, 0b1001, 0b1111]] = [(a.alpha, a.beta, a.gamma) for a in amps]
+    if ghz:
+        kets[n] = cascade.ghz_state(4)
+    rho = kets[:, :, None] * kets.conj()[:, None, :]
+    if dephase is not None:
+        diagonal = np.arange(16)
+        populations = rho[:n, diagonal, diagonal]
+        rho[:n] *= dephase
+        rho[:n, diagonal, diagonal] += (1.0 - dephase) * populations
     return rho
 
 
@@ -130,31 +141,37 @@ def _table(columns: dict, n: int) -> tuple[list[str], list[list[float]]]:
 
 
 def _sweep_columns(spec: SweepSpec) -> dict:
-    """Every sweep column, each measure from one call on the stack of grid
-    states; keys in output order."""
+    """Every sweep column plus ``mi_ghz``, the GHZ state's channel-1 mutual
+    information, all from one entropy table of the grid states with the GHZ
+    state as the last slice; keys in output order."""
     grid = spec.grid()
-    params = [DecayParams(spec.gamma_b, spec.gamma_x, float(dt)) for dt in grid]
-    amps = [cascade.amplitudes(p) for p in params]
+    amps = _grid_amplitudes(spec.gamma_b, spec.gamma_x, grid)
+    channels = entanglement.enumerate_channels()
+    split = EveSplit.from_alice_eve(spec.alice, spec.eve) if spec.alice is not None else None
+    subsets = {mask for measure in channels + [split] if measure is not None for mask in measure.subsets}
     if spec.ghz_reference:
-        rho = np.broadcast_to(_ghz_density(), (len(grid), 16, 16))
+        rho = np.broadcast_to(_ghz_density(), (len(grid) + 1, 16, 16))
     else:
-        rho = _grid_densities(spec.gamma_b, spec.gamma_x, grid, spec.dephase)
-    mi = {ch.id: entanglement.mutual_information(rho, ch) for ch in entanglement.enumerate_channels()}
+        rho = _grid_densities(amps, spec.dephase, ghz=True)
+    table = entanglement.subset_entropies(rho, subsets)
+    mi = {ch.id: entanglement.mi_from_table(table, ch) for ch in channels}
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid}
     columns.update({name: [getattr(a, name) for a in amps] for name in ("alpha2", "beta2", "gamma2")})
-    columns["fidelity"] = [cascade.ghz_fidelity(p) for p in params]
-    columns.update({f"mi_ch{c}": mi[c] for c in spec.channels})
-    columns["mi_avg"] = sum(mi.values()) / len(mi)
-    if spec.alice is not None:
-        split = EveSplit.from_alice_eve(spec.alice, spec.eve)
-        columns["cmi"] = entanglement.conditional_mutual_information(rho, split)
-        columns["cmi_ghz"] = entanglement.conditional_mutual_information(_ghz_density(), split)
+    columns["fidelity"] = [a.ghz_fidelity for a in amps]
+    columns.update({f"mi_ch{c}": mi[c][:-1] for c in spec.channels})
+    columns["mi_avg"] = (sum(mi.values()) / len(mi))[:-1]
+    if split is not None:
+        cmi = entanglement.cmi_from_table(table, split)
+        columns["cmi"], columns["cmi_ghz"] = cmi[:-1], cmi[-1]
+    columns["mi_ghz"] = mi[1][-1]
     return columns
 
 
 def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     """Header and dt-ascending rows of a delay sweep."""
-    return _table(_sweep_columns(spec), spec.points)
+    columns = _sweep_columns(spec)
+    del columns["mi_ghz"]
+    return _table(columns, spec.points)
 
 
 def secure_rate(
@@ -162,7 +179,7 @@ def secure_rate(
 ) -> dict[str, float]:
     """Secret rate I(Alice:Bob|Eve) for the cascade state plus the GHZ
     baseline for the same split."""
-    rho = _state_density(params, dephase)
+    rho = cascade.dephased_density(params, 1.0 if dephase is None else dephase)
     return {
         "dt": params.delta_t,
         "gx_dt": params.gamma_x * params.delta_t,
@@ -195,7 +212,7 @@ def optimize_delay(
     best_dt, best_cmi = lo, -math.inf
     while True:
         xs = np.linspace(a, b, points)
-        rho = _grid_densities(gamma_b, gamma_x, xs, dephase)
+        rho = _grid_densities(_grid_amplitudes(gamma_b, gamma_x, xs), dephase)
         cmi = entanglement.conditional_mutual_information(rho, split)
         k = int(np.argmax(cmi))
         if cmi[k] > best_cmi:
@@ -210,7 +227,6 @@ def fig3_table() -> tuple[list[str], list[list[float]]]:
     """Per-channel mutual information and the channel average across the
     delay grid, with the flat GHZ reference."""
     columns = _sweep_columns(FIG_SPEC)
-    columns["mi_ghz"] = entanglement.mutual_information(_ghz_density(), entanglement.channel_by_id(1))
     names = ["gx_dt"] + [f"mi_ch{c}" for c in range(1, 8)] + ["mi_avg", "mi_ghz"]
     return _table({name: columns[name] for name in names}, FIG_SPEC.points)
 
@@ -229,13 +245,14 @@ def fig4_table() -> tuple[list[str], list[list[float]]]:
         "cmi_ch5_eve_late_x": ({eb, ex}, {lx}),
         "ghz_ch5": ({eb, ex}, {lb}),
     }
+    splits = {name: EveSplit.from_alice_eve(alice, eve) for name, (alice, eve) in splits.items()}
     grid = FIG_SPEC.grid()
-    rho = _grid_densities(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid, None)
+    rho = _grid_densities(_grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid), None, ghz=True)
+    table = entanglement.subset_entropies(rho, {mask for split in splits.values() for mask in split.subsets})
     columns = {"gx_dt": FIG_SPEC.gamma_x * grid}
-    for name, (alice, eve) in splits.items():
-        state = _ghz_density() if name.startswith("ghz") else rho
-        split = EveSplit.from_alice_eve(alice, eve)
-        columns[name] = entanglement.conditional_mutual_information(state, split)
+    for name, split in splits.items():
+        cmi = entanglement.cmi_from_table(table, split)
+        columns[name] = cmi[-1] if name.startswith("ghz") else cmi[:-1]
     return _table(columns, len(grid))
 
 

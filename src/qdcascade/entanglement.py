@@ -6,12 +6,21 @@ correlations carried by a channel, conditional mutual information the
 secret-communication rate that survives an eavesdropper holding part of the
 receiving side, and negativity witnesses genuine entanglement across a cut.
 
+Every measure is a signed sum of entries of one entropy table,
+``subset_entropies``: the von Neumann entropies of mode subsets, each
+computed once and keyed by the subset's 4-bit mask. A caller with several
+measures of one state builds the table once over the union of their
+``subsets`` and reads it with ``mi_from_table`` and ``cmi_from_table``.
+Each table is checked against subadditivity and the Araki-Lieb inequality,
+so a fault in a reduction or a spectrum that breaks them fails loudly.
+
 Like ``qmath``, every measure takes a 16x16 density matrix or a stack of
 them, shape (..., 16, 16); one bad matrix fails the whole stack.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable
 
@@ -23,7 +32,8 @@ from .cascade import FOUR_MODE_DIMS, ModeLabel
 ALL_MODES: FrozenSet[ModeLabel] = frozenset(ModeLabel)
 
 NEGATIVE_ROUNDOFF_TOL = 1e-9
-CMI_CONSISTENCY_ATOL = 1e-10
+ENTROPY_INEQUALITY_ATOL = 1e-10
+ALL_MODES_MASK = 0b1111
 
 
 def _mode_set(modes: Iterable[ModeLabel]) -> frozenset[ModeLabel]:
@@ -31,8 +41,11 @@ def _mode_set(modes: Iterable[ModeLabel]) -> frozenset[ModeLabel]:
     return out
 
 
-def _sorted_ordinals(modes: Iterable[ModeLabel]) -> tuple[int, ...]:
-    return tuple(sorted(int(m) for m in modes))
+def mode_mask(modes: Iterable[ModeLabel]) -> int:
+    """4-bit mask of a mode subset in basis-index bit order: mode m sets bit
+    3 - m, so early-B is the most significant bit, as in the kets of
+    ``cascade`` ({early-B, late-X} is 0b1001)."""
+    return sum(8 >> mode for mode in _mode_set(modes))
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,11 @@ class Channel:
             raise ValueError(f"channel sides overlap: {sorted(p1 & p2)}")
         if p1 | p2 != ALL_MODES:
             raise ValueError("channel sides must cover all four modes")
+
+    @property
+    def subsets(self) -> tuple[int, int, int]:
+        """Masks of the entropies its mutual information sums: p1 p2, p1, p2."""
+        return ALL_MODES_MASK, mode_mask(self.p1), mode_mask(self.p2)
 
     @classmethod
     def from_p1(cls, modes: Iterable[ModeLabel], id: int = 0) -> "Channel":
@@ -119,6 +137,12 @@ class EveSplit:
         if not bob:
             raise ValueError("Bob's subset must be nonempty")
 
+    @property
+    def subsets(self) -> tuple[int, int, int, int, int]:
+        """Masks of the entropies its secret rate sums: ABE, A, E, AE, BE."""
+        a, b, e = mode_mask(self.alice), mode_mask(self.bob), mode_mask(self.eve)
+        return ALL_MODES_MASK, a, e, a | e, b | e
+
     @classmethod
     def from_alice_eve(cls, alice: Iterable[ModeLabel], eve: Iterable[ModeLabel] = ()) -> "EveSplit":
         a, e = _mode_set(alice), _mode_set(eve)
@@ -132,9 +156,46 @@ def _four_mode_matrix(rho) -> np.ndarray:
     return m
 
 
-def _subsystem_entropy(rho: np.ndarray, modes: Iterable[ModeLabel]) -> float | np.ndarray:
-    keep = _sorted_ordinals(modes)
-    return qmath.vn_entropy(qmath.partial_trace(rho, FOUR_MODE_DIMS, keep))
+def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarray]:
+    """Von Neumann entropy of each mode subset in ``subsets``, keyed by its
+    ``mode_mask`` (mode m is bit 3 - m, early-B the most significant); mask
+    0 is the empty subset, whose entropy is that of the trace.
+
+    Each distinct mask is computed once, as
+    ``qmath.vn_entropy(qmath.partial_trace(rho, FOUR_MODE_DIMS, kept modes))``.
+    The whole state, mask 0b1111, is always in the table and computed first:
+    its entropy validates the stack. The table is then checked against
+    subadditivity and Araki-Lieb (``_check_entropy_inequalities``).
+    """
+    m = _four_mode_matrix(rho)
+    table = {ALL_MODES_MASK: qmath.vn_entropy(m)}
+    for mask in sorted(set(subsets) - {ALL_MODES_MASK}):
+        if not 0 <= mask < ALL_MODES_MASK:
+            raise ValueError(f"mode mask must lie in 0..15, got {mask}")
+        keep = [mode for mode in ModeLabel if mask & (8 >> mode)]
+        table[mask] = qmath.vn_entropy(qmath.partial_trace(m, FOUR_MODE_DIMS, keep))
+    _check_entropy_inequalities(table)
+    return table
+
+
+def _check_entropy_inequalities(table: dict[int, float | np.ndarray]) -> None:
+    """Raise ArithmeticError unless, for each pair of disjoint subsets X, Y
+    whose union is in the table too, subadditivity S(XY) <= S(X) + S(Y) and
+    Araki-Lieb |S(X) - S(Y)| <= S(XY) hold within ENTROPY_INEQUALITY_ATOL.
+
+    For Y the complement of X and a pure state, Araki-Lieb is
+    S(X) = S(complement of X): both sides come from different reductions and
+    eigensolves, so a fault in either shows.
+    """
+    for x, y in itertools.combinations(table, 2):
+        if x & y or (x | y) not in table:
+            continue
+        sx, sy, sxy = table[x], table[y], table[x | y]
+        excess = np.max(np.maximum(sxy - sx - sy, np.abs(sx - sy) - sxy))
+        if not excess <= ENTROPY_INEQUALITY_ATOL:
+            raise ArithmeticError(
+                f"entropies of modes {x:04b} and {y:04b} break subadditivity or Araki-Lieb by {excess:.3e}"
+            )
 
 
 def _clamp_roundoff(value, what: str):
@@ -144,50 +205,34 @@ def _clamp_roundoff(value, what: str):
     return np.maximum(value, 0.0)[()]  # (x, 0.0) maps -0.0 to 0.0
 
 
-def mutual_information(rho, ch: Channel) -> float | np.ndarray:
-    """I(p1 : p2) = S(p1) + S(p2) - S(p1, p2), in bits.
-
-    S(p1, p2) is computed first: its entropy validates the full state.
-    """
-    m = _four_mode_matrix(rho)
-    s12 = qmath.vn_entropy(m)
-    s1 = _subsystem_entropy(m, ch.p1)
-    s2 = _subsystem_entropy(m, ch.p2)
+def mi_from_table(table: dict[int, float | np.ndarray], ch: Channel) -> float | np.ndarray:
+    """I(p1 : p2) = S(p1) + S(p2) - S(p1, p2), in bits, from a table that
+    holds ``ch.subsets``."""
+    s12, s1, s2 = (table[mask] for mask in ch.subsets)
     return _clamp_roundoff(s1 + s2 - s12, "mutual information")
 
 
-def average_mutual_information(rho) -> float | np.ndarray:
-    """Arithmetic mean of the mutual information over the seven channels."""
-    channels = enumerate_channels()
-    return sum(mutual_information(rho, ch) for ch in channels) / len(channels)
+def mutual_information(rho, ch: Channel) -> float | np.ndarray:
+    """I(p1 : p2) = S(p1) + S(p2) - S(p1, p2), in bits."""
+    return mi_from_table(subset_entropies(rho, ch.subsets), ch)
+
+
+def cmi_from_table(table: dict[int, float | np.ndarray], split: EveSplit) -> float | np.ndarray:
+    """Secret rate I(Alice : Bob | Eve) = I(A : BE) - I(A : E), in bits, from
+    a table that holds ``split.subsets``."""
+    s_abe, s_a, s_e, s_ae, s_be = (table[mask] for mask in split.subsets)
+    i_a_be = s_a + s_be - s_abe
+    i_a_e = s_a + s_e - s_ae
+    return _clamp_roundoff(i_a_be - i_a_e, "conditional mutual information")
 
 
 def conditional_mutual_information(rho, split: EveSplit) -> float | np.ndarray:
-    """Secret rate I(Alice : Bob | Eve) = I(A : BE) - I(A : E), in bits.
-
-    The same quantity is recomputed through the four-entropy identity
-    S(AE) + S(BE) - S(E) - S(ABE) as an internal consistency guard. S(ABE)
-    is computed first: its entropy validates the full state.
-    """
-    m = _four_mode_matrix(rho)
-    s_abe = qmath.vn_entropy(m)
-    s_a = _subsystem_entropy(m, split.alice)
-    s_e = _subsystem_entropy(m, split.eve)
-    s_ae = _subsystem_entropy(m, split.alice | split.eve)
-    s_be = _subsystem_entropy(m, split.bob | split.eve)
-
-    i_a_be = s_a + s_be - s_abe
-    i_a_e = s_a + s_e - s_ae
-    difference_of_mis = i_a_be - i_a_e
-    four_entropy = s_ae + s_be - s_e - s_abe
-    gap = np.max(np.abs(difference_of_mis - four_entropy))
-    if not gap <= CMI_CONSISTENCY_ATOL:
-        raise ArithmeticError(f"conditional mutual information paths disagree by {gap:.3e}")
-    return _clamp_roundoff(difference_of_mis, "conditional mutual information")
+    """Secret rate I(Alice : Bob | Eve) = I(A : BE) - I(A : E), in bits."""
+    return cmi_from_table(subset_entropies(rho, split.subsets), split)
 
 
 def negativity(rho, ch: Channel) -> float | np.ndarray:
     """Entanglement negativity (||rho^(T_p1)||_1 - 1) / 2 across a channel."""
     m = qmath.require_density_matrix(_four_mode_matrix(rho))
-    transposed = qmath.partial_transpose(m, FOUR_MODE_DIMS, _sorted_ordinals(ch.p1))
+    transposed = qmath.partial_transpose(m, FOUR_MODE_DIMS, ch.p1)
     return (qmath.trace_norm(transposed) - 1.0) / 2.0

@@ -63,11 +63,6 @@ def require_density_matrix(rho) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
 def density_from_state(psi) -> np.ndarray:
     """Rank-1 projector |psi><psi| of a (normalized) state vector."""
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
@@ -150,19 +145,3 @@ def vn_entropy(rho) -> float | np.ndarray:
 def trace_norm(a) -> float | np.ndarray:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     return np.sum(np.abs(eig_hermitian(a)), axis=-1)[()]
-
-
-def binary_entropy(p: float) -> float:
-    """Shannon entropy of a (p, 1-p) distribution, in bits."""
-    return shannon_entropy((p, 1.0 - p))
-
-
-def shannon_entropy(probs: Iterable[float]) -> float:
-    """Shannon entropy of a probability vector, in bits, 0 log 0 := 0."""
-    out = 0.0
-    for p in probs:
-        if not -1e-12 <= p <= 1.0 + 1e-12:
-            raise ValueError(f"probability {p} outside [0, 1]")
-        if p > 0.0:
-            out -= p * math.log2(p)
-    return max(0.0, out)

@@ -1,0 +1,90 @@
+"""Reference implementations the tests compare the package against:
+Kronecker products, Shannon entropies of explicit probability vectors, and
+the two-pulse protocol step by step (early window, pulse, late cascade),
+which must reproduce ``cascade.final_state``."""
+
+import math
+from typing import Iterable
+
+import numpy as np
+
+from qdcascade.cascade import DecayParams, amplitudes
+
+
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of two matrices."""
+    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+
+
+def binary_entropy(p: float) -> float:
+    """Shannon entropy of a (p, 1-p) distribution, in bits."""
+    return shannon_entropy((p, 1.0 - p))
+
+
+def shannon_entropy(probs: Iterable[float]) -> float:
+    """Shannon entropy of a probability vector, in bits, 0 log 0 := 0."""
+    out = 0.0
+    for p in probs:
+        if not -1e-12 <= p <= 1.0 + 1e-12:
+            raise ValueError(f"probability {p} outside [0, 1]")
+        if p > 0.0:
+            out -= p * math.log2(p)
+    return max(0.0, out)
+
+
+# basis index helpers for the 3LS (x) early-B (x) early-X space, dims (3, 2, 2)
+G, X, B = 0, 1, 2
+
+
+def early_index(level: int, n_b: int, n_x: int) -> int:
+    return level * 4 + n_b * 2 + n_x
+
+
+def early_state(p: DecayParams) -> np.ndarray:
+    """Joint emitter + early-mode state at the end of the first decay window.
+
+    alpha |B>|00> + beta |X>|10> + gamma |g>|11>, over dims (3, 2, 2).
+    """
+    a = amplitudes(p)
+    v = np.zeros(12, dtype=np.complex128)
+    v[early_index(B, 0, 0)] = a.alpha
+    v[early_index(X, 1, 0)] = a.beta
+    v[early_index(G, 1, 1)] = a.gamma
+    return v
+
+
+def apply_second_pulse(state: np.ndarray) -> np.ndarray:
+    """Swap the |g> and |B> amplitudes for every photonic configuration.
+
+    The pulse drives the two-photon g-B resonance only; |X> amplitudes are
+    untouched. Norm is preserved exactly.
+    """
+    v = np.asarray(state, dtype=np.complex128).reshape(-1)
+    if v.shape[0] != 12:
+        raise ValueError(f"expected a dimension-12 state over (3LS, early-B, early-X), got {v.shape[0]}")
+    out = v.copy()
+    out[0:4] = v[8:12]
+    out[8:12] = v[0:4]
+    return out
+
+
+def complete_late_decay(state: np.ndarray) -> np.ndarray:
+    """Let every ladder branch finish its cascade into the late modes.
+
+    |g> emits nothing, |X> emits a late X photon, |B> emits both late
+    photons; the emitter factor is dropped (it always ends in |g>). Maps a
+    dimension-12 state onto the four-mode space (early-B, early-X, late-B,
+    late-X).
+    """
+    v = np.asarray(state, dtype=np.complex128).reshape(-1)
+    if v.shape[0] != 12:
+        raise ValueError(f"expected a dimension-12 state over (3LS, early-B, early-X), got {v.shape[0]}")
+    late_pattern = {G: 0b00, X: 0b01, B: 0b11}
+    out = np.zeros(16, dtype=np.complex128)
+    for level in (G, X, B):
+        for n_b in (0, 1):
+            for n_x in (0, 1):
+                amp = v[early_index(level, n_b, n_x)]
+                if amp != 0.0:
+                    out[(n_b * 2 + n_x) * 4 + late_pattern[level]] += amp
+    return out

@@ -18,6 +18,8 @@ from qdcascade.cascade import DecayParams, ModeLabel
 from qdcascade.cli import SweepSpec
 from qdcascade.entanglement import EveSplit
 
+import oracle_math
+
 LN2 = math.log(2.0)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EB, EX, LB, LX = ModeLabel
@@ -97,6 +99,99 @@ def test_sweep_rows_ascending_and_independent():
         single["mi_avg"] = sum(mi) / len(mi)
         for name, value in single.items():
             assert cols[name][k] == value, (name, k)
+
+
+@pytest.mark.parametrize("dephase", [None, 0.0, 0.37, 1.0])
+def test_grid_densities_match_per_point_densities(dephase):
+    grid = np.geomspace(1e-3, 20.0, 25)
+    stack = cli._grid_densities(cli._grid_amplitudes(3.0, 1.0, grid), dephase, ghz=True)
+    assert stack.shape == (26, 16, 16)
+    for k, dt in enumerate(grid):
+        params = DecayParams(3.0, 1.0, float(dt))
+        if dephase is None:
+            single = qmath.density_from_state(cascade.final_state(params))
+        else:
+            single = cascade.dephased_density(params, dephase)
+        assert stack[k].tobytes() == single.tobytes(), k
+    assert stack[-1].tobytes() == qmath.density_from_state(cascade.ghz_state(4)).tobytes()
+
+
+def test_each_table_makes_at_most_fifteen_eigensolves(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    spec = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30, dephase=0.8,
+                     alice=frozenset({EB, EX}), eve=frozenset({LB}))
+    for build in (cli.fig3_table, cli.fig4_table, lambda: cli.sweep_table(spec)):
+        shapes.clear()
+        build()
+        assert 1 <= len(shapes) <= 15, build
+    shapes.clear()
+    stack = np.stack([qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt)))
+                      for dt in (0.1, 0.5)])
+    entanglement.conditional_mutual_information(stack, EveSplit.from_alice_eve({EB}, {EX}))
+    assert len(shapes) == 5
+
+
+# parent outputs with an empty Eve: the table's S(empty set) is the entropy of
+# the 1x1 trace, as before, not an exact 0 (which changes the last bits here)
+EMPTY_EVE_OUTPUTS = {
+    ("secure-rate", "--alice", "eb", "--dt", "10"): "dt,gx_dt,cmi,cmi_ghz\n10,10,1.24891870593e-07,2\n",
+    ("secure-rate", "--alice", "eb", "--dt", "0.08", "--format", "json"): """[
+  {
+    "dt": 0.08,
+    "gx_dt": 0.08,
+    "cmi": 1.2088987356465455,
+    "cmi_ghz": 1.9999999999999996
+  }
+]
+""",
+    ("sweep", "--alice", "eb,ex", "--dt-min", "0.01", "--dt-max", "0.11", "--points", "2", "--channel", "1"): (
+        "dt,gx_dt,alpha2,beta2,gamma2,fidelity,mi_ch1,mi_avg,cmi,cmi_ghz\n"
+        "0.01,0.01,0.980198673307,0.0197023208848,9.90058084192e-05,0.5,0.280647184327,0.162127533109,"
+        "0.282445714045,2\n"
+        "0.11,0.11,0.802518797962,0.186630674668,0.0108505273694,0.5,1.43372361062,0.924029514008,"
+        "1.55499328472,2\n"
+    ),
+    ("sweep", "--alice", "eb,ex", "--dt-min", "0.01", "--dt-max", "0.11", "--points", "2", "--channel", "1",
+     "--format", "json"): """[
+  {
+    "dt": 0.01,
+    "gx_dt": 0.01,
+    "alpha2": 0.9801986733067551,
+    "beta2": 0.019702320884825507,
+    "gamma2": 9.900580841924397e-05,
+    "fidelity": 0.5000000000000024,
+    "mi_ch1": 0.2806471843265794,
+    "mi_avg": 0.16212753310862285,
+    "cmi": 0.2824457140445704,
+    "cmi_ghz": 1.9999999999999996
+  },
+  {
+    "dt": 0.11,
+    "gx_dt": 0.11,
+    "alpha2": 0.8025187979624784,
+    "beta2": 0.18663067466809952,
+    "gamma2": 0.01085052736942199,
+    "fidelity": 0.5,
+    "mi_ch1": 1.4337236106214124,
+    "mi_avg": 0.9240295140080894,
+    "cmi": 1.5549932847213026,
+    "cmi_ghz": 1.9999999999999996
+  }
+]
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(EMPTY_EVE_OUTPUTS))
+def test_cli_empty_eve_output_bytes(argv):
+    assert run_main(list(argv)) == (0, EMPTY_EVE_OUTPUTS[argv])
 
 
 def test_sweep_spec_validation_names_fields():
@@ -270,7 +365,7 @@ def test_fig3_spot_values():
     assert abs(nearest["mi_ch5"] - 2.66129) < 1e-2
     # tight agreement with the closed form at the actual grid point
     a = cascade.amplitudes(DecayParams(2.0, 1.0, nearest["gx_dt"]))
-    h3 = qmath.shannon_entropy((a.alpha2, a.beta2, a.gamma2))
+    h3 = oracle_math.shannon_entropy((a.alpha2, a.beta2, a.gamma2))
     assert abs(nearest["mi_ch5"] - 2 * h3) < 1e-10
     for row in table:
         assert row["mi_avg"] < 2.0
@@ -402,6 +497,11 @@ def test_cli_bad_arguments_exit_code():
         ["sweep", "--dt-min", "0.1", "--dt-max", "inf", "--points", "3"],
         ["optimize-dt", "--alice", "eb", "--eve", "ex", "--dt-max", "inf"],
         ["validate", "--step", "nan"],
+        # finite input whose gx_dt = gamma_x * dt overflows
+        ["amplitudes", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt", "1e10"],
+        ["secure-rate", "--alice", "eb", "--eve", "ex", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt", "1e10"],
+        ["sweep", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt-min", "1e9", "--dt-max", "1e10", "--points", "2"],
+        ["optimize-dt", "--alice", "eb", "--eve", "ex", "--gamma-x", "1e300", "--dt-max", "1e10"],
     ):
         code, out = run_main(argv)
         assert (code, out) == (2, ""), argv

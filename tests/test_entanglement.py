@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdcascade import cascade, entanglement, qmath
+from qdcascade import cascade, cli, entanglement, qmath
 from qdcascade.cascade import FOUR_MODE_DIMS, DecayParams, ModeLabel
 from qdcascade.entanglement import Channel, EveSplit
+
+import oracle_math
 
 LN2 = math.log(2.0)
 POINT = DecayParams(2.0, 1.0, LN2 / 2)  # alpha^2 = 1/2
@@ -32,7 +34,7 @@ def vacuum_density():
 
 
 def h(p):
-    return qmath.binary_entropy(p)
+    return oracle_math.binary_entropy(p)
 
 
 def branch_probs(params):
@@ -114,7 +116,7 @@ def test_mi_working_point_values():
     assert abs(mi1 - 2.0) < 1e-10
     # 2 * ternary entropy of (1/2, sqrt(2)-1, 3/2-sqrt(2))
     assert abs(mi5 - 2.6612902346796816) < 1e-9
-    direct = 2.0 * qmath.shannon_entropy(branch_probs(POINT))
+    direct = 2.0 * oracle_math.shannon_entropy(branch_probs(POINT))
     assert abs(mi5 - direct) < 1e-10
 
 
@@ -158,7 +160,7 @@ def test_mi_closed_forms_across_delay_grid():
             assert abs(mi[2] - 2 * h(g2)) < 1e-10
             assert abs(mi[3] - 2 * h(g2)) < 1e-10
             assert abs(mi[4] - 2 * h(a2)) < 1e-10
-            assert abs(mi[5] - 2 * qmath.shannon_entropy((a2, b2, g2))) < 1e-10
+            assert abs(mi[5] - 2 * oracle_math.shannon_entropy((a2, b2, g2))) < 1e-10
             assert abs(mi[6] - mi[5]) < 1e-10
             assert abs(mi[7] - 2 * h(lam_plus)) < 1e-10
 
@@ -169,9 +171,15 @@ def test_mi_rejects_wrong_dimension():
 
 
 def test_average_mi():
-    assert abs(entanglement.average_mutual_information(ghz_density()) - 2.0) < 1e-12
-    assert entanglement.average_mutual_information(vacuum_density()) < 1e-12
-    avg = entanglement.average_mutual_information(final_density(POINT))
+    # the channel average is the mi_avg column of a sweep; dt = 0 leaves the vacuum
+    def mi_avg(ghz_reference=False):
+        spec = cli.SweepSpec(2.0, 1.0, 0.0, POINT.delta_t, points=2, ghz_reference=ghz_reference)
+        header, rows = cli.sweep_table(spec)
+        return [row[header.index("mi_avg")] for row in rows]
+
+    assert all(abs(avg - 2.0) < 1e-12 for avg in mi_avg(ghz_reference=True))
+    vacuum, avg = mi_avg()
+    assert vacuum < 1e-12
     assert avg < 2.0
     assert abs(avg - 1.6486150894700935) < 1e-9
 
@@ -198,7 +206,7 @@ def test_cmi_working_point_eve_early_x():
     cmi = entanglement.conditional_mutual_information(rho, split)
     assert abs(cmi - 1.9083982468759764) < 1e-9
     a2, b2, g2 = branch_probs(POINT)
-    closed = h(a2) - h(g2) + qmath.shannon_entropy((a2, b2, g2))
+    closed = h(a2) - h(g2) + oracle_math.shannon_entropy((a2, b2, g2))
     assert abs(cmi - closed) < 1e-10
 
 
@@ -225,7 +233,7 @@ def test_cmi_channel5_closed_forms_across_grid():
     for k, params in enumerate(grid):
         a2, b2, g2 = branch_probs(params)
         rho = final_density(params)
-        h3 = qmath.shannon_entropy((a2, b2, g2))
+        h3 = oracle_math.shannon_entropy((a2, b2, g2))
         got_b = entanglement.conditional_mutual_information(rho, eve_lb)
         got_x = entanglement.conditional_mutual_information(rho, eve_lx)
         for b, x in ((got_b, got_x), (stacked_b[k], stacked_x[k])):
@@ -392,3 +400,66 @@ def test_pure_and_dephasing_invariants_on_drawn_stacks(gb, gx, dts, d, lower):
     more, less = grid_stack(grid, d), grid_stack(grid, d * lower)
     for ch in entanglement.enumerate_channels():
         assert np.all(entanglement.negativity(less, ch) <= entanglement.negativity(more, ch) + 1e-12)
+
+
+# --------------------------------------------------------------------------
+# the entropy table
+# --------------------------------------------------------------------------
+
+def kept_modes(mask):
+    """Modes of a 4-bit mask, early-B the most significant bit."""
+    return [m for m in ModeLabel if mask >> (3 - m) & 1]
+
+
+def test_mode_mask_bit_order():
+    assert entanglement.mode_mask(()) == 0
+    assert entanglement.mode_mask({EB}) == 0b1000
+    assert entanglement.mode_mask({EB, LX}) == 0b1001  # the ket |1001> of beta
+    assert entanglement.mode_mask(ModeLabel) == 0b1111
+    assert all(entanglement.mode_mask(kept_modes(mask)) == mask for mask in range(16))
+
+
+@property_settings
+@given(gb=rates, dts=delay_grids, d=st.one_of(st.just(1.0), st.floats(0.0, 1.0)), seed=st.integers(0, 2**32 - 1))
+def test_subset_entropies_equal_each_reduced_entropy(gb, dts, d, seed):
+    # a dephased (or, at d = 1, pure) cascade stack plus a random complex pure state
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+    psi /= np.linalg.norm(psi)
+    stack = np.concatenate([grid_stack(grid_params(dts, gamma_b=gb), d), np.outer(psi, psi.conj())[None]])
+    table = entanglement.subset_entropies(stack, range(16))
+    assert sorted(table) == list(range(16))
+    for mask, entropy in table.items():
+        expected = qmath.vn_entropy(qmath.partial_trace(stack, FOUR_MODE_DIMS, kept_modes(mask)))
+        assert entropy.tobytes() == expected.tobytes(), mask
+
+
+def test_subset_entropies_of_pure_cascade_states():
+    grid = grid_params(np.geomspace(0.01, 10.0, 40))
+    table = entanglement.subset_entropies(grid_stack(grid), range(16))
+    for mask in range(16):
+        np.testing.assert_allclose(table[mask], table[0b1111 ^ mask], rtol=0.0, atol=1e-10)
+    # one mode: early-B and late-X are empty only on the alpha branch,
+    # early-X and late-B are full only on the gamma branch
+    a2, _, g2 = np.transpose([branch_probs(p) for p in grid])
+    for mask, p in {0b1000: a2, 0b0100: g2, 0b0010: g2, 0b0001: a2}.items():
+        closed = [oracle_math.binary_entropy(x) for x in p]
+        np.testing.assert_allclose(table[mask], closed, rtol=0.0, atol=1e-10)
+
+
+def test_subset_entropies_reject_bad_masks():
+    with pytest.raises(ValueError, match="mask"):
+        entanglement.subset_entropies(ghz_density(), [16])
+    with pytest.raises(ValueError, match="dimension"):
+        entanglement.subset_entropies(np.eye(8) / 8, [1])
+
+
+def test_table_check_catches_a_reduction_of_the_wrong_modes(monkeypatch):
+    # a partial trace that keeps only the first listed mode still returns
+    # valid density matrices; for the pure state S(A) = S(BE) then fails
+    partial_trace = qmath.partial_trace
+    monkeypatch.setattr(qmath, "partial_trace", lambda rho, dims, keep: partial_trace(rho, dims, list(keep)[:1]))
+    with pytest.raises(ArithmeticError, match="Araki-Lieb"):
+        entanglement.conditional_mutual_information(final_density(POINT), EveSplit.from_alice_eve({EB}, {EX}))
+    with pytest.raises(ArithmeticError, match="Araki-Lieb"):
+        entanglement.mutual_information(final_density(POINT), entanglement.channel_by_id(5))

