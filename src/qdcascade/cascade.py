@@ -129,6 +129,7 @@ def amplitudes(p: DecayParams) -> Amplitudes:
 
 
 FOUR_MODE_DIMS = (2, 2, 2, 2)
+BRANCH_KETS = (0b0000, 0b1001, 0b1111)  # basis indices of the alpha, beta, gamma branches
 
 
 def final_state(p: DecayParams) -> np.ndarray:
@@ -139,9 +140,7 @@ def final_state(p: DecayParams) -> np.ndarray:
     """
     a = amplitudes(p)
     v = np.zeros(16, dtype=np.complex128)
-    v[0b0000] = a.alpha
-    v[0b1001] = a.beta
-    v[0b1111] = a.gamma
+    v[list(BRANCH_KETS)] = a.alpha, a.beta, a.gamma
     return v
 
 

@@ -95,6 +95,8 @@ class SweepSpec:
             raise ValueError(f"channels: ids must be in 1..7, got {bad}")
         if self.dephase is not None and not 0.0 <= self.dephase <= 1.0:
             raise ValueError("dephase: must lie in [0, 1]")
+        if self.alice is None and self.eve or self.alice is not None and not self.alice:
+            raise ValueError("alice: a split needs a nonempty Alice's subset")
         if not math.isfinite(self.gamma_x * self.dt_max):
             raise ValueError("dt_max: gamma_x * dt_max must be finite")
 
@@ -108,27 +110,23 @@ class SweepSpec:
 FIG_SPEC = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=1e-2, dt_max=10.0, points=200, scale="log")
 
 
-def _ghz_density() -> np.ndarray:
-    return qmath.density_from_state(cascade.ghz_state(4))
-
-
 def _grid_amplitudes(gamma_b: float, gamma_x: float, grid) -> list[cascade.Amplitudes]:
     return [cascade.amplitudes(DecayParams(gamma_b, gamma_x, float(dt))) for dt in grid]
 
 
-def _grid_densities(amps: Sequence[cascade.Amplitudes], dephase: float | None, ghz: bool = False) -> np.ndarray:
-    """The final-state densities of ``amps`` as one stack, shape (N, 16, 16),
-    with the GHZ density appended as slice N if ``ghz``: bit for bit the
-    per-point ``cascade.dephased_density`` (the projector if ``dephase`` is
-    None) and ``_ghz_density``."""
-    n = len(amps)
-    kets = np.zeros((n + ghz, 16), dtype=np.complex128)
-    kets[:n, [0b0000, 0b1001, 0b1111]] = [(a.alpha, a.beta, a.gamma) for a in amps]
-    if ghz:
-        kets[n] = cascade.ghz_state(4)
-    rho = kets[:, :, None] * kets.conj()[:, None, :]
+_GHZ_BRANCHES = tuple(cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real)
+
+
+def _branch_densities(amps: Sequence[cascade.Amplitudes], dephase: float | None, ghz: bool = False) -> np.ndarray:
+    """The final-state densities of ``amps`` on ``cascade.BRANCH_KETS`` as one
+    stack, shape (N, 3, 3), with the GHZ density appended as slice N if
+    ``ghz``: R = c c^T of the amplitudes c, dephased to d R + (1 - d) diag(c^2)
+    unless ``dephase`` is None. Bit for bit the support block of the
+    per-point ``cascade.dephased_density`` and of the GHZ density."""
+    c = np.array([(a.alpha, a.beta, a.gamma) for a in amps] + [_GHZ_BRANCHES] * ghz).reshape(-1, 3)
+    rho = c[:, :, None] * c[:, None, :]
     if dephase is not None:
-        diagonal = np.arange(16)
+        n, diagonal = len(amps), np.arange(3)
         populations = rho[:n, diagonal, diagonal]
         rho[:n] *= dephase
         rho[:n, diagonal, diagonal] += (1.0 - dephase) * populations
@@ -150,9 +148,9 @@ def _sweep_columns(spec: SweepSpec) -> dict:
     split = EveSplit.from_alice_eve(spec.alice, spec.eve) if spec.alice is not None else None
     subsets = {mask for measure in channels + [split] if measure is not None for mask in measure.subsets}
     if spec.ghz_reference:
-        rho = np.broadcast_to(_ghz_density(), (len(grid) + 1, 16, 16))
+        rho = np.broadcast_to(_branch_densities([], None, ghz=True), (len(grid) + 1, 3, 3))
     else:
-        rho = _grid_densities(amps, spec.dephase, ghz=True)
+        rho = _branch_densities(amps, spec.dephase, ghz=True)
     table = entanglement.subset_entropies(rho, subsets)
     mi = {ch.id: entanglement.mi_from_table(table, ch) for ch in channels}
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid}
@@ -184,7 +182,7 @@ def secure_rate(
         "dt": params.delta_t,
         "gx_dt": params.gamma_x * params.delta_t,
         "cmi": entanglement.conditional_mutual_information(rho, split),
-        "cmi_ghz": entanglement.conditional_mutual_information(_ghz_density(), split),
+        "cmi_ghz": entanglement.conditional_mutual_information(qmath.density_from_state(cascade.ghz_state(4)), split),
     }
 
 
@@ -197,22 +195,24 @@ def optimize_delay(
 ) -> tuple[float, float]:
     """Locate the delay maximizing the secret rate inside ``bracket``.
 
-    Each round evaluates one grid as a stack of states and narrows to the two
-    cells around its best point: a 64-point first grid guards against
-    non-unimodal objectives, then 16-point grids refine until the spacing is
-    at most 1e-6 of the bracket width, or a round no longer narrows the
-    interval. Returns the best evaluated grid point and its rate, so an
-    optimum at the edge comes back as exactly ``lo`` or ``hi``.
+    Each round evaluates one grid as a stack of branch densities and narrows
+    to the two cells around its best point: a 64-point first grid guards
+    against non-unimodal objectives, then 16-point grids refine until the
+    spacing is at most 1e-6 of the bracket width, or a round no longer
+    narrows the interval. Returns the best evaluated grid point and its
+    rate, so an optimum at the edge comes back as exactly ``lo`` or ``hi``.
     """
     lo, hi = bracket
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"empty or unbounded bracket: ({lo}, {hi})")
+    if dephase is not None and not 0.0 <= dephase <= 1.0:
+        raise ValueError("dephase: must lie in [0, 1]")
     tol = REFINE_TOL_FRACTION * (hi - lo)
     a, b, points = lo, hi, COARSE_SCAN_POINTS
     best_dt, best_cmi = lo, -math.inf
     while True:
         xs = np.linspace(a, b, points)
-        rho = _grid_densities(_grid_amplitudes(gamma_b, gamma_x, xs), dephase)
+        rho = _branch_densities(_grid_amplitudes(gamma_b, gamma_x, xs), dephase)
         cmi = entanglement.conditional_mutual_information(rho, split)
         k = int(np.argmax(cmi))
         if cmi[k] > best_cmi:
@@ -247,8 +247,9 @@ def fig4_table() -> tuple[list[str], list[list[float]]]:
     }
     splits = {name: EveSplit.from_alice_eve(alice, eve) for name, (alice, eve) in splits.items()}
     grid = FIG_SPEC.grid()
-    rho = _grid_densities(_grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid), None, ghz=True)
-    table = entanglement.subset_entropies(rho, {mask for split in splits.values() for mask in split.subsets})
+    rho = _branch_densities(_grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid), None, ghz=True)
+    subsets = {mask for split in splits.values() for mask in split.subsets}
+    table = entanglement.subset_entropies(rho, subsets)
     columns = {"gx_dt": FIG_SPEC.gamma_x * grid}
     for name, split in splits.items():
         cmi = entanglement.cmi_from_table(table, split)
@@ -469,7 +470,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     gamma_b, gamma_x = _resolve_rates(args)
     channels = tuple(args.channel) if args.channel else (1, 2, 3, 4, 5, 6, 7)
-    alice = parse_mode_list(args.alice) if args.alice else None
+    alice = parse_mode_list(args.alice) if args.alice is not None else None
     eve = parse_mode_list(args.eve) if args.eve else frozenset()
     spec = SweepSpec(
         gamma_b=gamma_b, gamma_x=gamma_x,
@@ -497,7 +498,7 @@ def _cmd_optimize_dt(args: argparse.Namespace) -> int:
     )
     if dt_star in (args.dt_min, args.dt_max):
         print(f"note: the optimum lies at the bracket edge dt = {_fmt(dt_star)}", file=sys.stderr)
-    ghz_cmi = entanglement.conditional_mutual_information(_ghz_density(), split)
+    ghz_cmi = entanglement.conditional_mutual_information(qmath.density_from_state(cascade.ghz_state(4)), split)
     header = ["dt_star", "gx_dt_star", "cmi_star", "cmi_ghz"]
     _emit(args, header, [[dt_star, gamma_x * dt_star, cmi_star, ghz_cmi]])
     return EXIT_OK

@@ -15,7 +15,11 @@ Each table is checked against subadditivity and the Araki-Lieb inequality,
 so a fault in a reduction or a spectrum that breaks them fails loudly.
 
 Like ``qmath``, every measure takes a 16x16 density matrix or a stack of
-them, shape (..., 16, 16); one bad matrix fails the whole stack.
+them, shape (..., 16, 16); one bad matrix fails the whole stack. The table,
+MI and CMI also take a branch density, shape (..., 3, 3): the block of a
+state on the cascade's three branch kets ``cascade.BRANCH_KETS``, zero
+elsewhere, which every reduction keeps at most 3x3 under the same guards.
+The CLI's delay grids run on branch densities; ``negativity`` does not take them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import FrozenSet, Iterable
 import numpy as np
 
 from . import qmath
-from .cascade import FOUR_MODE_DIMS, ModeLabel
+from .cascade import BRANCH_KETS, FOUR_MODE_DIMS, ModeLabel
 
 ALL_MODES: FrozenSet[ModeLabel] = frozenset(ModeLabel)
 
@@ -76,16 +80,11 @@ class Channel:
     def from_p1(cls, modes: Iterable[ModeLabel], id: int = 0) -> "Channel":
         """Build the bipartition holding ``modes`` on one side, canonically
         oriented so that the smaller side (ties: the side containing
-        early-B, else the lexicographically smaller one) is p1."""
+        early-B) is p1."""
         p1 = _mode_set(modes)
         p2 = ALL_MODES - p1
-        if len(p1) > len(p2):
+        if len(p1) > len(p2) or (len(p1) == len(p2) and ModeLabel.EARLY_B in p2):
             p1, p2 = p2, p1
-        elif len(p1) == len(p2):
-            if ModeLabel.EARLY_B in p2:
-                p1, p2 = p2, p1
-            elif ModeLabel.EARLY_B not in p1 and sorted(p2) < sorted(p1):
-                p1, p2 = p2, p1
         return cls(id=id, p1=p1, p2=p2)
 
 
@@ -161,21 +160,41 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     ``mode_mask`` (mode m is bit 3 - m, early-B the most significant); mask
     0 is the empty subset, whose entropy is that of the trace.
 
-    Each distinct mask is computed once, as
-    ``qmath.vn_entropy(qmath.partial_trace(rho, FOUR_MODE_DIMS, kept modes))``.
+    ``rho`` is a 16x16 density (stack) or a 3x3 branch density (stack). Each
+    distinct mask is computed once, as ``qmath.vn_entropy`` of
+    ``qmath.partial_trace`` or, on branch densities, of ``_reduce_on_kets``.
     The whole state, mask 0b1111, is always in the table and computed first:
     its entropy validates the stack. The table is then checked against
     subadditivity and Araki-Lieb (``_check_entropy_inequalities``).
     """
-    m = _four_mode_matrix(rho)
+    branch = np.shape(rho)[-2:] == (3, 3)
+    m = np.asarray(rho) if branch else _four_mode_matrix(rho)
     table = {ALL_MODES_MASK: qmath.vn_entropy(m)}
     for mask in sorted(set(subsets) - {ALL_MODES_MASK}):
         if not 0 <= mask < ALL_MODES_MASK:
             raise ValueError(f"mode mask must lie in 0..15, got {mask}")
-        keep = [mode for mode in ModeLabel if mask & (8 >> mode)]
-        table[mask] = qmath.vn_entropy(qmath.partial_trace(m, FOUR_MODE_DIMS, keep))
+        if branch:
+            reduced = _reduce_on_kets(m, mask)
+        else:
+            reduced = qmath.partial_trace(m, FOUR_MODE_DIMS, [mode for mode in ModeLabel if mask & (8 >> mode)])
+        table[mask] = qmath.vn_entropy(reduced)
     _check_entropy_inequalities(table)
     return table
+
+
+def _reduce_on_kets(m: np.ndarray, mask: int) -> np.ndarray:
+    """Reduced state on the modes of ``mask`` of the branch density ``m``:
+    V (m o C) V^T over the distinct restrictions of ``BRANCH_KETS`` to ``mask``,
+    where C_ij = 1 if kets i and j agree off ``mask`` and V merges the kets that
+    agree on it. Both are folded into one 0/1 matrix, so each entry is a sum of entries of ``m``."""
+    groups = sorted({ket & mask for ket in BRANCH_KETS})
+    k, g = len(BRANCH_KETS), len(groups)
+    fold = np.zeros((k, k, g, g))
+    for (i, a), (j, b) in itertools.product(enumerate(BRANCH_KETS), repeat=2):
+        if (a ^ b) & ~mask == 0:
+            fold[i, j, groups.index(a & mask), groups.index(b & mask)] = 1.0
+    lead = m.shape[:-2]
+    return (m.reshape(lead + (k * k,)) @ fold.reshape(k * k, g * g)).reshape(lead + (g, g))
 
 
 def _check_entropy_inequalities(table: dict[int, float | np.ndarray]) -> None:

@@ -23,6 +23,7 @@ import oracle_math
 LN2 = math.log(2.0)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EB, EX, LB, LX = ModeLabel
+KETS = cascade.BRANCH_KETS
 
 
 def run_main(args):
@@ -35,6 +36,11 @@ def run_main(args):
 def read_csv_text(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return [{k: float(v) for k, v in row.items()} for row in rows]
+
+
+def branch_block(rho):
+    """A 16x16 density's block on the branch kets, as a single-state stack (1, 3, 3)."""
+    return rho[np.ix_(KETS, KETS)].real[None]
 
 
 # --------------------------------------------------------------------------
@@ -75,26 +81,26 @@ def test_sweep_ghz_reference_mode_is_flat():
 
 def test_sweep_rows_ascending_and_independent():
     # each row of the stacked evaluation equals, bit for bit, the evaluation
-    # of its own state as a single 16x16 matrix
+    # of its own state as a single-state stack of branch densities
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.1, dt_max=1.5, points=7,
                      scale="log", alice=frozenset({EB}), eve=frozenset({LB}))
     cols = sweep_columns(spec)
     assert cols["dt"] == sorted(cols["dt"])
     channels = entanglement.enumerate_channels()
     split = EveSplit.from_alice_eve({EB}, {LB})
+    ghz = branch_block(qmath.density_from_state(cascade.ghz_state(4)))
     for k, dt in enumerate(cols["dt"]):
         params = DecayParams(2.0, 1.0, dt)
-        rho = qmath.density_from_state(cascade.final_state(params))
-        assert rho.ndim == 2
+        rho = branch_block(qmath.density_from_state(cascade.final_state(params)))
+        assert rho.shape == (1, 3, 3)
         a = cascade.amplitudes(params)
         single = {
             "gx_dt": 1.0 * dt, "alpha2": a.alpha2, "beta2": a.beta2, "gamma2": a.gamma2,
             "fidelity": cascade.ghz_fidelity(params),
-            "cmi": entanglement.conditional_mutual_information(rho, split),
-            "cmi_ghz": entanglement.conditional_mutual_information(
-                qmath.density_from_state(cascade.ghz_state(4)), split),
+            "cmi": entanglement.conditional_mutual_information(rho, split)[0],
+            "cmi_ghz": entanglement.conditional_mutual_information(ghz, split)[0],
         }
-        mi = [entanglement.mutual_information(rho, ch) for ch in channels]
+        mi = [entanglement.mutual_information(rho, ch)[0] for ch in channels]
         single.update({f"mi_ch{ch.id}": v for ch, v in zip(channels, mi)})
         single["mi_avg"] = sum(mi) / len(mi)
         for name, value in single.items():
@@ -103,17 +109,24 @@ def test_sweep_rows_ascending_and_independent():
 
 @pytest.mark.parametrize("dephase", [None, 0.0, 0.37, 1.0])
 def test_grid_densities_match_per_point_densities(dephase):
+    # the branch stack is, bit for bit, the block on the branch kets of each
+    # per-point 16x16 density, which is real there and zero elsewhere
     grid = np.geomspace(1e-3, 20.0, 25)
-    stack = cli._grid_densities(cli._grid_amplitudes(3.0, 1.0, grid), dephase, ghz=True)
-    assert stack.shape == (26, 16, 16)
-    for k, dt in enumerate(grid):
+    stack = cli._branch_densities(cli._grid_amplitudes(3.0, 1.0, grid), dephase, ghz=True)
+    assert stack.shape == (26, 3, 3)
+    singles = []
+    for dt in grid:
         params = DecayParams(3.0, 1.0, float(dt))
         if dephase is None:
-            single = qmath.density_from_state(cascade.final_state(params))
+            singles.append(qmath.density_from_state(cascade.final_state(params)))
         else:
-            single = cascade.dephased_density(params, dephase)
-        assert stack[k].tobytes() == single.tobytes(), k
-    assert stack[-1].tobytes() == qmath.density_from_state(cascade.ghz_state(4)).tobytes()
+            singles.append(cascade.dephased_density(params, dephase))
+    singles.append(qmath.density_from_state(cascade.ghz_state(4)))
+    off_support = np.ones((16, 16), dtype=bool)
+    off_support[np.ix_(KETS, KETS)] = False
+    for k, single in enumerate(singles):
+        assert stack[k].tobytes() == branch_block(single)[0].tobytes(), k
+        assert not single[np.ix_(KETS, KETS)].imag.any() and not single[off_support].any(), k
 
 
 def test_each_table_makes_at_most_fifteen_eigensolves(monkeypatch):
@@ -131,6 +144,11 @@ def test_each_table_makes_at_most_fifteen_eigensolves(monkeypatch):
         shapes.clear()
         build()
         assert 1 <= len(shapes) <= 15, build
+        # every grid table runs on branch densities: no spectrum above 3x3
+        assert max(shape[-1] for shape in shapes) <= 3, build
+    shapes.clear()
+    cli.optimize_delay(3.0, 1.0, EveSplit.from_alice_eve({EB}, {EX}), (0.01, 5.0), dephase=0.8)
+    assert len(shapes) % 5 == 0 and max(shape[-1] for shape in shapes) <= 3
     shapes.clear()
     stack = np.stack([qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt)))
                       for dt in (0.1, 0.5)])
@@ -138,8 +156,9 @@ def test_each_table_makes_at_most_fifteen_eigensolves(monkeypatch):
     assert len(shapes) == 5
 
 
-# parent outputs with an empty Eve: the table's S(empty set) is the entropy of
-# the 1x1 trace, as before, not an exact 0 (which changes the last bits here)
+# outputs with an empty Eve: the table's S(empty set) is the entropy of the
+# 1x1 trace, not an exact 0 (which changes the last bits here); sweep runs on
+# 3x3 branch densities, secure-rate on 16x16 ones
 EMPTY_EVE_OUTPUTS = {
     ("secure-rate", "--alice", "eb", "--dt", "10"): "dt,gx_dt,cmi,cmi_ghz\n10,10,1.24891870593e-07,2\n",
     ("secure-rate", "--alice", "eb", "--dt", "0.08", "--format", "json"): """[
@@ -167,9 +186,9 @@ EMPTY_EVE_OUTPUTS = {
     "beta2": 0.019702320884825507,
     "gamma2": 9.900580841924397e-05,
     "fidelity": 0.5000000000000024,
-    "mi_ch1": 0.2806471843265794,
-    "mi_avg": 0.16212753310862285,
-    "cmi": 0.2824457140445704,
+    "mi_ch1": 0.2806471843265788,
+    "mi_avg": 0.1621275331086222,
+    "cmi": 0.2824457140445698,
     "cmi_ghz": 1.9999999999999996
   },
   {
@@ -179,9 +198,9 @@ EMPTY_EVE_OUTPUTS = {
     "beta2": 0.18663067466809952,
     "gamma2": 0.01085052736942199,
     "fidelity": 0.5,
-    "mi_ch1": 1.4337236106214124,
-    "mi_avg": 0.9240295140080894,
-    "cmi": 1.5549932847213026,
+    "mi_ch1": 1.4337236106214133,
+    "mi_avg": 0.9240295140080903,
+    "cmi": 1.5549932847213035,
     "cmi_ghz": 1.9999999999999996
   }
 ]
@@ -237,7 +256,8 @@ def test_secure_rate_rejects_overlapping_subsets():
 
 
 def test_optimize_delay_on_constant_zero(monkeypatch):
-    monkeypatch.setattr(entanglement, "conditional_mutual_information", lambda rho, split: np.zeros(len(rho)))
+    monkeypatch.setattr(entanglement, "conditional_mutual_information",
+                        lambda rho, split: np.zeros(len(rho)))
     split = EveSplit.from_alice_eve({EB}, {EX})
     dt_star, value = cli.optimize_delay(2.0, 1.0, split, (0.1, 2.0))
     assert 0.1 <= dt_star <= 2.0
@@ -274,6 +294,15 @@ def test_optimize_delay_rejects_empty_bracket():
         cli.optimize_delay(2.0, 1.0, split, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("dephase", [-0.5, 1.000000001, 1.05, math.nan])
+def test_optimize_delay_rejects_dephasing_outside_the_unit_interval(dephase):
+    split = EveSplit.from_alice_eve({EB}, {EX})
+    with pytest.raises(ValueError, match="dephase"):
+        cli.optimize_delay(2.0, 1.0, split, (0.1, 2.0), dephase=dephase)
+    code, out = run_main(["optimize-dt", "--alice", "eb", "--eve", "ex", "--dephase", repr(dephase)])
+    assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
+
+
 @pytest.mark.parametrize("bracket", [(0.3, 0.30000000001), (5.0, 5.000000000000001)])
 def test_optimize_delay_ends_on_brackets_narrower_than_its_tolerance(monkeypatch, bracket):
     # 1e-6 of these widths is below the spacing of doubles near the bracket;
@@ -291,7 +320,8 @@ def test_optimize_delay_ends_on_brackets_narrower_than_its_tolerance(monkeypatch
     split = EveSplit.from_alice_eve({EB}, {EX})
     dt_star, cmi_star = cli.optimize_delay(2.0, 1.0, split, bracket)
     assert bracket[0] <= dt_star <= bracket[1]
-    assert cmi_star == cmi(qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt_star))), split)
+    rho = branch_block(qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt_star))))
+    assert cmi_star == cmi(rho, split)[0]
 
 
 FIG4_SPLITS = [({EB}, {EX}), ({EB}, {LB}), ({EB}, {LX}), ({EB, EX}, {LB}), ({EB, EX}, {LX})]
@@ -310,8 +340,9 @@ def test_optimize_delay_returns_the_best_evaluated_point(ratio, d, split, lo, wi
     hi = lo + width
     dt_star, cmi_star = cli.optimize_delay(ratio, 1.0, split, (lo, hi), dephase=d)
     assert lo <= dt_star <= hi
-    rho = cascade.dephased_density(DecayParams(ratio, 1.0, dt_star), d)
-    assert cmi_star == entanglement.conditional_mutual_information(rho, split)
+    rho = branch_block(cascade.dephased_density(DecayParams(ratio, 1.0, dt_star), d))
+    assert cmi_star == entanglement.conditional_mutual_information(rho, split)[0]
+    # the coarse grid on dense 16x16 states: a cross-check of the branch path
     grid = np.linspace(lo, hi, 64)
     stack = np.stack([cascade.dephased_density(DecayParams(ratio, 1.0, float(x)), d) for x in grid])
     assert entanglement.conditional_mutual_information(stack, split).max() <= cmi_star + 1e-12
@@ -508,6 +539,19 @@ def test_cli_bad_arguments_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("split,alice,eve", [
+    (["--eve", "lb"], None, frozenset({LB})),
+    (["--alice", ""], frozenset(), frozenset()),
+    (["--alice", "", "--eve", "lb"], frozenset(), frozenset({LB})),
+])
+def test_cli_sweep_rejects_eve_without_alice(split, alice, eve, capsys):
+    with pytest.raises(ValueError, match="alice"):
+        SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.1, dt_max=1.0, points=3, alice=alice, eve=eve)
+    code, out = run_main(["sweep", "--dt-min", "0.1", "--dt-max", "1.0", "--points", "3", *split])
+    assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
+    assert "alice" in capsys.readouterr().err.lower()
 
 
 def test_cli_long_delay_exit_code():

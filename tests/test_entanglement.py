@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdcascade import cascade, cli, entanglement, qmath
@@ -454,6 +454,36 @@ def test_subset_entropies_reject_bad_masks():
         entanglement.subset_entropies(np.eye(8) / 8, [1])
 
 
+FIG4_SPLITS = [EveSplit.from_alice_eve(alice, eve)
+               for alice, eve in (({EB}, {EX}), ({EB}, {LB}), ({EB}, {LX}), ({EB, EX}, {LB}), ({EB, EX}, {LX}))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    ratio=st.floats(0.05, 20.0),
+    d=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    dts=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(10.0, 800.0)), min_size=1, max_size=6),
+)
+@example(ratio=1.0, d=None, dts=[0.0, LN2, 800.0])  # equal rates
+@example(ratio=20.0, d=0.0, dts=[0.0, 1e-3, 40.0])
+def test_branch_table_matches_the_dense_table(ratio, d, dts):
+    # the grid commands' 3x3 branch path against the 16x16 path, with GHZ
+    # as the last slice: all 16 masks, the 7 channels and the 5 fig4 splits
+    grid = grid_params(dts, gamma_b=ratio)
+    branch = cli._branch_densities([cascade.amplitudes(p) for p in grid], d, ghz=True)
+    dense = np.concatenate([grid_stack(grid, 1.0 if d is None else d), ghz_density()[None]])
+    got = entanglement.subset_entropies(branch, range(16))
+    want = entanglement.subset_entropies(dense, range(16))
+    for mask in range(16):
+        np.testing.assert_allclose(got[mask], want[mask], rtol=0.0, atol=1e-12, err_msg=f"mask {mask:04b}")
+    for ch in entanglement.enumerate_channels():
+        np.testing.assert_allclose(entanglement.mi_from_table(got, ch), entanglement.mi_from_table(want, ch),
+                                   rtol=0.0, atol=1e-12, err_msg=f"channel {ch.id}")
+    for split in FIG4_SPLITS:
+        np.testing.assert_allclose(entanglement.cmi_from_table(got, split), entanglement.cmi_from_table(want, split),
+                                   rtol=0.0, atol=1e-12, err_msg=str(split))
+
+
 def test_table_check_catches_a_reduction_of_the_wrong_modes(monkeypatch):
     # a partial trace that keeps only the first listed mode still returns
     # valid density matrices; for the pure state S(A) = S(BE) then fails
@@ -463,3 +493,14 @@ def test_table_check_catches_a_reduction_of_the_wrong_modes(monkeypatch):
         entanglement.conditional_mutual_information(final_density(POINT), EveSplit.from_alice_eve({EB}, {EX}))
     with pytest.raises(ArithmeticError, match="Araki-Lieb"):
         entanglement.mutual_information(final_density(POINT), entanglement.channel_by_id(5))
+
+
+def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
+    # the same fault on the branch path: keep only the last mode of each subset
+    reduce = entanglement._reduce_on_kets
+    monkeypatch.setattr(entanglement, "_reduce_on_kets", lambda m, mask: reduce(m, mask & -mask))
+    rho = cli._branch_densities([cascade.amplitudes(POINT)], None)
+    with pytest.raises(ArithmeticError, match="Araki-Lieb"):
+        entanglement.conditional_mutual_information(rho, EveSplit.from_alice_eve({EB}, {EX}))
+    with pytest.raises(ArithmeticError, match="Araki-Lieb"):
+        entanglement.mutual_information(rho, entanglement.channel_by_id(5))
