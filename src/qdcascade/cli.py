@@ -147,11 +147,10 @@ def _sweep_columns(spec: SweepSpec) -> dict:
     channels = entanglement.enumerate_channels()
     split = EveSplit.from_alice_eve(spec.alice, spec.eve) if spec.alice is not None else None
     subsets = {mask for measure in channels + [split] if measure is not None for mask in measure.subsets}
-    if spec.ghz_reference:
-        rho = np.broadcast_to(_branch_densities([], None, ghz=True), (len(grid) + 1, 3, 3))
-    else:
-        rho = _branch_densities(amps, spec.dephase, ghz=True)
+    rho = _branch_densities([] if spec.ghz_reference else amps, spec.dephase, ghz=True)
     table = entanglement.subset_entropies(rho, subsets)
+    if spec.ghz_reference:  # the one GHZ slice stands for every grid point and the reference
+        table = {mask: np.broadcast_to(s, (len(grid) + 1,)) for mask, s in table.items()}
     mi = {ch.id: entanglement.mi_from_table(table, ch) for ch in channels}
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid}
     columns.update({name: [getattr(a, name) for a in amps] for name in ("alpha2", "beta2", "gamma2")})

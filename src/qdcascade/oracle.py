@@ -6,8 +6,9 @@ Two routes that never touch the closed-form amplitude expressions:
   for the ladder populations, and
 * a quantum-jump Monte Carlo sampler of the full two-pulse protocol that
   draws exponential waiting times for both emissions, applies the g<->B
-  swap at the pulse, and bins each trajectory by its four-bit emission
-  pattern (early-B, early-X, late-B, late-X).
+  swap at the pulse, and tallies each trajectory's four-bit emission
+  pattern (early-B, early-X, late-B, late-X) by comparing its waiting
+  times with the delay, in two buffers each worker reuses across blocks.
 
 Both are deterministic: the sampler is keyed by a 64-bit seed through a
 counter-based generator (Philox), with per-block streams derived by a
@@ -82,21 +83,21 @@ def rate_equation_populations(p: DecayParams, step: float) -> Populations:
         raise ValueError(f"step {step} too coarse for delta_t {p.delta_t}; need step <= delta_t/10")
 
     gb, gx = p.gamma_b, p.gamma_x
-
-    def deriv(pb, px):
-        return -gb * pb, gb * pb - gx * px, gx * px
-
     n_steps = math.ceil(p.delta_t / step)
     h = p.delta_t / n_steps
+    half_h, sixth_h = 0.5 * h, h / 6.0
     pb, px, pg = 1.0, 0.0, 0.0
     for _ in range(n_steps):
-        b1, x1, g1 = deriv(pb, px)
-        b2, x2, g2 = deriv(pb + 0.5 * h * b1, px + 0.5 * h * x1)
-        b3, x3, g3 = deriv(pb + 0.5 * h * b2, px + 0.5 * h * x2)
-        b4, x4, g4 = deriv(pb + h * b3, px + h * x3)
-        pb += (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        px += (h / 6.0) * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
-        pg += (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        b1, x1, g1 = -gb * pb, gb * pb - gx * px, gx * px
+        sb, sx = pb + half_h * b1, px + half_h * x1
+        b2, x2, g2 = -gb * sb, gb * sb - gx * sx, gx * sx
+        sb, sx = pb + half_h * b2, px + half_h * x2
+        b3, x3, g3 = -gb * sb, gb * sb - gx * sx, gx * sx
+        sb, sx = pb + h * b3, px + h * x3
+        b4, x4, g4 = -gb * sb, gb * sb - gx * sx, gx * sx
+        pb += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        px += sixth_h * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+        pg += sixth_h * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
     return Populations(pb, px, pg)
 
 
@@ -116,27 +117,37 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_block(p: DecayParams, size: int, seed: int, block_index: int) -> np.ndarray:
-    rng = _block_rng(seed, block_index)
-    # inverse CDF on (0, 1]: u in [0, 1) gives -log(1 - u) without log(0)
-    t_b = -np.log1p(-rng.random(size)) / p.gamma_b
-    t_x = -np.log1p(-rng.random(size)) / p.gamma_x
-    # pulse at delta_t swaps whichever of {g, B} the trajectory occupies:
-    #   still in B  -> dumped to g, nothing else emitted
-    #   in X        -> unaffected, X photon lands late
-    #   already in g -> re-excited, full late cascade
-    patterns = np.where(
-        t_b >= p.delta_t,
-        PATTERN_SURVIVED,
-        np.where(t_b + t_x >= p.delta_t, PATTERN_SPLIT, PATTERN_FULL_EARLY),
-    )
-    return np.bincount(patterns, minlength=16)
+def _tally_blocks(p: DecayParams, trials: int, seed: int, first: int, stride: int) -> tuple[int, int]:
+    """(survived, late) over the blocks first, first + stride, ... of ``trials``:
+    the trajectories with t_b >= delta_t and those with t_b + t_x >= delta_t."""
+    size = min(TRIALS_PER_BLOCK, trials)
+    t_b, t_x = np.empty(size), np.empty(size)
+    survived = late = 0
+    for k in range(first, math.ceil(trials / TRIALS_PER_BLOCK), stride):
+        n = min(TRIALS_PER_BLOCK, trials - k * TRIALS_PER_BLOCK)
+        b, x = t_b[:n], t_x[:n]
+        rng = _block_rng(seed, k)
+        for u, rate in ((b, p.gamma_b), (x, p.gamma_x)):
+            # inverse CDF on (0, 1]: u in [0, 1) gives -log1p(-u) / rate without log(0)
+            np.negative(rng.random(n, out=u), out=u)
+            np.log1p(u, out=u)
+            np.divide(np.negative(u, out=u), rate, out=u)
+        survived += int(np.count_nonzero(b >= p.delta_t))
+        late += int(np.count_nonzero(np.add(b, x, out=x) >= p.delta_t))
+    return survived, late
 
 
-def _worker_count(workers: int | None) -> int:
+def _worker_count(workers: int | None, n_blocks: int) -> int:
+    """``workers``, else ``CASCADE_THREADS`` (default 1), capped at ``n_blocks``
+    and at the CPUs this process may run on."""
     if workers is None:
-        workers = int(os.environ.get("CASCADE_THREADS", "1") or "1")
-    return max(1, workers)
+        text = os.environ.get("CASCADE_THREADS", "1") or "1"
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ValueError(f"CASCADE_THREADS must be an integer, got {text!r}") from None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(workers, n_blocks, cpus))
 
 
 def monte_carlo_patterns(
@@ -147,20 +158,20 @@ def monte_carlo_patterns(
     The trials are split into fixed-size blocks, each with its own derived
     stream, so the result is a function of (params, trials, seed) only --
     bit-identical for any worker count.
+
+    The pulse at delta_t dumps a trajectory still in B to g (SURVIVED), lets
+    one in X emit its photon late (SPLIT) and re-excites one in g for a full
+    late cascade (FULL_EARLY); as t_x >= 0, survivors are late too, so SPLIT
+    is late - survived.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    n_blocks = math.ceil(trials / TRIALS_PER_BLOCK)
-    sizes = [
-        min(TRIALS_PER_BLOCK, trials - k * TRIALS_PER_BLOCK) for k in range(n_blocks)
-    ]
-    workers = _worker_count(workers)
-    if workers == 1 or n_blocks == 1:
-        blocks = [_sample_block(p, size, seed, k) for k, size in enumerate(sizes)]
+    workers = _worker_count(workers, math.ceil(trials / TRIALS_PER_BLOCK))
+    if workers == 1:
+        tallies = [_tally_blocks(p, trials, seed, 0, 1)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(
-                pool.map(lambda ks: _sample_block(p, ks[1], seed, ks[0]), enumerate(sizes))
-            )
-    totals = np.sum(blocks, axis=0)
-    return PatternCounts(counts=tuple(int(c) for c in totals), trials=trials)
+            tallies = list(pool.map(lambda w: _tally_blocks(p, trials, seed, w, workers), range(workers)))
+    survived, late = (sum(column) for column in zip(*tallies))
+    counts = {PATTERN_SURVIVED: survived, PATTERN_SPLIT: late - survived, PATTERN_FULL_EARLY: trials - late}
+    return PatternCounts(counts=tuple(counts.get(i, 0) for i in range(16)), trials=trials)

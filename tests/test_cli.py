@@ -1,6 +1,7 @@
 """Sweep machinery, optimization, figure tables, validation, CLI surface."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -77,6 +78,23 @@ def test_sweep_ghz_reference_mode_is_flat():
         for c in range(1, 8):
             assert abs(cols[f"mi_ch{c}"][k] - 2.0) < 1e-9
         assert abs(cols["mi_avg"][k] - 2.0) < 1e-9
+
+
+def test_cli_sweep_ghz_solves_one_slice(monkeypatch):
+    # digests of the output recorded when each of the 51 slices was solved
+    digests = {
+        "csv": "5a3e59d2256c9daf45cf1bd41d388d9c3cea3a4dcb5527a0e45fbc9df5dfd76e",
+        "json": "6845a46349d82ce3a8511d54e4cc4f4fe2a70786621ebfd9352640d68e0f478c",
+    }
+    shapes = []
+    vn_entropy = qmath.vn_entropy
+    monkeypatch.setattr(qmath, "vn_entropy", lambda rho: shapes.append(np.shape(rho)) or vn_entropy(rho))
+    for fmt, digest in digests.items():
+        code, out = run_main(["sweep", "--ghz", "--points", "50", "--dt-min", "0.01", "--dt-max", "5",
+                              "--dephase", "0.3", "--alice", "eb", "--eve", "lb", "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert shapes and all(shape[0] == 1 for shape in shapes)
 
 
 def test_sweep_rows_ascending_and_independent():

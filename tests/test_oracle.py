@@ -5,13 +5,14 @@ import os
 
 import pytest
 
-from qdcascade import cascade, oracle
+from qdcascade import cascade, cli, oracle
 from qdcascade.cascade import DecayParams
 from qdcascade.oracle import (
     IDEAL_PATTERNS,
     PATTERN_FULL_EARLY,
     PATTERN_SPLIT,
     PATTERN_SURVIVED,
+    TRIALS_PER_BLOCK,
     PatternCounts,
     Populations,
 )
@@ -46,6 +47,19 @@ def test_rk4_matches_closed_form(ratio):
         assert abs(pops.p_b - a.alpha2) < 1e-8
         assert abs(pops.p_x - a.beta2) < 1e-8
         assert abs(pops.p_g - a.gamma2) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "gamma_b,expected",
+    [
+        (2.0, (0.5000000000000011, 0.41421356237309465, 0.08578643762690481)),
+        (0.5, (0.5000000000000046, 0.2500000000000016, 0.2500000000000015)),
+    ],
+)
+def test_rk4_populations_pinned(gamma_b, expected):
+    # recorded from the integrator with a separate derivative function per stage
+    pops = oracle.rate_equation_populations(DecayParams(gamma_b, 1.0, LN2 / gamma_b), 1e-4)
+    assert (pops.p_b, pops.p_x, pops.p_g) == expected
 
 
 def test_rk4_degenerate_rates_value():
@@ -105,6 +119,19 @@ def test_mc_zero_delay_all_trajectories_terminated_by_pulse():
     assert set(counts.support()) <= set(IDEAL_PATTERNS)
 
 
+def pattern_tuple(counts_by_pattern):
+    return tuple(counts_by_pattern.get(pattern, 0) for pattern in range(16))
+
+
+# 1e6 trials, seed 42, per gamma_b; recorded from the sampler that binned
+# every trajectory with np.where and np.bincount
+PINNED_COUNTS = {
+    2.0: {0b0000: 499950, 0b1001: 414263, 0b1111: 85787},
+    1.0: {0b0000: 449217, 0b1001: 359883, 0b1111: 190900},
+    10.0: {0b0000: 499950, 0b1001: 481233, 0b1111: 18817},
+}
+
+
 @pytest.mark.parametrize(
     "gamma_b,delta_t",
     [(2.0, LN2 / 2), (1.0, 0.8), (10.0, LN2 / 10)],
@@ -115,6 +142,13 @@ def test_mc_frequencies_match_branch_probabilities(gamma_b, delta_t):
     counts = oracle.monte_carlo_patterns(params, 1_000_000, 42)
     for z in z_scores(counts, (a.alpha2, a.beta2, a.gamma2)):
         assert abs(z) < 4.0
+    assert counts.counts == pattern_tuple(PINNED_COUNTS[gamma_b])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mc_counts_pinned_with_a_one_trial_last_block(workers):
+    counts = oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, LN2 / 2), TRIALS_PER_BLOCK + 1, 3, workers)
+    assert counts.counts == pattern_tuple({0b0000: 32646, 0b1001: 27197, 0b1111: 5694})
 
 
 def test_mc_seed_reproducibility():
@@ -137,6 +171,48 @@ def test_mc_worker_count_invariance():
     finally:
         del os.environ["CASCADE_THREADS"]
     assert from_env == serial
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records the pool size and maps in
+    the calling thread, so no thread starts."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,blocks,pool_size", [(2, 5, 2), (64, 3, 3)])
+def test_mc_thread_pool_capped_at_cpus_and_blocks(monkeypatch, cpus, blocks, pool_size):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setenv("CASCADE_THREADS", "100000")
+    assert oracle._worker_count(None, blocks) == pool_size
+    assert oracle._worker_count(100_000, blocks) == pool_size
+    params = DecayParams(2.0, 1.0, LN2 / 2)
+    counts = oracle.monte_carlo_patterns(params, blocks * TRIALS_PER_BLOCK, 5)
+    assert RecordingPool.sizes == [pool_size]
+    assert counts == oracle.monte_carlo_patterns(params, blocks * TRIALS_PER_BLOCK, 5, workers=1)
+
+
+def test_mc_rejects_a_non_integer_thread_count(monkeypatch, capsys):
+    monkeypatch.setenv("CASCADE_THREADS", "two")
+    with pytest.raises(ValueError, match="CASCADE_THREADS"):
+        oracle._worker_count(None, 4)
+    assert cli.main(["validate", "--trials", "10"]) == cli.EXIT_BAD_ARGUMENTS
+    captured = capsys.readouterr()
+    assert "CASCADE_THREADS" in captured.err and captured.out == ""
 
 
 def test_mc_rejects_zero_trials():
