@@ -12,6 +12,7 @@ given explicitly; times are in the inverse rate units.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,10 +46,14 @@ def _fmt(x: float) -> str:
 
 
 def _csv_lines(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    """CSV text of ``header`` and ``rows``, every cell as ``_fmt`` writes it;
+    "%.12g" formats a row in one operation."""
+    row_format = ",".join(["%.12g"] * len(header))
+    try:
+        lines = [row_format % tuple(row) for row in rows]
+    except TypeError as exc:  # a row whose length differs from the header's, or a cell that is not a number
+        raise ValueError(f"cannot write a row under the {len(header)} columns {list(header)}: {exc}") from None
+    return "\n".join([",".join(header)] + lines) + "\n"
 
 
 def parse_mode_list(text: str) -> frozenset[ModeLabel]:
@@ -135,7 +140,7 @@ def _branch_densities(amps: Sequence[cascade.Amplitudes], dephase: float | None,
 
 def _table(columns: dict, n: int) -> tuple[list[str], list[list[float]]]:
     """Header and rows of named columns, each n values or one value for all rows."""
-    return list(columns), [list(row) for row in zip(*(np.broadcast_to(c, (n,)) for c in columns.values()))]
+    return list(columns), np.column_stack([np.broadcast_to(c, (n,)) for c in columns.values()]).tolist()
 
 
 def _sweep_columns(spec: SweepSpec) -> dict:
@@ -383,16 +388,16 @@ def _config_value(action: argparse.Action, value):
     return float(value) if action.type is float else value
 
 
-def _with_config(
-    parser: argparse.ArgumentParser, argv: Sequence[str] | None, args: argparse.Namespace
-) -> argparse.Namespace:
+def _with_config(argv: Sequence[str] | None, args: argparse.Namespace) -> argparse.Namespace:
     """Re-parse with the JSON object in ``--config`` as defaults of the chosen
     subcommand, so flags given on the command line still win; a repeatable
-    flag replaces the file's list."""
+    flag replaces the file's list. The defaults go on a parser of its own,
+    never on the one ``main`` shares."""
     with open(args.config) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
+    parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     command = subparsers.choices[args.command]
     options = {a.dest: a for a in command._actions if a.option_strings}
@@ -497,7 +502,7 @@ def _cmd_optimize_dt(args: argparse.Namespace) -> int:
     )
     if dt_star in (args.dt_min, args.dt_max):
         print(f"note: the optimum lies at the bracket edge dt = {_fmt(dt_star)}", file=sys.stderr)
-    ghz_cmi = entanglement.conditional_mutual_information(qmath.density_from_state(cascade.ghz_state(4)), split)
+    ghz_cmi = entanglement.conditional_mutual_information(_branch_densities([], None, ghz=True), split)[0]
     header = ["dt_star", "gx_dt_star", "cmi_star", "cmi_ghz"]
     _emit(args, header, [[dt_star, gamma_x * dt_star, cmi_star, ghz_cmi]])
     return EXIT_OK
@@ -629,12 +634,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares, built on the first call."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "config", None):
-            args = _with_config(parser, argv, args)
+            args = _with_config(argv, args)
         return args.handler(args)
     # LinAlgError subclasses ValueError, so it is caught before bad arguments
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -19,6 +19,8 @@ them, shape (..., 16, 16); one bad matrix fails the whole stack. The table,
 MI and CMI also take a branch density, shape (..., 3, 3): the block of a
 state on the cascade's three branch kets ``cascade.BRANCH_KETS``, zero
 elsewhere, which every reduction keeps at most 3x3 under the same guards.
+A branch table stacks its reductions by size, so it makes at most four
+eigensolves: the whole state, then one stack each of 1x1, 2x2 and 3x3.
 The CLI's delay grids run on branch densities; ``negativity`` does not take them.
 """
 
@@ -161,8 +163,11 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     0 is the empty subset, whose entropy is that of the trace.
 
     ``rho`` is a 16x16 density (stack) or a 3x3 branch density (stack). Each
-    distinct mask is computed once, as ``qmath.vn_entropy`` of
-    ``qmath.partial_trace`` or, on branch densities, of ``_reduce_on_kets``.
+    distinct mask is computed once. On 16x16 densities that is one
+    ``qmath.vn_entropy`` call per mask, of ``qmath.partial_trace``. On branch
+    densities the ``_reduce_on_kets`` reductions of one size g are stacked as
+    (..., k, g, g) and take one ``qmath.vn_entropy`` call per size, whose
+    spectra are bit for bit those of separate calls.
     The whole state, mask 0b1111, is always in the table and computed first:
     its entropy validates the stack. The table is then checked against
     subadditivity and Araki-Lieb (``_check_entropy_inequalities``).
@@ -170,14 +175,19 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     branch = np.shape(rho)[-2:] == (3, 3)
     m = np.asarray(rho) if branch else _four_mode_matrix(rho)
     table = {ALL_MODES_MASK: qmath.vn_entropy(m)}
+    by_size: dict[int, list] = {}
     for mask in sorted(set(subsets) - {ALL_MODES_MASK}):
         if not 0 <= mask < ALL_MODES_MASK:
             raise ValueError(f"mode mask must lie in 0..15, got {mask}")
         if branch:
             reduced = _reduce_on_kets(m, mask)
+            by_size.setdefault(reduced.shape[-1], []).append((mask, reduced))
         else:
             reduced = qmath.partial_trace(m, FOUR_MODE_DIMS, [mode for mode in ModeLabel if mask & (8 >> mode)])
-        table[mask] = qmath.vn_entropy(reduced)
+            table[mask] = qmath.vn_entropy(reduced)
+    for group in by_size.values():
+        s = qmath.vn_entropy(np.stack([reduced for _, reduced in group], axis=-3))
+        table.update((mask, s[..., j][()]) for j, (mask, _) in enumerate(group))
     _check_entropy_inequalities(table)
     return table
 

@@ -147,7 +147,9 @@ def test_grid_densities_match_per_point_densities(dephase):
         assert not single[np.ix_(KETS, KETS)].imag.any() and not single[off_support].any(), k
 
 
-def test_each_table_makes_at_most_fifteen_eigensolves(monkeypatch):
+def test_each_table_makes_at_most_four_eigensolves(monkeypatch):
+    # a branch table solves the whole state, then one stack per reduced size
+    # (1x1, 2x2, 3x3); the dense 16x16 path still solves one mask per call
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -158,15 +160,20 @@ def test_each_table_makes_at_most_fifteen_eigensolves(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     spec = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30, dephase=0.8,
                      alice=frozenset({EB, EX}), eve=frozenset({LB}))
-    for build in (cli.fig3_table, cli.fig4_table, lambda: cli.sweep_table(spec)):
+    empty_eve = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30, alice=frozenset({EB}))
+    for build in (cli.fig3_table, cli.fig4_table, lambda: cli.sweep_table(spec), lambda: cli.sweep_table(empty_eve)):
         shapes.clear()
         build()
-        assert 1 <= len(shapes) <= 15, build
+        assert 1 <= len(shapes) <= 4, build
         # every grid table runs on branch densities: no spectrum above 3x3
         assert max(shape[-1] for shape in shapes) <= 3, build
     shapes.clear()
+    rounds = []
+    branch_densities = cli._branch_densities
+    monkeypatch.setattr(cli, "_branch_densities", lambda *a, **k: rounds.append(a) or branch_densities(*a, **k))
     cli.optimize_delay(3.0, 1.0, EveSplit.from_alice_eve({EB}, {EX}), (0.01, 5.0), dephase=0.8)
-    assert len(shapes) % 5 == 0 and max(shape[-1] for shape in shapes) <= 3
+    # the single-mode split's reductions are two 2x2 and two 3x3 ones
+    assert rounds and len(shapes) == 3 * len(rounds) and max(shape[-1] for shape in shapes) <= 3
     shapes.clear()
     stack = np.stack([qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt)))
                       for dt in (0.1, 0.5)])
@@ -658,3 +665,46 @@ def test_csv_formatting_is_stable():
     assert cli._fmt(0.5) == "0.5"
     text = cli._csv_lines(["a", "b"], [[1.0, 0.25]])
     assert text == "a,b\n1,0.25\n"
+
+
+def test_csv_rows_match_per_cell_formatting():
+    def per_cell(header, rows):
+        return "".join(",".join(cells) + "\n" for cells in [header] + [[cli._fmt(x) for x in row] for row in rows])
+
+    edge = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e22, -1e22, 1.9083982468759764, 0.1]
+    state_rows = json.loads(run_main(["state", "--format", "json"])[1])
+    tables = [
+        (list("abcde"), [edge[:5], edge[5:], [np.float64(x) for x in edge[:5]]]),
+        (["basis_index", "pattern", "amplitude"], [list(row.values()) for row in state_rows]),
+        (["a", "b"], []),
+        (list("abc"), np.column_stack([np.linspace(-3, 3, 7), np.geomspace(1e-300, 1e300, 7), np.full(7, -0.0)]).tolist()),
+    ]
+    assert isinstance(tables[1][1][0][0], int)
+    for header, rows in tables:
+        assert cli._csv_lines(header, rows) == per_cell(header, rows), header
+    assert cli._csv_lines(["a", "b"], []) == "a,b\n"
+
+
+@pytest.mark.parametrize("rows", [[[1.0]], [[1.0, 2.0, 3.0]], [[1.0, 2.0], []]])
+def test_a_ragged_row_exits_without_a_traceback(monkeypatch, tmp_path, rows):
+    monkeypatch.setattr(cli, "fig3_table", lambda: (["a", "b"], rows))
+    code, out = run_main(["fig3", "--out", str(tmp_path / "fig3.csv")])
+    assert code in (cli.EXIT_BAD_ARGUMENTS, cli.EXIT_NUMERICAL_ERROR) and out == ""
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    default_row = run_main(["amplitudes"])
+    assert run_main(["amplitudes"]) == default_row
+    assert run_main(["amplitudes", "--gamma-b", "4"])[0] == 0 and run_main(["state"])[0] == 0
+    assert len(builds) == 1
+    # --config sets its defaults on a parser of its own, which the next call does not see
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gamma-b": 4}))
+    code, out = run_main(["amplitudes", "--config", str(config)])
+    assert code == 0 and out != default_row[1] and len(builds) == 2
+    assert run_main(["amplitudes"]) == default_row and len(builds) == 2
+    assert read_csv_text(default_row[1])[0]["alpha2"] == pytest.approx(0.5)  # gamma_b dt = ln 2

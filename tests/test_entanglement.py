@@ -476,6 +476,9 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
     want = entanglement.subset_entropies(dense, range(16))
     for mask in range(16):
         np.testing.assert_allclose(got[mask], want[mask], rtol=0.0, atol=1e-12, err_msg=f"mask {mask:04b}")
+        # reductions stacked by size give, bit for bit, each reduction's own entropy
+        alone = qmath.vn_entropy(branch if mask == 0b1111 else entanglement._reduce_on_kets(branch, mask))
+        assert got[mask].tobytes() == alone.tobytes(), mask
     for ch in entanglement.enumerate_channels():
         np.testing.assert_allclose(entanglement.mi_from_table(got, ch), entanglement.mi_from_table(want, ch),
                                    rtol=0.0, atol=1e-12, err_msg=f"channel {ch.id}")
