@@ -105,7 +105,13 @@ class Amplitudes:
 
 
 def amplitudes(p: DecayParams) -> Amplitudes:
-    """Branch amplitudes after free decay for the delay ``p.delta_t``.
+    """Branch amplitudes after free decay for the delay ``p.delta_t``."""
+    return Amplitudes(*_amplitude_values(p.gamma_b, p.gamma_x, p.delta_t))
+
+
+def _amplitude_values(gamma_b: float, gamma_x: float, dt: float) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) for the rates and delay, unchecked: ``amplitudes``
+    and the delay grids of ``cli`` validate their inputs and outputs.
 
     alpha^2 = exp(-gamma_b dt) is the surviving biexciton population and
     beta^2 = gamma_b (exp(-gamma_b dt) - exp(-gamma_x dt)) / (gamma_x - gamma_b)
@@ -116,7 +122,7 @@ def amplitudes(p: DecayParams) -> Amplitudes:
     delays. Where gamma_b dt itself overflows, the product would be inf * 0;
     there dt / y is cancelled to 1 / |gamma_x - gamma_b| instead.
     """
-    gb, gx, dt = p.gamma_b, p.gamma_x, p.delta_t
+    gb, gx = gamma_b, gamma_x
     alpha2 = math.exp(-gb * dt)
     decay = math.exp(-min(gb, gx) * dt)
     y = abs(gx - gb) * dt
@@ -125,7 +131,7 @@ def amplitudes(p: DecayParams) -> Amplitudes:
         beta2 = gb * decay * (-math.expm1(-y) / abs(gx - gb) if gx != gb else dt)
     beta2 = min(beta2, 1.0)
     gamma2 = max(1.0 - alpha2 - beta2, 0.0)
-    return Amplitudes(math.sqrt(alpha2), math.sqrt(beta2), math.sqrt(gamma2))
+    return math.sqrt(alpha2), math.sqrt(beta2), math.sqrt(gamma2)
 
 
 FOUR_MODE_DIMS = (2, 2, 2, 2)

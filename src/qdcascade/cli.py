@@ -115,23 +115,52 @@ class SweepSpec:
 FIG_SPEC = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=1e-2, dt_max=10.0, points=200, scale="log")
 
 
-def _grid_amplitudes(gamma_b: float, gamma_x: float, grid) -> list[cascade.Amplitudes]:
-    return [cascade.amplitudes(DecayParams(gamma_b, gamma_x, float(dt))) for dt in grid]
+def _grid_amplitudes(gamma_b: float, gamma_x: float, grid) -> np.ndarray:
+    """Amplitudes (alpha, beta, gamma) of each delay in ``grid`` as the rows
+    of an (N, 3) array, bit for bit those of ``cascade.amplitudes``. The
+    rules of ``DecayParams``, then those of ``Amplitudes``, are checked once
+    over the grid; a grid that breaks one raises the error that dataclass
+    raises for the first bad point."""
+    dts = np.asarray(grid, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow marks a bad point, which DecayParams reports
+        good = (dts >= 0.0) & np.isfinite(gamma_x * dts)
+    DecayParams(gamma_b, gamma_x, float(dts[np.argmin(good)]))  # the rates, and the first bad delay if any
+    rows = [cascade._amplitude_values(gamma_b, gamma_x, dt) for dt in dts.tolist()]
+    amps = np.array(rows).reshape(-1, 3)
+    norm = np.array([alpha**2 + beta**2 + gamma**2 for alpha, beta, gamma in rows])  # as Amplitudes sums it
+    in_range = (amps >= 0.0) & (amps <= 1.0 + cascade.NORM_ATOL)
+    good = in_range.all(axis=1) & (np.abs(norm - 1.0) <= cascade.NORM_ATOL)
+    cascade.Amplitudes(*amps[np.argmin(good)].tolist())  # the first bad point if any
+    return amps
+
+
+def _amplitude_columns(amps: np.ndarray) -> dict[str, np.ndarray]:
+    """The ``Amplitudes`` properties alpha2, beta2, gamma2 and ghz_fidelity of
+    each amplitude row, computed bit for bit as they are: in Python floats,
+    since numpy's square can round ``x**2`` differently in the last bit."""
+    alpha, beta, gamma = np.reshape(amps, (-1, 3)).T.tolist()
+    return {
+        "alpha2": np.array([a**2 for a in alpha]),
+        "beta2": np.array([b**2 for b in beta]),
+        "gamma2": np.array([g**2 for g in gamma]),
+        "fidelity": np.array([(a + g) ** 2 / 2.0 for a, g in zip(alpha, gamma)]),
+    }
 
 
 _GHZ_BRANCHES = tuple(cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real)
 
 
-def _branch_densities(amps: Sequence[cascade.Amplitudes], dephase: float | None, ghz: bool = False) -> np.ndarray:
-    """The final-state densities of ``amps`` on ``cascade.BRANCH_KETS`` as one
-    stack, shape (N, 3, 3), with the GHZ density appended as slice N if
-    ``ghz``: R = c c^T of the amplitudes c, dephased to d R + (1 - d) diag(c^2)
-    unless ``dephase`` is None. Bit for bit the support block of the
-    per-point ``cascade.dephased_density`` and of the GHZ density."""
-    c = np.array([(a.alpha, a.beta, a.gamma) for a in amps] + [_GHZ_BRANCHES] * ghz).reshape(-1, 3)
+def _branch_densities(amps, dephase: float | None, ghz: bool = False) -> np.ndarray:
+    """The final-state densities of the amplitude rows ``amps`` (N, 3) on
+    ``cascade.BRANCH_KETS`` as one stack, shape (N, 3, 3), with the GHZ
+    density appended as slice N if ``ghz``: R = c c^T of the amplitudes c,
+    dephased to d R + (1 - d) diag(c^2) unless ``dephase`` is None. Bit for
+    bit the support block of the per-point ``cascade.dephased_density`` and
+    of the GHZ density."""
+    c = np.vstack([np.reshape(amps, (-1, 3))] + [_GHZ_BRANCHES] * ghz)
     rho = c[:, :, None] * c[:, None, :]
     if dephase is not None:
-        n, diagonal = len(amps), np.arange(3)
+        n, diagonal = len(c) - ghz, np.arange(3)
         populations = rho[:n, diagonal, diagonal]
         rho[:n] *= dephase
         rho[:n, diagonal, diagonal] += (1.0 - dephase) * populations
@@ -158,8 +187,7 @@ def _sweep_columns(spec: SweepSpec) -> dict:
         table = {mask: np.broadcast_to(s, (len(grid) + 1,)) for mask, s in table.items()}
     mi = {ch.id: entanglement.mi_from_table(table, ch) for ch in channels}
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid}
-    columns.update({name: [getattr(a, name) for a in amps] for name in ("alpha2", "beta2", "gamma2")})
-    columns["fidelity"] = [a.ghz_fidelity for a in amps]
+    columns.update(_amplitude_columns(amps))
     columns.update({f"mi_ch{c}": mi[c][:-1] for c in spec.channels})
     columns["mi_avg"] = (sum(mi.values()) / len(mi))[:-1]
     if split is not None:
@@ -457,7 +485,7 @@ def _cmd_amplitudes(args: argparse.Namespace) -> int:
     header = ["dt", "gx_dt", "alpha", "beta", "gamma", "alpha2", "beta2", "gamma2", "fidelity"]
     row = [params.delta_t, params.gamma_x * params.delta_t,
            amps.alpha, amps.beta, amps.gamma,
-           amps.alpha2, amps.beta2, amps.gamma2, cascade.ghz_fidelity(params)]
+           amps.alpha2, amps.beta2, amps.gamma2, amps.ghz_fidelity]
     _emit(args, header, [row])
     return EXIT_OK
 

@@ -19,13 +19,18 @@ them, shape (..., 16, 16); one bad matrix fails the whole stack. The table,
 MI and CMI also take a branch density, shape (..., 3, 3): the block of a
 state on the cascade's three branch kets ``cascade.BRANCH_KETS``, zero
 elsewhere, which every reduction keeps at most 3x3 under the same guards.
-A branch table stacks its reductions by size, so it makes at most four
-eigensolves: the whole state, then one stack each of 1x1, 2x2 and 3x3.
+A mask reduces a branch density by a fixed 0/1 fold of its entries; masks
+with equal folds (on the branch kets early-B and late-X take equal bits, as
+do early-X and late-B) share one reduction and one spectrum. A branch table
+stacks its distinct reductions by size, so it makes at most four
+eigensolves: the whole state, then one stack each of 1x1, 2x2 and 3x3. Per
+grid point fig3 solves 8 states for its 15 masks, fig4 7 for its 12.
 The CLI's delay grids run on branch densities; ``negativity`` does not take them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable
@@ -165,7 +170,8 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     ``rho`` is a 16x16 density (stack) or a 3x3 branch density (stack). Each
     distinct mask is computed once. On 16x16 densities that is one
     ``qmath.vn_entropy`` call per mask, of ``qmath.partial_trace``. On branch
-    densities the ``_reduce_on_kets`` reductions of one size g are stacked as
+    densities masks whose ``_fold`` matrices are equal share one reduction
+    and one spectrum; the distinct reductions of one size g are stacked as
     (..., k, g, g) and take one ``qmath.vn_entropy`` call per size, whose
     spectra are bit for bit those of separate calls.
     The whole state, mask 0b1111, is always in the table and computed first:
@@ -175,36 +181,52 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     branch = np.shape(rho)[-2:] == (3, 3)
     m = np.asarray(rho) if branch else _four_mode_matrix(rho)
     table = {ALL_MODES_MASK: qmath.vn_entropy(m)}
-    by_size: dict[int, list] = {}
+    by_fold: dict[bytes, list[int]] = {}
     for mask in sorted(set(subsets) - {ALL_MODES_MASK}):
         if not 0 <= mask < ALL_MODES_MASK:
             raise ValueError(f"mode mask must lie in 0..15, got {mask}")
         if branch:
-            reduced = _reduce_on_kets(m, mask)
-            by_size.setdefault(reduced.shape[-1], []).append((mask, reduced))
+            by_fold.setdefault(_fold(mask).tobytes(), []).append(mask)
         else:
             reduced = qmath.partial_trace(m, FOUR_MODE_DIMS, [mode for mode in ModeLabel if mask & (8 >> mode)])
             table[mask] = qmath.vn_entropy(reduced)
+    by_size: dict[int, list] = {}
+    for masks in by_fold.values():
+        reduced = _reduce_on_kets(m, masks[0])  # equal folds, equal reductions
+        by_size.setdefault(reduced.shape[-1], []).append((masks, reduced))
     for group in by_size.values():
         s = qmath.vn_entropy(np.stack([reduced for _, reduced in group], axis=-3))
-        table.update((mask, s[..., j][()]) for j, (mask, _) in enumerate(group))
+        table.update((mask, s[..., j][()]) for j, (masks, _) in enumerate(group) for mask in masks)
     _check_entropy_inequalities(table)
     return table
 
 
 def _reduce_on_kets(m: np.ndarray, mask: int) -> np.ndarray:
     """Reduced state on the modes of ``mask`` of the branch density ``m``:
-    V (m o C) V^T over the distinct restrictions of ``BRANCH_KETS`` to ``mask``,
-    where C_ij = 1 if kets i and j agree off ``mask`` and V merges the kets that
-    agree on it. Both are folded into one 0/1 matrix, so each entry is a sum of entries of ``m``."""
+    sum_ij m_ij F_ij with F = ``_fold(mask)``, so each entry is a sum of
+    entries of ``m``."""
+    fold = _fold(mask)
+    k, g = fold.shape[0], fold.shape[-1]
+    lead = m.shape[:-2]
+    return (m.reshape(lead + (k * k,)) @ fold.reshape(k * k, g * g)).reshape(lead + (g, g))
+
+
+@functools.cache
+def _fold(mask: int) -> np.ndarray:
+    """The 0/1 matrix F, shape (k, k, g, g), that reduces a branch density m
+    to the modes of ``mask``: V (m o C) V^T over the g distinct restrictions of
+    ``BRANCH_KETS`` to ``mask``, where C_ij = 1 if kets i and j agree off
+    ``mask`` and V merges the kets that agree on it, is sum_ij m_ij F_ij.
+    Distinct masks can have equal folds. Each fold is built on first use and
+    kept read-only."""
     groups = sorted({ket & mask for ket in BRANCH_KETS})
     k, g = len(BRANCH_KETS), len(groups)
     fold = np.zeros((k, k, g, g))
     for (i, a), (j, b) in itertools.product(enumerate(BRANCH_KETS), repeat=2):
         if (a ^ b) & ~mask == 0:
             fold[i, j, groups.index(a & mask), groups.index(b & mask)] = 1.0
-    lead = m.shape[:-2]
-    return (m.reshape(lead + (k * k,)) @ fold.reshape(k * k, g * g)).reshape(lead + (g, g))
+    fold.flags.writeable = False
+    return fold
 
 
 def _check_entropy_inequalities(table: dict[int, float | np.ndarray]) -> None:
@@ -213,8 +235,9 @@ def _check_entropy_inequalities(table: dict[int, float | np.ndarray]) -> None:
     Araki-Lieb |S(X) - S(Y)| <= S(XY) hold within ENTROPY_INEQUALITY_ATOL.
 
     For Y the complement of X and a pure state, Araki-Lieb is
-    S(X) = S(complement of X): both sides come from different reductions and
-    eigensolves, so a fault in either shows.
+    S(X) = S(complement of X): unless the two masks have equal folds, both
+    sides come from different reductions and eigensolves, so a fault in
+    either shows.
     """
     for x, y in itertools.combinations(table, 2):
         if x & y or (x | y) not in table:

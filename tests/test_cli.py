@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdcascade import cascade, cli, entanglement, qmath
@@ -147,10 +147,107 @@ def test_grid_densities_match_per_point_densities(dephase):
         assert not single[np.ix_(KETS, KETS)].imag.any() and not single[off_support].any(), k
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    gamma_b=st.floats(0.05, 20.0),
+    gamma_x=st.one_of(st.just(1.0), st.floats(0.05, 20.0)),
+    dts=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(10.0, 800.0)), min_size=1, max_size=8),
+)
+@example(gamma_b=1.0, gamma_x=1.0, dts=[0.0, LN2, 800.0])  # equal rates
+@example(gamma_b=1.000000002, gamma_x=1.0, dts=[0.0, 0.7, 800.0])  # nearly equal rates
+@example(gamma_b=1e300, gamma_x=1e-300, dts=[0.0, 1e-3, 1e10])  # gamma_b dt overflows: the fallback
+@example(gamma_b=2.0, gamma_x=1.0, dts=[1e308, 0.0])
+# points where x**2 and x * x differ: gamma, beta and alpha, then the fidelity
+@example(gamma_b=2.0, gamma_x=1.0, dts=[0.8210777694423605, 1.8892048012003, 2.3271867966991744])
+@example(gamma_b=3.0, gamma_x=1.0, dts=[0.1846936734183546])
+def test_grid_amplitudes_match_per_point_amplitudes(gamma_b, gamma_x, dts):
+    # the grid path computes each point's amplitudes and the Amplitudes
+    # properties without the dataclasses, bit for bit as they do
+    amps = cli._grid_amplitudes(gamma_b, gamma_x, np.array(dts))
+    columns = cli._amplitude_columns(amps)
+    assert amps.shape == (len(dts), 3)
+    for k, dt in enumerate(dts):
+        a = cascade.amplitudes(DecayParams(gamma_b, gamma_x, dt))
+        got = (*amps[k], *(columns[name][k] for name in ("alpha2", "beta2", "gamma2", "fidelity")))
+        want = (a.alpha, a.beta, a.gamma, a.alpha2, a.beta2, a.gamma2, a.ghz_fidelity)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (k, dt)
+
+
+def per_point_error(gamma_b, gamma_x, grid):
+    """The message of the first error of the per-point path over ``grid``, or None."""
+    try:
+        for dt in grid:
+            cascade.amplitudes(DecayParams(gamma_b, gamma_x, float(dt)))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("gamma_b,gamma_x,grid", [
+    (2.0, 1.0, [0.5, -1.0, -2.0]),
+    (2.0, 1.0, [0.5, math.nan, -1.0]),
+    (2.0, 1.0, [0.0, math.inf]),
+    (1e300, 1e300, [1.0, 1e9, 1e10]),  # gamma_x * dt overflows from the second point on
+    (0.0, 1.0, [0.5, -1.0]),
+    (2.0, -1.0, [0.5]),
+    (math.nan, 1.0, [0.5]),
+    (2.0, math.inf, [0.0, 1.0]),
+])
+def test_grid_amplitudes_raise_the_per_point_error(gamma_b, gamma_x, grid):
+    # the grid is checked once, with the first bad point's own message
+    message = per_point_error(gamma_b, gamma_x, grid)
+    assert message is not None
+    with pytest.raises(ValueError) as exc:
+        cli._grid_amplitudes(gamma_b, gamma_x, np.array(grid))
+    assert str(exc.value) == message
+
+
+def test_grid_amplitudes_check_range_and_normalization(monkeypatch):
+    # an unnormalized or out-of-range point fails as its Amplitudes would;
+    # the grid reports the first of its two bad points
+    values = cascade._amplitude_values
+    for bad in ((0.8, 0.8, 0.0), (1.5, 0.0, 0.0), (math.nan, 0.0, 1.0), (0.6, 0.8 + 2e-12, 0.0)):
+        faults = {0.25: bad, 0.5: (0.9, 0.9, 0.9)}
+        monkeypatch.setattr(cascade, "_amplitude_values",
+                            lambda gb, gx, dt, faults=faults: faults.get(dt) or values(gb, gx, dt))
+        grid = [0.125, 0.25, 0.5]
+        message = per_point_error(2.0, 1.0, grid)
+        assert message is not None, bad
+        with pytest.raises(ValueError) as exc:
+            cli._grid_amplitudes(2.0, 1.0, np.array(grid))
+        assert str(exc.value) == message, bad
+    monkeypatch.setattr(cascade, "_amplitude_values", lambda gb, gx, dt: (0.6, 0.8 + 1e-13, 0.0))
+    assert cli._grid_amplitudes(2.0, 1.0, np.array([0.5])).shape == (1, 3)  # within NORM_ATOL
+
+
+@pytest.mark.parametrize("argv,first_grid", [
+    (["optimize-dt", "--alice", "eb", "--eve", "ex", "--dt-min", "-1"], (2.0, 1.0, np.linspace(-1.0, 10.0, 64))),
+    (["optimize-dt", "--alice", "eb", "--eve", "ex", "--gamma-x", "1e300", "--dt-max", "1e10"],
+     (2e300, 1e300, np.linspace(1e-3, 1e10, 64))),
+    (["sweep", "--dt-min", "-1", "--dt-max", "1", "--points", "3"], None),
+    (["sweep", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt-min", "1e9", "--dt-max", "1e10", "--points", "2"],
+     None),
+])
+def test_cli_bad_grids_exit_2(argv, first_grid, capsys):
+    # optimize-dt's first grid fails with the message of its first bad point;
+    # sweep's SweepSpec rejects the same grids before any point is evaluated
+    code, out = run_main(argv)
+    assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
+    err = capsys.readouterr().err
+    if first_grid is not None:
+        assert err == f"error: {per_point_error(*first_grid)}\n"
+
+
 def test_each_table_makes_at_most_four_eigensolves(monkeypatch):
     # a branch table solves the whole state, then one stack per reduced size
-    # (1x1, 2x2, 3x3); the dense 16x16 path still solves one mask per call
+    # (1x1, 2x2, 3x3), each distinct reduction once per grid point: masks with
+    # equal folds (fig3 15 -> 8, fig4 12 -> 7 with the whole state) share
+    # one; the dense 16x16 path still solves one mask per call
     shapes = []
+
+    def solved():  # matrices handed to eigvalsh
+        return sum(math.prod(shape[:-2]) for shape in shapes)
+
     eigvalsh = np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
@@ -161,19 +258,25 @@ def test_each_table_makes_at_most_four_eigensolves(monkeypatch):
     spec = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30, dephase=0.8,
                      alice=frozenset({EB, EX}), eve=frozenset({LB}))
     empty_eve = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30, alice=frozenset({EB}))
-    for build in (cli.fig3_table, cli.fig4_table, lambda: cli.sweep_table(spec), lambda: cli.sweep_table(empty_eve)):
+    # the sweeps' 30 points and the GHZ slice; the split's five masks fold
+    # like channel masks, and an empty Eve adds the 1x1 trace
+    for build, states in ((cli.fig3_table, 8 * 201), (cli.fig4_table, 7 * 201),
+                          (lambda: cli.sweep_table(spec), 8 * 31), (lambda: cli.sweep_table(empty_eve), 9 * 31)):
         shapes.clear()
         build()
         assert 1 <= len(shapes) <= 4, build
         # every grid table runs on branch densities: no spectrum above 3x3
         assert max(shape[-1] for shape in shapes) <= 3, build
+        assert solved() == states, build
     shapes.clear()
     rounds = []
     branch_densities = cli._branch_densities
     monkeypatch.setattr(cli, "_branch_densities", lambda *a, **k: rounds.append(a) or branch_densities(*a, **k))
     cli.optimize_delay(3.0, 1.0, EveSplit.from_alice_eve({EB}, {EX}), (0.01, 5.0), dephase=0.8)
-    # the single-mode split's reductions are two 2x2 and two 3x3 ones
+    # the single-mode split's reductions are two 2x2 and two 3x3 ones, with
+    # four distinct folds: the whole state and four reductions per point
     assert rounds and len(shapes) == 3 * len(rounds) and max(shape[-1] for shape in shapes) <= 3
+    assert solved() == 5 * sum(len(amps) for amps, *_ in rounds)
     shapes.clear()
     stack = np.stack([qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt)))
                       for dt in (0.1, 0.5)])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -470,7 +471,7 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
     # the grid commands' 3x3 branch path against the 16x16 path, with GHZ
     # as the last slice: all 16 masks, the 7 channels and the 5 fig4 splits
     grid = grid_params(dts, gamma_b=ratio)
-    branch = cli._branch_densities([cascade.amplitudes(p) for p in grid], d, ghz=True)
+    branch = cli._branch_densities([astuple(cascade.amplitudes(p)) for p in grid], d, ghz=True)
     dense = np.concatenate([grid_stack(grid, 1.0 if d is None else d), ghz_density()[None]])
     got = entanglement.subset_entropies(branch, range(16))
     want = entanglement.subset_entropies(dense, range(16))
@@ -499,11 +500,12 @@ def test_table_check_catches_a_reduction_of_the_wrong_modes(monkeypatch):
 
 
 def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
-    # the same fault on the branch path: keep only the last mode of each subset
-    reduce = entanglement._reduce_on_kets
-    monkeypatch.setattr(entanglement, "_reduce_on_kets", lambda m, mask: reduce(m, mask & -mask))
-    rho = cli._branch_densities([cascade.amplitudes(POINT)], None)
-    with pytest.raises(ArithmeticError, match="Araki-Lieb"):
+    # the same fault on the branch path: keep only the last mode of each
+    # subset, in the fold the tables group and reduce by
+    fold = entanglement._fold
+    monkeypatch.setattr(entanglement, "_fold", lambda mask: fold(mask & -mask))
+    rho = cli._branch_densities([astuple(cascade.amplitudes(POINT))], None)
+    with pytest.raises(ArithmeticError, match="0100 and 1000 .* Araki-Lieb"):
         entanglement.conditional_mutual_information(rho, EveSplit.from_alice_eve({EB}, {EX}))
-    with pytest.raises(ArithmeticError, match="Araki-Lieb"):
+    with pytest.raises(ArithmeticError, match="0011 and 1100 .* Araki-Lieb"):
         entanglement.mutual_information(rho, entanglement.channel_by_id(5))
