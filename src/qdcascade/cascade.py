@@ -67,51 +67,61 @@ class DecayParams:
 
 @dataclass(frozen=True)
 class Amplitudes:
-    """Branch amplitudes (alpha, beta, gamma) of the early-window superposition.
+    """Branch amplitudes (alpha, beta, gamma) of the early-window superposition:
+    floats for one delay, or arrays with one entry per delay of a grid
+    (``grid_amplitudes``), for which every property is an array too.
 
     alpha: still in |B>, no photon emitted;
     beta:  one early B photon emitted, waiting in |X>;
     gamma: full cascade completed early, back in |g>.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
-            if not 0.0 <= value <= 1.0 + NORM_ATOL:
+        # every point checked at once; the first bad point raises its own error
+        rows = np.column_stack([self.alpha, self.beta, self.gamma])
+        in_range = (rows >= 0.0) & (rows <= 1.0 + NORM_ATOL)
+        norm = (rows * rows).sum(axis=1)
+        normalized = np.abs(norm - 1.0) <= NORM_ATOL
+        k = (in_range.all(axis=1) & normalized).argmin()
+        for name, value, ok in zip(("alpha", "beta", "gamma"), rows[k].tolist(), in_range[k]):
+            if not ok:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        norm = self.alpha**2 + self.beta**2 + self.gamma**2
-        if not abs(norm - 1.0) <= NORM_ATOL:
-            raise ValueError(f"amplitudes are not normalized: sum of squares is {norm:.15g}")
+        if not normalized[k]:
+            raise ValueError(f"amplitudes are not normalized: sum of squares is {norm[k]:.15g}")
 
     @property
-    def alpha2(self) -> float:
-        return self.alpha**2
+    def alpha2(self) -> float | np.ndarray:
+        return self.alpha * self.alpha
 
     @property
-    def beta2(self) -> float:
-        return self.beta**2
+    def beta2(self) -> float | np.ndarray:
+        return self.beta * self.beta
 
     @property
-    def gamma2(self) -> float:
-        return self.gamma**2
+    def gamma2(self) -> float | np.ndarray:
+        return self.gamma * self.gamma
 
     @property
-    def ghz_fidelity(self) -> float:
+    def ghz_fidelity(self) -> float | np.ndarray:
         """Overlap |<GHZ|psi>|^2 of the four-mode state with GHZ_4: (alpha+gamma)^2 / 2."""
-        return (self.alpha + self.gamma) ** 2 / 2.0
+        return (self.alpha + self.gamma) * (self.alpha + self.gamma) / 2.0
 
 
 def amplitudes(p: DecayParams) -> Amplitudes:
-    """Branch amplitudes after free decay for the delay ``p.delta_t``."""
-    return Amplitudes(*_amplitude_values(p.gamma_b, p.gamma_x, p.delta_t))
+    """Branch amplitudes after free decay for the delay ``p.delta_t``, as floats: one point of ``grid_amplitudes``."""
+    a = grid_amplitudes(p.gamma_b, p.gamma_x, [p.delta_t])
+    return Amplitudes(float(a.alpha[0]), float(a.beta[0]), float(a.gamma[0]))
 
 
-def _amplitude_values(gamma_b: float, gamma_x: float, dt: float) -> tuple[float, float, float]:
-    """(alpha, beta, gamma) for the rates and delay, unchecked: ``amplitudes``
-    and the delay grids of ``cli`` validate their inputs and outputs.
+def grid_amplitudes(gamma_b: float, gamma_x: float, dts) -> Amplitudes:
+    """Branch amplitudes of each delay in ``dts``, as one ``Amplitudes`` of
+    arrays. The rates and delays are checked once by the rules of
+    ``DecayParams``, the amplitudes once by those of ``Amplitudes``; a grid
+    that breaks one raises the error of its first bad point.
 
     alpha^2 = exp(-gamma_b dt) is the surviving biexciton population and
     beta^2 = gamma_b (exp(-gamma_b dt) - exp(-gamma_x dt)) / (gamma_x - gamma_b)
@@ -122,16 +132,18 @@ def _amplitude_values(gamma_b: float, gamma_x: float, dt: float) -> tuple[float,
     delays. Where gamma_b dt itself overflows, the product would be inf * 0;
     there dt / y is cancelled to 1 / |gamma_x - gamma_b| instead.
     """
-    gb, gx = gamma_b, gamma_x
-    alpha2 = math.exp(-gb * dt)
-    decay = math.exp(-min(gb, gx) * dt)
-    y = abs(gx - gb) * dt
-    beta2 = gb * dt * decay * (-math.expm1(-y) / y if y > 0.0 else 1.0)
-    if math.isnan(beta2):
-        beta2 = gb * decay * (-math.expm1(-y) / abs(gx - gb) if gx != gb else dt)
-    beta2 = min(beta2, 1.0)
-    gamma2 = max(1.0 - alpha2 - beta2, 0.0)
-    return math.sqrt(alpha2), math.sqrt(beta2), math.sqrt(gamma2)
+    dts = np.asarray(dts, dtype=float).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf marks a bad point, a NaN takes the fallback
+        good = (dts >= 0.0) & np.isfinite(gamma_x * dts)
+        DecayParams(gamma_b, gamma_x, float(dts[good.argmin()]))  # the rates, and the first bad delay if any
+        alpha2 = np.exp(-gamma_b * dts)
+        decay = np.exp(-min(gamma_b, gamma_x) * dts)
+        y = abs(gamma_x - gamma_b) * dts
+        beta2 = gamma_b * dts * decay * np.where(y > 0.0, -np.expm1(-y) / y, 1.0)
+        fallback = gamma_b * decay * (-np.expm1(-y) / abs(gamma_x - gamma_b) if gamma_x != gamma_b else dts)
+    beta2 = np.minimum(np.where(np.isnan(beta2), fallback, beta2), 1.0)
+    gamma2 = np.maximum(1.0 - alpha2 - beta2, 0.0)
+    return Amplitudes(np.sqrt(alpha2), np.sqrt(beta2), np.sqrt(gamma2))
 
 
 FOUR_MODE_DIMS = (2, 2, 2, 2)
@@ -164,8 +176,26 @@ def ghz_fidelity(p: DecayParams) -> float:
     return amplitudes(p).ghz_fidelity
 
 
+def branch_densities(amps: Amplitudes | None, dephase: float | None = None, ghz: bool = False) -> np.ndarray:
+    """The final-state densities of ``amps`` (one point or a grid) on
+    ``BRANCH_KETS`` as one stack, shape (N, 3, 3), with the GHZ density
+    appended as slice N if ``ghz`` (``amps`` None gives no final states):
+    R = c c^T of the amplitudes c = (alpha, beta, gamma), dephased to
+    d R + (1 - d) diag(c^2) unless ``dephase`` is None."""
+    rows = [] if amps is None else [np.column_stack([amps.alpha, amps.beta, amps.gamma])]
+    c = np.vstack(rows + [ghz_state(4)[list(BRANCH_KETS)].real] * ghz)
+    rho = c[:, :, None] * c[:, None, :]
+    if dephase is not None:
+        n, diagonal = len(c) - ghz, np.arange(3)
+        populations = rho[:n, diagonal, diagonal]
+        rho[:n] *= dephase
+        rho[:n, diagonal, diagonal] += (1.0 - dephase) * populations
+    return rho
+
+
 def dephased_density(p: DecayParams, d: float) -> np.ndarray:
-    """Density matrix of the final state with all coherences attenuated by d.
+    """Density matrix of the final state with all coherences attenuated by d:
+    the 16x16 embedding of its ``branch_densities`` block on ``BRANCH_KETS``.
 
     d = 1 returns the pure projector unchanged; d = 0 keeps only the
     populations. Any d in [0, 1] is a convex mixture of the two, hence a
@@ -173,7 +203,6 @@ def dephased_density(p: DecayParams, d: float) -> np.ndarray:
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"dephasing attenuation must lie in [0, 1], got {d}")
-    v = final_state(p)
-    rho = np.outer(v, v.conj())
-    populations = np.diag(np.diag(rho))
-    return d * rho + (1.0 - d) * populations
+    rho = np.zeros((16, 16), dtype=np.complex128)
+    rho[np.ix_(BRANCH_KETS, BRANCH_KETS)] = branch_densities(amplitudes(p), d)[0]
+    return rho

@@ -115,80 +115,24 @@ class SweepSpec:
 FIG_SPEC = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=1e-2, dt_max=10.0, points=200, scale="log")
 
 
-def _grid_amplitudes(gamma_b: float, gamma_x: float, grid) -> np.ndarray:
-    """Amplitudes (alpha, beta, gamma) of each delay in ``grid`` as the rows
-    of an (N, 3) array, bit for bit those of ``cascade.amplitudes``. The
-    rules of ``DecayParams``, then those of ``Amplitudes``, are checked once
-    over the grid; a grid that breaks one raises the error that dataclass
-    raises for the first bad point."""
-    dts = np.asarray(grid, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow marks a bad point, which DecayParams reports
-        good = (dts >= 0.0) & np.isfinite(gamma_x * dts)
-    DecayParams(gamma_b, gamma_x, float(dts[np.argmin(good)]))  # the rates, and the first bad delay if any
-    rows = [cascade._amplitude_values(gamma_b, gamma_x, dt) for dt in dts.tolist()]
-    amps = np.array(rows).reshape(-1, 3)
-    norm = np.array([alpha**2 + beta**2 + gamma**2 for alpha, beta, gamma in rows])  # as Amplitudes sums it
-    in_range = (amps >= 0.0) & (amps <= 1.0 + cascade.NORM_ATOL)
-    good = in_range.all(axis=1) & (np.abs(norm - 1.0) <= cascade.NORM_ATOL)
-    cascade.Amplitudes(*amps[np.argmin(good)].tolist())  # the first bad point if any
-    return amps
-
-
-def _amplitude_columns(amps: np.ndarray) -> dict[str, np.ndarray]:
-    """The ``Amplitudes`` properties alpha2, beta2, gamma2 and ghz_fidelity of
-    each amplitude row, computed bit for bit as they are: in Python floats,
-    since numpy's square can round ``x**2`` differently in the last bit."""
-    alpha, beta, gamma = np.reshape(amps, (-1, 3)).T.tolist()
-    return {
-        "alpha2": np.array([a**2 for a in alpha]),
-        "beta2": np.array([b**2 for b in beta]),
-        "gamma2": np.array([g**2 for g in gamma]),
-        "fidelity": np.array([(a + g) ** 2 / 2.0 for a, g in zip(alpha, gamma)]),
-    }
-
-
-_GHZ_BRANCHES = tuple(cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real)
-
-
-def _branch_densities(amps, dephase: float | None, ghz: bool = False) -> np.ndarray:
-    """The final-state densities of the amplitude rows ``amps`` (N, 3) on
-    ``cascade.BRANCH_KETS`` as one stack, shape (N, 3, 3), with the GHZ
-    density appended as slice N if ``ghz``: R = c c^T of the amplitudes c,
-    dephased to d R + (1 - d) diag(c^2) unless ``dephase`` is None. Bit for
-    bit the support block of the per-point ``cascade.dephased_density`` and
-    of the GHZ density."""
-    c = np.vstack([np.reshape(amps, (-1, 3))] + [_GHZ_BRANCHES] * ghz)
-    rho = c[:, :, None] * c[:, None, :]
-    if dephase is not None:
-        n, diagonal = len(c) - ghz, np.arange(3)
-        populations = rho[:n, diagonal, diagonal]
-        rho[:n] *= dephase
-        rho[:n, diagonal, diagonal] += (1.0 - dephase) * populations
-    return rho
-
-
 def _table(columns: dict, n: int) -> tuple[list[str], list[list[float]]]:
     """Header and rows of named columns, each n values or one value for all rows."""
     return list(columns), np.column_stack([np.broadcast_to(c, (n,)) for c in columns.values()]).tolist()
 
 
-def _sweep_columns(spec: SweepSpec) -> dict:
-    """Every sweep column plus ``mi_ghz``, the GHZ state's channel-1 mutual
-    information, all from one entropy table of the grid states with the GHZ
-    state as the last slice; keys in output order."""
-    grid = spec.grid()
-    amps = _grid_amplitudes(spec.gamma_b, spec.gamma_x, grid)
+def _correlation_columns(spec: SweepSpec, amps: cascade.Amplitudes) -> dict:
+    """The sweep's MI and CMI columns of the grid amplitudes ``amps`` plus
+    ``mi_ghz``, the GHZ state's channel-1 MI, from one entropy table of the
+    grid states with the GHZ state as the last slice; keys in output order."""
     channels = entanglement.enumerate_channels()
     split = EveSplit.from_alice_eve(spec.alice, spec.eve) if spec.alice is not None else None
     subsets = {mask for measure in channels + [split] if measure is not None for mask in measure.subsets}
-    rho = _branch_densities([] if spec.ghz_reference else amps, spec.dephase, ghz=True)
+    rho = cascade.branch_densities(None if spec.ghz_reference else amps, spec.dephase, ghz=True)
     table = entanglement.subset_entropies(rho, subsets)
     if spec.ghz_reference:  # the one GHZ slice stands for every grid point and the reference
-        table = {mask: np.broadcast_to(s, (len(grid) + 1,)) for mask, s in table.items()}
+        table = {mask: np.broadcast_to(s, (spec.points + 1,)) for mask, s in table.items()}
     mi = {ch.id: entanglement.mi_from_table(table, ch) for ch in channels}
-    columns = {"dt": grid, "gx_dt": spec.gamma_x * grid}
-    columns.update(_amplitude_columns(amps))
-    columns.update({f"mi_ch{c}": mi[c][:-1] for c in spec.channels})
+    columns = {f"mi_ch{c}": mi[c][:-1] for c in spec.channels}
     columns["mi_avg"] = (sum(mi.values()) / len(mi))[:-1]
     if split is not None:
         cmi = entanglement.cmi_from_table(table, split)
@@ -199,7 +143,11 @@ def _sweep_columns(spec: SweepSpec) -> dict:
 
 def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     """Header and dt-ascending rows of a delay sweep."""
-    columns = _sweep_columns(spec)
+    grid = spec.grid()
+    amps = cascade.grid_amplitudes(spec.gamma_b, spec.gamma_x, grid)
+    columns = {"dt": grid, "gx_dt": spec.gamma_x * grid, "alpha2": amps.alpha2, "beta2": amps.beta2,
+               "gamma2": amps.gamma2, "fidelity": amps.ghz_fidelity}
+    columns.update(_correlation_columns(spec, amps))
     del columns["mi_ghz"]
     return _table(columns, spec.points)
 
@@ -244,7 +192,7 @@ def optimize_delay(
     best_dt, best_cmi = lo, -math.inf
     while True:
         xs = np.linspace(a, b, points)
-        rho = _branch_densities(_grid_amplitudes(gamma_b, gamma_x, xs), dephase)
+        rho = cascade.branch_densities(cascade.grid_amplitudes(gamma_b, gamma_x, xs), dephase)
         cmi = entanglement.conditional_mutual_information(rho, split)
         k = int(np.argmax(cmi))
         if cmi[k] > best_cmi:
@@ -258,9 +206,10 @@ def optimize_delay(
 def fig3_table() -> tuple[list[str], list[list[float]]]:
     """Per-channel mutual information and the channel average across the
     delay grid, with the flat GHZ reference."""
-    columns = _sweep_columns(FIG_SPEC)
-    names = ["gx_dt"] + [f"mi_ch{c}" for c in range(1, 8)] + ["mi_avg", "mi_ghz"]
-    return _table({name: columns[name] for name in names}, FIG_SPEC.points)
+    grid = FIG_SPEC.grid()
+    columns = {"gx_dt": FIG_SPEC.gamma_x * grid}
+    columns.update(_correlation_columns(FIG_SPEC, cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid)))
+    return _table(columns, FIG_SPEC.points)
 
 
 def fig4_table() -> tuple[list[str], list[list[float]]]:
@@ -279,7 +228,7 @@ def fig4_table() -> tuple[list[str], list[list[float]]]:
     }
     splits = {name: EveSplit.from_alice_eve(alice, eve) for name, (alice, eve) in splits.items()}
     grid = FIG_SPEC.grid()
-    rho = _branch_densities(_grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid), None, ghz=True)
+    rho = cascade.branch_densities(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid), ghz=True)
     subsets = {mask for split in splits.values() for mask in split.subsets}
     table = entanglement.subset_entropies(rho, subsets)
     columns = {"gx_dt": FIG_SPEC.gamma_x * grid}
@@ -530,7 +479,7 @@ def _cmd_optimize_dt(args: argparse.Namespace) -> int:
     )
     if dt_star in (args.dt_min, args.dt_max):
         print(f"note: the optimum lies at the bracket edge dt = {_fmt(dt_star)}", file=sys.stderr)
-    ghz_cmi = entanglement.conditional_mutual_information(_branch_densities([], None, ghz=True), split)[0]
+    ghz_cmi = entanglement.conditional_mutual_information(cascade.branch_densities(None, ghz=True), split)[0]
     header = ["dt_star", "gx_dt_star", "cmi_star", "cmi_ghz"]
     _emit(args, header, [[dt_star, gamma_x * dt_star, cmi_star, ghz_cmi]])
     return EXIT_OK

@@ -25,7 +25,7 @@ do early-X and late-B) share one reduction and one spectrum. A branch table
 stacks its distinct reductions by size, so it makes at most four
 eigensolves: the whole state, then one stack each of 1x1, 2x2 and 3x3. Per
 grid point fig3 solves 8 states for its 15 masks, fig4 7 for its 12.
-The CLI's delay grids run on branch densities; ``negativity`` does not take them.
+``cascade.branch_densities`` builds the CLI's delay-grid states; ``negativity`` does not take them.
 """
 
 from __future__ import annotations

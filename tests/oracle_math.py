@@ -1,8 +1,10 @@
 """Reference implementations the tests compare the package against:
-Kronecker products, Shannon entropies of explicit probability vectors, and
-the two-pulse protocol step by step (early window, pulse, late cascade),
-which must reproduce ``cascade.final_state``."""
+Kronecker products, Shannon entropies of explicit probability vectors, the
+branch populations in high-precision decimal arithmetic, dense dephasing,
+and the two-pulse protocol step by step (early window, pulse, late
+cascade), which must reproduce ``cascade.final_state``."""
 
+import decimal
 import math
 from typing import Iterable
 
@@ -30,6 +32,28 @@ def shannon_entropy(probs: Iterable[float]) -> float:
         if p > 0.0:
             out -= p * math.log2(p)
     return max(0.0, out)
+
+
+def branch_populations(gamma_b: float, gamma_x: float, dt: float) -> tuple[float, float, float]:
+    """(alpha^2, beta^2, gamma^2) of the closed form in 60-digit decimal
+    arithmetic, rounded to floats: alpha^2 = exp(-gamma_b dt),
+    beta^2 = gamma_b (exp(-gamma_b dt) - exp(-gamma_x dt)) / (gamma_x - gamma_b)
+    (gamma_b dt exp(-gamma_b dt) at equal rates), gamma^2 = 1 - alpha^2 - beta^2.
+    The arguments are taken exactly; 60 digits absorb the cancellation of
+    nearly equal rates, and decimal's exponent range the products that
+    overflow a double."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        gb, gx, t = decimal.Decimal(gamma_b), decimal.Decimal(gamma_x), decimal.Decimal(dt)
+        alpha2 = (-gb * t).exp()
+        beta2 = gb * t * alpha2 if gb == gx else gb * (alpha2 - (-gx * t).exp()) / (gx - gb)
+        return float(alpha2), float(beta2), float(1 - alpha2 - beta2)
+
+
+def dephase(rho, d: float) -> np.ndarray:
+    """d rho + (1 - d) diag(rho): the dense density ``rho`` with every
+    coherence attenuated by d, as ``cascade.dephased_density`` defines it."""
+    return d * rho + (1.0 - d) * np.diag(np.diag(rho))
 
 
 # basis index helpers for the 3LS (x) early-B (x) early-X space, dims (3, 2, 2)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 from contextlib import redirect_stdout
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,7 @@ def test_cli_sweep_ghz_solves_one_slice(monkeypatch):
     # digests of the output recorded when each of the 51 slices was solved
     digests = {
         "csv": "5a3e59d2256c9daf45cf1bd41d388d9c3cea3a4dcb5527a0e45fbc9df5dfd76e",
-        "json": "6845a46349d82ce3a8511d54e4cc4f4fe2a70786621ebfd9352640d68e0f478c",
+        "json": "923ae64ddcc7a66d4afb898e9a53d8f5efcbb8be3e7ccf09d285d40b60eb4ddc",
     }
     shapes = []
     vn_entropy = qmath.vn_entropy
@@ -128,17 +129,18 @@ def test_sweep_rows_ascending_and_independent():
 @pytest.mark.parametrize("dephase", [None, 0.0, 0.37, 1.0])
 def test_grid_densities_match_per_point_densities(dephase):
     # the branch stack is, bit for bit, the block on the branch kets of each
-    # per-point 16x16 density, which is real there and zero elsewhere
+    # per-point 16x16 density, which is real there and zero elsewhere; and
+    # dephased_density, built from the branch density, is the dense formula
     grid = np.geomspace(1e-3, 20.0, 25)
-    stack = cli._branch_densities(cli._grid_amplitudes(3.0, 1.0, grid), dephase, ghz=True)
+    stack = cascade.branch_densities(cascade.grid_amplitudes(3.0, 1.0, grid), dephase, ghz=True)
     assert stack.shape == (26, 3, 3)
     singles = []
     for dt in grid:
         params = DecayParams(3.0, 1.0, float(dt))
-        if dephase is None:
-            singles.append(qmath.density_from_state(cascade.final_state(params)))
-        else:
-            singles.append(cascade.dephased_density(params, dephase))
+        pure = qmath.density_from_state(cascade.final_state(params))
+        singles.append(pure if dephase is None else oracle_math.dephase(pure, dephase))
+        dense = cascade.dephased_density(params, 1.0 if dephase is None else dephase)
+        assert dense.tobytes() == singles[-1].tobytes(), dt
     singles.append(qmath.density_from_state(cascade.ghz_state(4)))
     off_support = np.ones((16, 16), dtype=bool)
     off_support[np.ix_(KETS, KETS)] = False
@@ -161,16 +163,21 @@ def test_grid_densities_match_per_point_densities(dephase):
 @example(gamma_b=2.0, gamma_x=1.0, dts=[0.8210777694423605, 1.8892048012003, 2.3271867966991744])
 @example(gamma_b=3.0, gamma_x=1.0, dts=[0.1846936734183546])
 def test_grid_amplitudes_match_per_point_amplitudes(gamma_b, gamma_x, dts):
-    # the grid path computes each point's amplitudes and the Amplitudes
-    # properties without the dataclasses, bit for bit as they do
-    amps = cli._grid_amplitudes(gamma_b, gamma_x, np.array(dts))
-    columns = cli._amplitude_columns(amps)
-    assert amps.shape == (len(dts), 3)
+    # each population within 1e-15 of the decimal reference, and each point's
+    # values the same bits alone, in the example's grid and at every position
+    # of a longer grid (numpy's vector kernels treat array tails apart)
+    amps = cascade.grid_amplitudes(gamma_b, gamma_x, dts)
+    assert amps.alpha.shape == (len(dts),)
     for k, dt in enumerate(dts):
+        want = oracle_math.branch_populations(gamma_b, gamma_x, dt)
+        got = (amps.alpha2[k], amps.beta2[k], amps.gamma2[k])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15, err_msg=f"dt = {dt!r}")
         a = cascade.amplitudes(DecayParams(gamma_b, gamma_x, dt))
-        got = (*amps[k], *(columns[name][k] for name in ("alpha2", "beta2", "gamma2", "fidelity")))
-        want = (a.alpha, a.beta, a.gamma, a.alpha2, a.beta2, a.gamma2, a.ghz_fidelity)
-        assert np.array(got).tobytes() == np.array(want).tobytes(), (k, dt)
+        alone = np.array([a.alpha, a.beta, a.gamma, a.alpha2, a.beta2, a.gamma2, a.ghz_fidelity])
+        longer = cascade.grid_amplitudes(gamma_b, gamma_x, np.full(19, dt))
+        for grid, j in [(amps, k)] + [(longer, j) for j in range(19)]:
+            row = [grid.alpha, grid.beta, grid.gamma, grid.alpha2, grid.beta2, grid.gamma2, grid.ghz_fidelity]
+            assert np.array([x[j] for x in row]).tobytes() == alone.tobytes(), (k, dt, j)
 
 
 def per_point_error(gamma_b, gamma_x, grid):
@@ -198,26 +205,25 @@ def test_grid_amplitudes_raise_the_per_point_error(gamma_b, gamma_x, grid):
     message = per_point_error(gamma_b, gamma_x, grid)
     assert message is not None
     with pytest.raises(ValueError) as exc:
-        cli._grid_amplitudes(gamma_b, gamma_x, np.array(grid))
+        cascade.grid_amplitudes(gamma_b, gamma_x, np.array(grid))
     assert str(exc.value) == message
 
 
-def test_grid_amplitudes_check_range_and_normalization(monkeypatch):
-    # an unnormalized or out-of-range point fails as its Amplitudes would;
-    # the grid reports the first of its two bad points
-    values = cascade._amplitude_values
-    for bad in ((0.8, 0.8, 0.0), (1.5, 0.0, 0.0), (math.nan, 0.0, 1.0), (0.6, 0.8 + 2e-12, 0.0)):
-        faults = {0.25: bad, 0.5: (0.9, 0.9, 0.9)}
-        monkeypatch.setattr(cascade, "_amplitude_values",
-                            lambda gb, gx, dt, faults=faults: faults.get(dt) or values(gb, gx, dt))
-        grid = [0.125, 0.25, 0.5]
-        message = per_point_error(2.0, 1.0, grid)
-        assert message is not None, bad
-        with pytest.raises(ValueError) as exc:
-            cli._grid_amplitudes(2.0, 1.0, np.array(grid))
-        assert str(exc.value) == message, bad
-    monkeypatch.setattr(cascade, "_amplitude_values", lambda gb, gx, dt: (0.6, 0.8 + 1e-13, 0.0))
-    assert cli._grid_amplitudes(2.0, 1.0, np.array([0.5])).shape == (1, 3)  # within NORM_ATOL
+def test_grid_amplitudes_check_range_and_normalization():
+    # an unnormalized or out-of-range point of a grid fails with the error of
+    # its own Amplitudes; the grid reports the first of its two bad points
+    good = astuple(cascade.amplitudes(DecayParams(2.0, 1.0, 0.125)))
+    for bad, message in (
+        ((0.8, 0.8, 0.0), "amplitudes are not normalized: sum of squares is 1.28"),
+        ((1.5, 0.0, 0.0), "alpha must lie in [0, 1], got 1.5"),
+        ((math.nan, 0.0, 1.0), "alpha must lie in [0, 1], got nan"),
+        ((0.6, 0.8 + 2e-12, 0.0), "amplitudes are not normalized: sum of squares is 1.0000000000032"),
+    ):
+        for fields in (bad, np.array([good, bad, (0.9, 0.9, 0.9)]).T):
+            with pytest.raises(ValueError) as exc:
+                cascade.Amplitudes(*fields)
+            assert str(exc.value) == message, bad
+    cascade.Amplitudes(*np.array([good, (0.6, 0.8 + 1e-13, 0.0)]).T)  # within NORM_ATOL
 
 
 @pytest.mark.parametrize("argv,first_grid", [
@@ -270,13 +276,13 @@ def test_each_table_makes_at_most_four_eigensolves(monkeypatch):
         assert solved() == states, build
     shapes.clear()
     rounds = []
-    branch_densities = cli._branch_densities
-    monkeypatch.setattr(cli, "_branch_densities", lambda *a, **k: rounds.append(a) or branch_densities(*a, **k))
+    branch_densities = cascade.branch_densities
+    monkeypatch.setattr(cascade, "branch_densities", lambda *a, **k: rounds.append(a) or branch_densities(*a, **k))
     cli.optimize_delay(3.0, 1.0, EveSplit.from_alice_eve({EB}, {EX}), (0.01, 5.0), dephase=0.8)
     # the single-mode split's reductions are two 2x2 and two 3x3 ones, with
     # four distinct folds: the whole state and four reductions per point
     assert rounds and len(shapes) == 3 * len(rounds) and max(shape[-1] for shape in shapes) <= 3
-    assert solved() == 5 * sum(len(amps) for amps, *_ in rounds)
+    assert solved() == 5 * sum(len(amps.alpha) for amps, *_ in rounds)
     shapes.clear()
     stack = np.stack([qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt)))
                       for dt in (0.1, 0.5)])
@@ -311,10 +317,10 @@ EMPTY_EVE_OUTPUTS = {
     "dt": 0.01,
     "gx_dt": 0.01,
     "alpha2": 0.9801986733067551,
-    "beta2": 0.019702320884825507,
-    "gamma2": 9.900580841924397e-05,
-    "fidelity": 0.5000000000000024,
-    "mi_ch1": 0.2806471843265788,
+    "beta2": 0.0197023208848255,
+    "gamma2": 9.900580841924746e-05,
+    "fidelity": 0.5000000000000027,
+    "mi_ch1": 0.28064718432657876,
     "mi_avg": 0.1621275331086222,
     "cmi": 0.2824457140445698,
     "cmi_ghz": 1.9999999999999996

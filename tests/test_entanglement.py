@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -49,7 +48,7 @@ def grid_params(dts, gamma_b=2.0, gamma_x=1.0):
 
 def grid_stack(grid, d=1.0):
     """The dephased densities of a delay grid as one (N, 16, 16) stack."""
-    return np.stack([cascade.dephased_density(p, d) for p in grid])
+    return np.stack([oracle_math.dephase(final_density(p), d) for p in grid])
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +470,7 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
     # the grid commands' 3x3 branch path against the 16x16 path, with GHZ
     # as the last slice: all 16 masks, the 7 channels and the 5 fig4 splits
     grid = grid_params(dts, gamma_b=ratio)
-    branch = cli._branch_densities([astuple(cascade.amplitudes(p)) for p in grid], d, ghz=True)
+    branch = cascade.branch_densities(cascade.grid_amplitudes(ratio, 1.0, dts), d, ghz=True)
     dense = np.concatenate([grid_stack(grid, 1.0 if d is None else d), ghz_density()[None]])
     got = entanglement.subset_entropies(branch, range(16))
     want = entanglement.subset_entropies(dense, range(16))
@@ -504,7 +503,7 @@ def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
     # subset, in the fold the tables group and reduce by
     fold = entanglement._fold
     monkeypatch.setattr(entanglement, "_fold", lambda mask: fold(mask & -mask))
-    rho = cli._branch_densities([astuple(cascade.amplitudes(POINT))], None)
+    rho = cascade.branch_densities(cascade.amplitudes(POINT))
     with pytest.raises(ArithmeticError, match="0100 and 1000 .* Araki-Lieb"):
         entanglement.conditional_mutual_information(rho, EveSplit.from_alice_eve({EB}, {EX}))
     with pytest.raises(ArithmeticError, match="0011 and 1100 .* Araki-Lieb"):
