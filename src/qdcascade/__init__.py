@@ -13,7 +13,6 @@ from .cascade import (
     amplitudes,
     dephased_density,
     final_state,
-    ghz_fidelity,
     ghz_state,
 )
 from .entanglement import (
@@ -49,7 +48,6 @@ __all__ = [
     "dephased_density",
     "enumerate_channels",
     "final_state",
-    "ghz_fidelity",
     "ghz_state",
     "monte_carlo_patterns",
     "mutual_information",

@@ -112,26 +112,29 @@ class Amplitudes:
 
 
 def amplitudes(p: DecayParams) -> Amplitudes:
-    """Branch amplitudes after free decay for the delay ``p.delta_t``, as floats: one point of ``grid_amplitudes``."""
-    a = grid_amplitudes(p.gamma_b, p.gamma_x, [p.delta_t])
-    return Amplitudes(float(a.alpha[0]), float(a.beta[0]), float(a.gamma[0]))
+    """Branch amplitudes of the delay ``p.delta_t``, as floats: one point of ``grid_amplitudes``."""
+    return Amplitudes(*(float(x[0]) for x in _branch_amplitudes(p.gamma_b, p.gamma_x, [p.delta_t])))
 
 
 def grid_amplitudes(gamma_b: float, gamma_x: float, dts) -> Amplitudes:
     """Branch amplitudes of each delay in ``dts``, as one ``Amplitudes`` of
     arrays. The rates and delays are checked once by the rules of
     ``DecayParams``, the amplitudes once by those of ``Amplitudes``; a grid
-    that breaks one raises the error of its first bad point.
+    that breaks one raises the error of its first bad point."""
+    return Amplitudes(*_branch_amplitudes(gamma_b, gamma_x, dts))
 
-    alpha^2 = exp(-gamma_b dt) is the surviving biexciton population and
+
+def _branch_amplitudes(gamma_b: float, gamma_x: float, dts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, beta, gamma) arrays of the delays ``dts``, checked by the
+    rules of ``DecayParams`` only. alpha^2 = exp(-gamma_b dt) is the
+    surviving biexciton population and
     beta^2 = gamma_b (exp(-gamma_b dt) - exp(-gamma_x dt)) / (gamma_x - gamma_b)
     the exciton population fed by it, evaluated in the form symmetric in the
     two rates, gamma_b dt exp(-min(gamma_b, gamma_x) dt) (1 - exp(-y)) / y
     with y = |gamma_x - gamma_b| dt. It has no cancellation near equal rates,
     where it tends to gamma_b dt exp(-gamma_b dt), and no overflow at long
     delays. Where gamma_b dt itself overflows, the product would be inf * 0;
-    there dt / y is cancelled to 1 / |gamma_x - gamma_b| instead.
-    """
+    there dt / y is cancelled to 1 / |gamma_x - gamma_b| instead."""
     dts = np.asarray(dts, dtype=float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf marks a bad point, a NaN takes the fallback
         good = (dts >= 0.0) & np.isfinite(gamma_x * dts)
@@ -143,7 +146,7 @@ def grid_amplitudes(gamma_b: float, gamma_x: float, dts) -> Amplitudes:
         fallback = gamma_b * decay * (-np.expm1(-y) / abs(gamma_x - gamma_b) if gamma_x != gamma_b else dts)
     beta2 = np.minimum(np.where(np.isnan(beta2), fallback, beta2), 1.0)
     gamma2 = np.maximum(1.0 - alpha2 - beta2, 0.0)
-    return Amplitudes(np.sqrt(alpha2), np.sqrt(beta2), np.sqrt(gamma2))
+    return np.sqrt(alpha2), np.sqrt(beta2), np.sqrt(gamma2)
 
 
 FOUR_MODE_DIMS = (2, 2, 2, 2)
@@ -169,11 +172,6 @@ def ghz_state(n: int) -> np.ndarray:
     v = np.zeros(2**n, dtype=np.complex128)
     v[0] = v[-1] = 1.0 / math.sqrt(2.0)
     return v
-
-
-def ghz_fidelity(p: DecayParams) -> float:
-    """Overlap |<GHZ|psi>|^2 of the four-mode state with GHZ_4: (alpha+gamma)^2 / 2."""
-    return amplitudes(p).ghz_fidelity
 
 
 def branch_densities(amps: Amplitudes | None, dephase: float | None = None, ghz: bool = False) -> np.ndarray:

@@ -18,13 +18,14 @@ Like ``qmath``, every measure takes a 16x16 density matrix or a stack of
 them, shape (..., 16, 16); one bad matrix fails the whole stack. The table,
 MI and CMI also take a branch density, shape (..., 3, 3): the block of a
 state on the cascade's three branch kets ``cascade.BRANCH_KETS``, zero
-elsewhere, which every reduction keeps at most 3x3 under the same guards.
-A mask reduces a branch density by a fixed 0/1 fold of its entries; masks
+elsewhere, which every reduction keeps at most 3x3. A mask reduces a branch density by a fixed 0/1 fold of its entries; masks
 with equal folds (on the branch kets early-B and late-X take equal bits, as
-do early-X and late-B) share one reduction and one spectrum. A branch table
-stacks its distinct reductions by size, so it makes at most four
-eigensolves: the whole state, then one stack each of 1x1, 2x2 and 3x3. Per
-grid point fig3 solves 8 states for its 15 masks, fig4 7 for its 12.
+do early-X and late-B) share one reduction and one spectrum. Every
+reduction below the whole state is diagonal or holds one coherent 2x2
+block, whose spectrum has a closed form, so a branch table makes one
+eigensolve, the whole state's 3x3 stack under the guards of
+``qmath.vn_entropy``; the reduced spectra share its eigenvalue floor. Per
+grid point fig3 needs 7 reduced spectra for its 15 masks, fig4 6 for its 12.
 ``cascade.branch_densities`` builds the CLI's delay-grid states; ``negativity`` does not take them.
 """
 
@@ -48,8 +49,7 @@ ALL_MODES_MASK = 0b1111
 
 
 def _mode_set(modes: Iterable[ModeLabel]) -> frozenset[ModeLabel]:
-    out = frozenset(ModeLabel(m) for m in modes)
-    return out
+    return frozenset(ModeLabel(m) for m in modes)
 
 
 def mode_mask(modes: Iterable[ModeLabel]) -> int:
@@ -83,40 +83,24 @@ class Channel:
         """Masks of the entropies its mutual information sums: p1 p2, p1, p2."""
         return ALL_MODES_MASK, mode_mask(self.p1), mode_mask(self.p2)
 
-    @classmethod
-    def from_p1(cls, modes: Iterable[ModeLabel], id: int = 0) -> "Channel":
-        """Build the bipartition holding ``modes`` on one side, canonically
-        oriented so that the smaller side (ties: the side containing
-        early-B) is p1."""
-        p1 = _mode_set(modes)
-        p2 = ALL_MODES - p1
-        if len(p1) > len(p2) or (len(p1) == len(p2) and ModeLabel.EARLY_B in p2):
-            p1, p2 = p2, p1
-        return cls(id=id, p1=p1, p2=p2)
 
-
-_CHANNEL_P1 = (
-    (ModeLabel.EARLY_B,),
-    (ModeLabel.EARLY_X,),
-    (ModeLabel.LATE_B,),
-    (ModeLabel.LATE_X,),
-    (ModeLabel.EARLY_B, ModeLabel.EARLY_X),
-    (ModeLabel.EARLY_B, ModeLabel.LATE_B),
-    (ModeLabel.EARLY_B, ModeLabel.LATE_X),
-)
+# p1 of channels 1-7 by mode number (0 early-B, 1 early-X, 2 late-B, 3 late-X):
+# the smaller side, or of two equal sides the one holding early-B
+_CHANNEL_P1 = ({0}, {1}, {2}, {3}, {0, 1}, {0, 2}, {0, 3})
+_CHANNELS = tuple(Channel(id=i + 1, p1=p1, p2=set(ALL_MODES) - p1) for i, p1 in enumerate(_CHANNEL_P1))
 
 
 def enumerate_channels() -> list[Channel]:
     """The seven bipartitions, ids 1-4 the single-mode splits in mode order,
     ids 5-7 the balanced splits with early-B's partner cycling through
     early-X, late-B, late-X."""
-    return [Channel.from_p1(p1, id=i + 1) for i, p1 in enumerate(_CHANNEL_P1)]
+    return list(_CHANNELS)
 
 
 def channel_by_id(n: int) -> Channel:
     if not 1 <= n <= 7:
         raise ValueError(f"channel id must be in 1..7, got {n}")
-    return enumerate_channels()[n - 1]
+    return _CHANNELS[n - 1]
 
 
 @dataclass(frozen=True)
@@ -170,13 +154,12 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     ``rho`` is a 16x16 density (stack) or a 3x3 branch density (stack). Each
     distinct mask is computed once. On 16x16 densities that is one
     ``qmath.vn_entropy`` call per mask, of ``qmath.partial_trace``. On branch
-    densities masks whose ``_fold`` matrices are equal share one reduction
-    and one spectrum; the distinct reductions of one size g are stacked as
-    (..., k, g, g) and take one ``qmath.vn_entropy`` call per size, whose
-    spectra are bit for bit those of separate calls.
-    The whole state, mask 0b1111, is always in the table and computed first:
-    its entropy validates the stack. The table is then checked against
-    subadditivity and Araki-Lieb (``_check_entropy_inequalities``).
+    densities masks with equal ``_fold`` matrices share one closed-form
+    spectrum; ``_branch_spectra`` stacks them as (..., k, 3) for one Shannon
+    sum under ``vn_entropy``'s eigenvalue floor.
+    The whole state, mask 0b1111, is always in the table and computed first,
+    by ``qmath.vn_entropy``: its entropy validates the stack. The table is
+    then checked against subadditivity and Araki-Lieb.
     """
     branch = np.shape(rho)[-2:] == (3, 3)
     m = np.asarray(rho) if branch else _four_mode_matrix(rho)
@@ -190,38 +173,54 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
         else:
             reduced = qmath.partial_trace(m, FOUR_MODE_DIMS, [mode for mode in ModeLabel if mask & (8 >> mode)])
             table[mask] = qmath.vn_entropy(reduced)
-    by_size: dict[int, list] = {}
-    for masks in by_fold.values():
-        reduced = _reduce_on_kets(m, masks[0])  # equal folds, equal reductions
-        by_size.setdefault(reduced.shape[-1], []).append((masks, reduced))
-    for group in by_size.values():
-        s = qmath.vn_entropy(np.stack([reduced for _, reduced in group], axis=-3))
-        table.update((mask, s[..., j][()]) for j, (masks, _) in enumerate(group) for mask in masks)
+    if by_fold:
+        groups = list(by_fold.values())  # equal folds, equal reductions: one spectrum per group
+        s = qmath._spectrum_entropy(_branch_spectra(m, [masks[0] for masks in groups]))
+        table.update((mask, s[..., j][()]) for j, masks in enumerate(groups) for mask in masks)
     _check_entropy_inequalities(table)
     return table
 
 
-def _reduce_on_kets(m: np.ndarray, mask: int) -> np.ndarray:
-    """Reduced state on the modes of ``mask`` of the branch density ``m``:
-    sum_ij m_ij F_ij with F = ``_fold(mask)``, so each entry is a sum of
-    entries of ``m``."""
-    fold = _fold(mask)
-    k, g = fold.shape[0], fold.shape[-1]
-    lead = m.shape[:-2]
-    return (m.reshape(lead + (k * k,)) @ fold.reshape(k * k, g * g)).reshape(lead + (g, g))
+def _branch_spectra(m: np.ndarray, masks: list[int]) -> np.ndarray:
+    """Zero-padded spectra, shape (..., k, 3), of the branch density ``m``
+    reduced to each of the k ``masks``: the diagonal of sum_ij m_ij F_ij,
+    F = ``_fold(mask)`` (all masks in one product), with the one coherent
+    pair (p, q) of the same fold, if any, replaced by its 2x2 block's
+    ``_pair_spectrum``; no fold below the whole state has two."""
+    folds = np.stack([_fold(mask) for mask in masks], axis=2)
+    reduced = (m.reshape(m.shape[:-2] + (9,)) @ folds.reshape(9, -1)).reshape(m.shape[:-2] + folds.shape[2:])
+    j, p, q = np.nonzero(np.triu(folds.any(axis=(0, 1)), 1))
+    pairs = np.bincount(j, minlength=len(masks))
+    if pairs.max() > 1:
+        raise ArithmeticError(f"the fold of modes {masks[pairs.argmax()]:04b} couples {pairs.max()} branch pairs")
+    spectra = np.diagonal(reduced, axis1=-2, axis2=-1).real.copy()
+    a, b = spectra[..., j, p], spectra[..., j, q]
+    spectra[..., j, p], spectra[..., j, q] = _pair_spectrum(a, b, reduced[..., j, p, q])
+    return spectra
+
+
+def _pair_spectrum(a, b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (l+, l-) of the Hermitian blocks [[a, c], [c*, b]]:
+    l+ = (a+b)/2 + hypot((a-b)/2, |c|) and l- = (ab - |c|^2) / l+, which
+    does not cancel as (a+b)/2 - hypot(...) does; l- = 0 where l+ = 0."""
+    c = np.abs(c)
+    upper = (a + b) / 2.0 + np.hypot((a - b) / 2.0, c)
+    lower = np.divide(a * b - c * c, upper, out=np.zeros_like(upper), where=upper != 0.0)
+    return upper, lower
 
 
 @functools.cache
 def _fold(mask: int) -> np.ndarray:
-    """The 0/1 matrix F, shape (k, k, g, g), that reduces a branch density m
-    to the modes of ``mask``: V (m o C) V^T over the g distinct restrictions of
-    ``BRANCH_KETS`` to ``mask``, where C_ij = 1 if kets i and j agree off
-    ``mask`` and V merges the kets that agree on it, is sum_ij m_ij F_ij.
-    Distinct masks can have equal folds. Each fold is built on first use and
-    kept read-only."""
+    """The 0/1 matrix F, shape (k, k, k, k) for the k ``BRANCH_KETS``, that
+    reduces a branch density m to the modes of ``mask``: V (m o C) V^T over
+    the g <= k distinct restrictions of the kets to ``mask``, where C_ij = 1
+    if kets i and j agree off ``mask`` and V merges the kets that agree on
+    it, is sum_ij m_ij F_ij, zero-padded from g x g to k x k. Distinct masks
+    can have equal folds. Each fold is built on first use and kept
+    read-only."""
     groups = sorted({ket & mask for ket in BRANCH_KETS})
-    k, g = len(BRANCH_KETS), len(groups)
-    fold = np.zeros((k, k, g, g))
+    k = len(BRANCH_KETS)
+    fold = np.zeros((k, k, k, k))
     for (i, a), (j, b) in itertools.product(enumerate(BRANCH_KETS), repeat=2):
         if (a ^ b) & ~mask == 0:
             fold[i, j, groups.index(a & mask), groups.index(b & mask)] = 1.0
@@ -236,7 +235,7 @@ def _check_entropy_inequalities(table: dict[int, float | np.ndarray]) -> None:
 
     For Y the complement of X and a pure state, Araki-Lieb is
     S(X) = S(complement of X): unless the two masks have equal folds, both
-    sides come from different reductions and eigensolves, so a fault in
+    sides come from different reductions and spectra, so a fault in
     either shows.
     """
     for x, y in itertools.combinations(table, 2):

@@ -134,8 +134,13 @@ def vn_entropy(rho) -> float | np.ndarray:
     """
     m = _as_square(rho)
     _require_unit_trace(m)
-    evals = eig_hermitian(m)
-    lowest = np.min(evals[..., 0])
+    return _spectrum_entropy(eig_hermitian(m))
+
+
+def _spectrum_entropy(evals: np.ndarray) -> float | np.ndarray:
+    """-sum(lambda log2 lambda) over the last axis of a stack of spectra, in
+    any order: entries in [-1e-8, 0] are dropped, any lower one is rejected."""
+    lowest = np.min(evals)
     if not lowest >= EIG_CLAMP_FLOOR:
         raise ValueError(f"eigenvalue {lowest:.3e} below {EIG_CLAMP_FLOOR:.0e}; not a density matrix")
     pos = np.where(evals > 0.0, evals, 1.0)  # 1 log2 1 = 0 stands in for the dropped ones

@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the package against:
 Kronecker products, Shannon entropies of explicit probability vectors, the
-branch populations in high-precision decimal arithmetic, dense dephasing,
+branch populations and the eigenvalues of a 2x2 Hermitian block in
+high-precision decimal arithmetic, dense dephasing,
 and the two-pulse protocol step by step (early window, pulse, late
 cascade), which must reproduce ``cascade.final_state``."""
 
@@ -48,6 +49,22 @@ def branch_populations(gamma_b: float, gamma_x: float, dt: float) -> tuple[float
         alpha2 = (-gb * t).exp()
         beta2 = gb * t * alpha2 if gb == gx else gb * (alpha2 - (-gx * t).exp()) / (gx - gb)
         return float(alpha2), float(beta2), float(1 - alpha2 - beta2)
+
+
+def pair_eigenvalues(a: float, b: float, c: complex) -> tuple[float, float]:
+    """Eigenvalues (larger, smaller) of the Hermitian block [[a, c], [c*, b]]
+    in 60-digit decimal arithmetic, rounded to floats: the larger
+    (a+b)/2 + sqrt(((a-b)/2)^2 + |c|^2), the smaller the determinant
+    ab - |c|^2 over it (0 for the zero block). The entries are taken
+    exactly; at 60 digits the determinant keeps some 40 digits even where
+    ab and |c|^2 agree to all 16 of a double, so the smaller eigenvalue is
+    accurate however far below the larger one it lies."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, b = decimal.Decimal(a), decimal.Decimal(b)
+        c2 = decimal.Decimal(complex(c).real) ** 2 + decimal.Decimal(complex(c).imag) ** 2
+        upper = (a + b) / 2 + (((a - b) / 2) ** 2 + c2).sqrt()
+        return float(upper), float((a * b - c2) / upper) if upper else 0.0
 
 
 def dephase(rho, d: float) -> np.ndarray:

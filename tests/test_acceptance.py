@@ -242,9 +242,9 @@ def test_criterion_10_fidelity():
             for dt in (0.0, 0.2, 1.0, 4.0):
                 params = DecayParams(gb, gx, dt)
                 overlap = abs(np.vdot(ghz, cascade.final_state(params))) ** 2
-                assert abs(cascade.ghz_fidelity(params) - overlap) <= 1e-12
+                assert abs(cascade.amplitudes(params).ghz_fidelity - overlap) <= 1e-12
     fidelities = [
-        cascade.ghz_fidelity(DecayParams(2.0, 2.0 * r, LN2 / 2.0))
+        cascade.amplitudes(DecayParams(2.0, 2.0 * r, LN2 / 2.0)).ghz_fidelity
         for r in np.geomspace(0.1, 100.0, 20)
     ]
     assert all(b > a for a, b in zip(fidelities, fidelities[1:]))

@@ -261,21 +261,21 @@ def test_ghz_fidelity_closed_form_equals_inner_product():
     ghz = cascade.ghz_state(4)
     for params in param_grid():
         overlap = abs(np.vdot(ghz, cascade.final_state(params))) ** 2
-        assert abs(cascade.ghz_fidelity(params) - overlap) < 1e-12
+        assert abs(cascade.amplitudes(params).ghz_fidelity - overlap) < 1e-12
 
 
 def test_ghz_fidelity_values():
-    assert abs(cascade.ghz_fidelity(DecayParams(2.0, 1.0, 0.0)) - 0.5) < 1e-15
-    assert abs(cascade.ghz_fidelity(POINT) - 0.5) < 1e-12
+    assert abs(cascade.amplitudes(DecayParams(2.0, 1.0, 0.0)).ghz_fidelity - 0.5) < 1e-15
+    assert abs(cascade.amplitudes(POINT).ghz_fidelity - 0.5) < 1e-12
     nearly_ghz = DecayParams(2.0, 2.0e4, LN2 / 2)  # gamma_x / gamma_b = 1e4
-    assert cascade.ghz_fidelity(nearly_ghz) >= 0.999
+    assert cascade.amplitudes(nearly_ghz).ghz_fidelity >= 0.999
 
 
 def test_ghz_fidelity_increases_with_rate_ratio():
     fids = []
     for ratio in np.geomspace(0.1, 100.0, 20):
         gb = 2.0
-        fids.append(cascade.ghz_fidelity(DecayParams(gb, ratio * gb, LN2 / gb)))
+        fids.append(cascade.amplitudes(DecayParams(gb, ratio * gb, LN2 / gb)).ghz_fidelity)
     assert all(b > a for a, b in zip(fids, fids[1:]))
 
 

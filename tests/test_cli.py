@@ -115,7 +115,7 @@ def test_sweep_rows_ascending_and_independent():
         a = cascade.amplitudes(params)
         single = {
             "gx_dt": 1.0 * dt, "alpha2": a.alpha2, "beta2": a.beta2, "gamma2": a.gamma2,
-            "fidelity": cascade.ghz_fidelity(params),
+            "fidelity": a.ghz_fidelity,
             "cmi": entanglement.conditional_mutual_information(rho, split)[0],
             "cmi_ghz": entanglement.conditional_mutual_information(ghz, split)[0],
         }
@@ -244,16 +244,11 @@ def test_cli_bad_grids_exit_2(argv, first_grid, capsys):
         assert err == f"error: {per_point_error(*first_grid)}\n"
 
 
-def test_each_table_makes_at_most_four_eigensolves(monkeypatch):
-    # a branch table solves the whole state, then one stack per reduced size
-    # (1x1, 2x2, 3x3), each distinct reduction once per grid point: masks with
-    # equal folds (fig3 15 -> 8, fig4 12 -> 7 with the whole state) share
-    # one; the dense 16x16 path still solves one mask per call
+def test_each_branch_table_makes_one_eigensolve(monkeypatch):
+    # a branch table hands eigvalsh only the whole state, as one 3x3 stack
+    # of its grid points; every reduced spectrum is closed-form. The dense
+    # 16x16 path still solves one mask per call
     shapes = []
-
-    def solved():  # matrices handed to eigvalsh
-        return sum(math.prod(shape[:-2]) for shape in shapes)
-
     eigvalsh = np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
@@ -264,30 +259,23 @@ def test_each_table_makes_at_most_four_eigensolves(monkeypatch):
     spec = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30, dephase=0.8,
                      alice=frozenset({EB, EX}), eve=frozenset({LB}))
     empty_eve = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30, alice=frozenset({EB}))
-    # the sweeps' 30 points and the GHZ slice; the split's five masks fold
-    # like channel masks, and an empty Eve adds the 1x1 trace
-    for build, states in ((cli.fig3_table, 8 * 201), (cli.fig4_table, 7 * 201),
-                          (lambda: cli.sweep_table(spec), 8 * 31), (lambda: cli.sweep_table(empty_eve), 9 * 31)):
+    # the figures' 200 points and the sweeps' 30, each with the GHZ slice
+    for build, states in ((cli.fig3_table, 201), (cli.fig4_table, 201),
+                          (lambda: cli.sweep_table(spec), 31), (lambda: cli.sweep_table(empty_eve), 31)):
         shapes.clear()
         build()
-        assert 1 <= len(shapes) <= 4, build
-        # every grid table runs on branch densities: no spectrum above 3x3
-        assert max(shape[-1] for shape in shapes) <= 3, build
-        assert solved() == states, build
+        assert shapes == [(states, 3, 3)], build
     shapes.clear()
     rounds = []
     branch_densities = cascade.branch_densities
     monkeypatch.setattr(cascade, "branch_densities", lambda *a, **k: rounds.append(a) or branch_densities(*a, **k))
     cli.optimize_delay(3.0, 1.0, EveSplit.from_alice_eve({EB}, {EX}), (0.01, 5.0), dephase=0.8)
-    # the single-mode split's reductions are two 2x2 and two 3x3 ones, with
-    # four distinct folds: the whole state and four reductions per point
-    assert rounds and len(shapes) == 3 * len(rounds) and max(shape[-1] for shape in shapes) <= 3
-    assert solved() == 5 * sum(len(amps.alpha) for amps, *_ in rounds)
+    assert rounds and shapes == [(len(amps.alpha), 3, 3) for amps, *_ in rounds]
     shapes.clear()
     stack = np.stack([qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt)))
                       for dt in (0.1, 0.5)])
     entanglement.conditional_mutual_information(stack, EveSplit.from_alice_eve({EB}, {EX}))
-    assert len(shapes) == 5
+    assert len(shapes) == 5 and shapes[0] == (2, 16, 16)
 
 
 # outputs with an empty Eve: the table's S(empty set) is the entropy of the
@@ -322,7 +310,7 @@ EMPTY_EVE_OUTPUTS = {
     "fidelity": 0.5000000000000027,
     "mi_ch1": 0.28064718432657876,
     "mi_avg": 0.1621275331086222,
-    "cmi": 0.2824457140445698,
+    "cmi": 0.28244571404456986,
     "cmi_ghz": 1.9999999999999996
   },
   {
@@ -333,7 +321,7 @@ EMPTY_EVE_OUTPUTS = {
     "gamma2": 0.01085052736942199,
     "fidelity": 0.5,
     "mi_ch1": 1.4337236106214133,
-    "mi_avg": 0.9240295140080903,
+    "mi_avg": 0.9240295140080902,
     "cmi": 1.5549932847213035,
     "cmi_ghz": 1.9999999999999996
   }

@@ -78,10 +78,11 @@ def test_channel_by_id_bounds():
 
 
 def test_channel_canonical_orientation():
-    ch = Channel.from_p1({EX, LB, LX})
-    assert ch.p1 == frozenset({EB})
-    balanced = Channel.from_p1({LB, LX})
-    assert balanced.p1 == frozenset({EB, EX})
+    # p1 is the smaller side; of two equal sides, the one holding early-B
+    for ch in entanglement.enumerate_channels():
+        assert len(ch.p1) < len(ch.p2) or len(ch.p1) == len(ch.p2) and EB in ch.p1, ch
+    # built once: every call hands out the same seven channels
+    assert all(entanglement.channel_by_id(ch.id) is ch for ch in entanglement.enumerate_channels())
 
 
 def test_channel_validation():
@@ -476,8 +477,8 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
     want = entanglement.subset_entropies(dense, range(16))
     for mask in range(16):
         np.testing.assert_allclose(got[mask], want[mask], rtol=0.0, atol=1e-12, err_msg=f"mask {mask:04b}")
-        # reductions stacked by size give, bit for bit, each reduction's own entropy
-        alone = qmath.vn_entropy(branch if mask == 0b1111 else entanglement._reduce_on_kets(branch, mask))
+        # spectra stacked for one Shannon sum give, bit for bit, each mask's entropy asked for alone
+        alone = entanglement.subset_entropies(branch, [mask])[mask]
         assert got[mask].tobytes() == alone.tobytes(), mask
     for ch in entanglement.enumerate_channels():
         np.testing.assert_allclose(entanglement.mi_from_table(got, ch), entanglement.mi_from_table(want, ch),
@@ -485,6 +486,35 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
     for split in FIG4_SPLITS:
         np.testing.assert_allclose(entanglement.cmi_from_table(got, split), entanglement.cmi_from_table(want, split),
                                    rtol=0.0, atol=1e-12, err_msg=str(split))
+
+
+def _pair_blocks(rng, n):
+    """(a, b, c) of 2x2 blocks of the branch reductions: near-rank-one pure
+    blocks (|c|^2 within a few ulps of ab, and weights down to 1e-300),
+    dephased blocks c = d sqrt(ab) for d in [0, 1], and the all-zero block."""
+    a = np.concatenate([rng.uniform(0.0, 1.0, n), 10.0 ** rng.uniform(-300.0, -1.0, n)])
+    b = (1.0 - a) * rng.uniform(0.0, 1.0, 2 * n) ** rng.integers(0, 2, 2 * n)
+    pure = np.sqrt(a * b) * (1.0 + rng.choice([-2.0, -1.0, 0.0, 1.0], 2 * n) * 2.0**-53)
+    d = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 2 * n - 2)])
+    return (np.concatenate(parts) for parts in ((a, a, [0.0]), (b, b, [0.0]), (pure, d * np.sqrt(a * b), [0.0])))
+
+
+def test_pair_spectrum_matches_a_60_digit_reference():
+    # the closed form within 1e-15 absolute of each eigenvalue; within 1e-15
+    # relative where |c|^2 <= ab/4, so that ab - |c|^2 cancels nothing and
+    # the smaller eigenvalue, however far below the larger, keeps its digits
+    # (the form (a+b)/2 - hypot(...) fails this); and exactly (0, 0), with
+    # no RuntimeWarning, on the all-zero block of dt = 0
+    a, b, c = _pair_blocks(np.random.default_rng(12), 300)
+    upper, lower = entanglement._pair_spectrum(a, b, c)
+    want = np.array([oracle_math.pair_eigenvalues(*abc) for abc in zip(a, b, c)])
+    got = np.column_stack([upper, lower])
+    bound = np.where((c * c <= a * b / 4.0)[:, None], 1e-15 * want, 1e-15)
+    bad = np.flatnonzero((np.abs(got - want) > bound).any(axis=1))
+    assert not bad.size, [(a[k], b[k], c[k]) for k in bad[:5]]
+    assert (upper[-1], lower[-1]) == (0.0, 0.0)
+    # complex coherences enter through |c| only
+    np.testing.assert_array_equal(entanglement._pair_spectrum(a, b, 1j * c)[1], lower)
 
 
 def test_table_check_catches_a_reduction_of_the_wrong_modes(monkeypatch):
@@ -508,3 +538,13 @@ def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
         entanglement.conditional_mutual_information(rho, EveSplit.from_alice_eve({EB}, {EX}))
     with pytest.raises(ArithmeticError, match="0011 and 1100 .* Araki-Lieb"):
         entanglement.mutual_information(rho, entanglement.channel_by_id(5))
+
+
+def test_branch_table_rejects_a_fold_with_two_coherent_pairs(monkeypatch):
+    # no fold below the whole state couples more than one pair of branches;
+    # the whole state's own fold, which couples all three, stands in for one
+    fold = entanglement._fold
+    monkeypatch.setattr(entanglement, "_fold", lambda mask: fold(0b1111))
+    rho = cascade.branch_densities(cascade.amplitudes(POINT))
+    with pytest.raises(ArithmeticError, match="modes 1000 couples 3 branch pairs"):
+        entanglement.subset_entropies(rho, [0b1000])
