@@ -179,7 +179,10 @@ def branch_densities(amps: Amplitudes | None, dephase: float | None = None, ghz:
     ``BRANCH_KETS`` as one stack, shape (N, 3, 3), with the GHZ density
     appended as slice N if ``ghz`` (``amps`` None gives no final states):
     R = c c^T of the amplitudes c = (alpha, beta, gamma), dephased to
-    d R + (1 - d) diag(c^2) unless ``dephase`` is None."""
+    d R + (1 - d) diag(c^2) unless ``dephase`` is None: a valid density for
+    any d in [0, 1]; any other d raises ValueError."""
+    if dephase is not None and not 0.0 <= dephase <= 1.0:
+        raise ValueError(f"dephase must lie in [0, 1], got {dephase}")
     rows = [] if amps is None else [np.column_stack([amps.alpha, amps.beta, amps.gamma])]
     c = np.vstack(rows + [ghz_state(4)[list(BRANCH_KETS)].real] * ghz)
     rho = c[:, :, None] * c[:, None, :]
@@ -196,11 +199,8 @@ def dephased_density(p: DecayParams, d: float) -> np.ndarray:
     the 16x16 embedding of its ``branch_densities`` block on ``BRANCH_KETS``.
 
     d = 1 returns the pure projector unchanged; d = 0 keeps only the
-    populations. Any d in [0, 1] is a convex mixture of the two, hence a
-    valid density matrix.
+    populations. ``branch_densities`` rejects a d outside [0, 1].
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"dephasing attenuation must lie in [0, 1], got {d}")
     rho = np.zeros((16, 16), dtype=np.complex128)
     rho[np.ix_(BRANCH_KETS, BRANCH_KETS)] = branch_densities(amplitudes(p), d)[0]
     return rho

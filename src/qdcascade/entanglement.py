@@ -78,7 +78,7 @@ class Channel:
         if p1 | p2 != ALL_MODES:
             raise ValueError("channel sides must cover all four modes")
 
-    @property
+    @functools.cached_property
     def subsets(self) -> tuple[int, int, int]:
         """Masks of the entropies its mutual information sums: p1 p2, p1, p2."""
         return ALL_MODES_MASK, mode_mask(self.p1), mode_mask(self.p2)
@@ -127,7 +127,7 @@ class EveSplit:
         if not bob:
             raise ValueError("Bob's subset must be nonempty")
 
-    @property
+    @functools.cached_property
     def subsets(self) -> tuple[int, int, int, int, int]:
         """Masks of the entropies its secret rate sums: ABE, A, E, AE, BE."""
         a, b, e = mode_mask(self.alice), mode_mask(self.bob), mode_mask(self.eve)

@@ -555,12 +555,11 @@ def test_validate_oracles_passes_at_defaults():
     assert "PASS" in report.format_report()
 
 
-def test_validate_oracles_negative_control():
-    # corrupted expectation must throw the z-scores far out
-    report = cli.validate_oracles(
-        DecayParams(2.0, 1.0, LN2 / 2), 200_000, 42,
-        expected_override=(0.52, math.sqrt(2) - 1.02, 1.5 - math.sqrt(2)),
-    )
+def test_validate_oracles_negative_control(monkeypatch):
+    # corrupted closed-form weights must throw the z-scores far out
+    corrupted = cascade.Amplitudes(*(math.sqrt(w) for w in (0.52, math.sqrt(2) - 1.02, 1.5 - math.sqrt(2))))
+    monkeypatch.setattr(cascade, "amplitudes", lambda params: corrupted)
+    report = cli.validate_oracles(DecayParams(2.0, 1.0, LN2 / 2), 200_000, 42)
     assert not report.passed
     assert any(abs(z) > 5.0 for z in report.z_scores.values())
     assert "FAIL" in report.format_report()
@@ -655,6 +654,12 @@ def test_cli_bad_arguments_exit_code():
         ["secure-rate", "--alice", "eb", "--eve", "ex", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt", "1e10"],
         ["sweep", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt-min", "1e9", "--dt-max", "1e10", "--points", "2"],
         ["optimize-dt", "--alice", "eb", "--eve", "ex", "--gamma-x", "1e300", "--dt-max", "1e10"],
+        # a dephasing factor outside [0, 1]
+        *([*cmd, "--dephase", d] for d in ("1.5", "nan") for cmd in (
+            ["sweep", "--dt-min", "0.1", "--dt-max", "1.0", "--points", "3"],
+            ["secure-rate", "--alice", "eb", "--eve", "ex"],
+            ["optimize-dt", "--alice", "eb", "--eve", "ex"],
+        )),
     ):
         code, out = run_main(argv)
         assert (code, out) == (2, ""), argv
