@@ -55,14 +55,20 @@ class DecayParams:
     delta_t: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma_b) and self.gamma_b > 0.0):
-            raise ValueError(f"gamma_b must be positive and finite, got {self.gamma_b}")
-        if not (math.isfinite(self.gamma_x) and self.gamma_x > 0.0):
-            raise ValueError(f"gamma_x must be positive and finite, got {self.gamma_x}")
-        if not (math.isfinite(self.delta_t) and self.delta_t >= 0.0):
-            raise ValueError(f"delta_t must be non-negative and finite, got {self.delta_t}")
-        if not math.isfinite(self.gamma_x * self.delta_t):
-            raise ValueError(f"gamma_x * delta_t must be finite, got {self.gamma_x} * {self.delta_t}")
+        self.check(self.gamma_b, self.gamma_x, self.delta_t)
+
+    @staticmethod
+    def check(gamma_b: float, gamma_x: float, delta_t: float, name: str = "delta_t") -> None:
+        """Check the rates (gamma_x first: the CLI derives the default gamma_b
+        from it) and the delay, called ``name`` in the error messages."""
+        if not (math.isfinite(gamma_x) and gamma_x > 0.0):
+            raise ValueError(f"gamma_x must be positive and finite, got {gamma_x}")
+        if not (math.isfinite(gamma_b) and gamma_b > 0.0):
+            raise ValueError(f"gamma_b must be positive and finite, got {gamma_b}")
+        if not (math.isfinite(delta_t) and delta_t >= 0.0):
+            raise ValueError(f"{name} must be non-negative and finite, got {delta_t}")
+        if not math.isfinite(gamma_x * delta_t):
+            raise ValueError(f"gamma_x * {name} must be finite, got {gamma_x} * {delta_t}")
 
 
 @dataclass(frozen=True)
@@ -174,23 +180,21 @@ def ghz_state(n: int) -> np.ndarray:
     return v
 
 
-def branch_densities(amps: Amplitudes | None, dephase: float | None = None, ghz: bool = False) -> np.ndarray:
+def branch_densities(amps: Amplitudes, dephase: float | None = None) -> np.ndarray:
     """The final-state densities of ``amps`` (one point or a grid) on
-    ``BRANCH_KETS`` as one stack, shape (N, 3, 3), with the GHZ density
-    appended as slice N if ``ghz`` (``amps`` None gives no final states):
-    R = c c^T of the amplitudes c = (alpha, beta, gamma), dephased to
+    ``BRANCH_KETS`` as one stack, shape (N, 3, 3): R = c c^T of the
+    amplitudes c = (alpha, beta, gamma), dephased to
     d R + (1 - d) diag(c^2) unless ``dephase`` is None: a valid density for
     any d in [0, 1]; any other d raises ValueError."""
     if dephase is not None and not 0.0 <= dephase <= 1.0:
         raise ValueError(f"dephase must lie in [0, 1], got {dephase}")
-    rows = [] if amps is None else [np.column_stack([amps.alpha, amps.beta, amps.gamma])]
-    c = np.vstack(rows + [ghz_state(4)[list(BRANCH_KETS)].real] * ghz)
+    c = np.column_stack([amps.alpha, amps.beta, amps.gamma])
     rho = c[:, :, None] * c[:, None, :]
     if dephase is not None:
-        n, diagonal = len(c) - ghz, np.arange(3)
-        populations = rho[:n, diagonal, diagonal]
-        rho[:n] *= dephase
-        rho[:n, diagonal, diagonal] += (1.0 - dephase) * populations
+        diagonal = np.arange(3)
+        populations = rho[:, diagonal, diagonal]
+        rho *= dephase
+        rho[:, diagonal, diagonal] += (1.0 - dephase) * populations
     return rho
 
 

@@ -79,7 +79,7 @@ class SweepSpec:
     eve: frozenset[ModeLabel] = frozenset()
 
     def __post_init__(self):
-        DecayParams(self.gamma_b, self.gamma_x, self.dt_max)
+        DecayParams.check(self.gamma_b, self.gamma_x, self.dt_max, "dt_max")
         if self.points < 2:
             raise ValueError("points: need at least 2")
         if not self.dt_min >= 0.0:
@@ -111,35 +111,38 @@ def _table(columns: dict, n: int) -> tuple[list[str], list[list[float]]]:
     return list(columns), np.column_stack([np.broadcast_to(c, (n,)) for c in columns.values()]).tolist()
 
 
-def _correlation_columns(spec: SweepSpec, amps: cascade.Amplitudes) -> dict:
-    """The sweep's MI and CMI columns of the grid amplitudes ``amps`` plus
-    ``mi_ghz``, the GHZ state's channel-1 MI, from one entropy table of the
-    grid states with the GHZ state as the last slice; keys in output order."""
-    channels = entanglement.enumerate_channels()
-    split = EveSplit.from_alice_eve(spec.alice, spec.eve) if spec.alice is not None else None
-    subsets = {mask for measure in channels + [split] if measure is not None for mask in measure.subsets}
-    rho = cascade.branch_densities(None if spec.ghz_reference else amps, spec.dephase, ghz=True)
-    table = entanglement.subset_entropies(rho, subsets)
-    if spec.ghz_reference:  # the one GHZ slice stands for every grid point and the reference
-        table = {mask: np.broadcast_to(s, (spec.points + 1,)) for mask, s in table.items()}
-    mi = {ch.id: entanglement.mi_from_table(table, ch) for ch in channels}
-    columns = {f"mi_ch{c}": mi[c][:-1] for c in spec.channels}
-    columns["mi_avg"] = (sum(mi.values()) / len(mi))[:-1]
-    if split is not None:
-        cmi = entanglement.cmi_from_table(table, split)
-        columns["cmi"], columns["cmi_ghz"] = cmi[:-1], cmi[-1]
-    columns["mi_ghz"] = mi[1][-1]
-    return columns
+# the GHZ reference on the branch kets: appended, never dephased, to every grid stack
+_GHZ_DENSITY = cascade.branch_densities(cascade.Amplitudes(*cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real))
+_GHZ_DENSITY.flags.writeable = False
+_CHANNEL_COLUMNS = {f"mi_ch{ch.id}": ch for ch in entanglement.enumerate_channels()}
+
+
+def _grid_measures(rho: np.ndarray | None, measures: dict) -> tuple[dict, dict]:
+    """(grid values, GHZ values) of ``measures`` (column name: a ``Channel``
+    for its MI or an ``EveSplit`` for its CMI) from one entropy table of the
+    branch density stack ``rho`` with the GHZ density appended; ``rho`` None
+    evaluates the GHZ state alone, whose values stand for the grid's too."""
+    stack = _GHZ_DENSITY if rho is None else np.concatenate([rho, _GHZ_DENSITY])
+    table = entanglement.subset_entropies(stack, {mask for m in measures.values() for mask in m.subsets})
+    read = {entanglement.Channel: entanglement.mi_from_table, EveSplit: entanglement.cmi_from_table}
+    values = {name: read[type(m)](table, m) for name, m in measures.items()}
+    grid = {name: v if rho is None else v[:-1] for name, v in values.items()}
+    return grid, {name: v[-1] for name, v in values.items()}
 
 
 def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     """Header and dt-ascending rows of a delay sweep."""
     grid = spec.grid()
     amps = cascade.grid_amplitudes(spec.gamma_b, spec.gamma_x, grid)
+    rho = cascade.branch_densities(amps, spec.dephase)  # also under --ghz, where it only checks --dephase
+    split = {} if spec.alice is None else {"cmi": EveSplit.from_alice_eve(spec.alice, spec.eve)}
+    values, ghz = _grid_measures(None if spec.ghz_reference else rho, {**_CHANNEL_COLUMNS, **split})
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid, "alpha2": amps.alpha2, "beta2": amps.beta2,
                "gamma2": amps.gamma2, "fidelity": amps.ghz_fidelity}
-    columns.update(_correlation_columns(spec, amps))
-    del columns["mi_ghz"]
+    columns.update((f"mi_ch{c}", values[f"mi_ch{c}"]) for c in spec.channels)
+    columns["mi_avg"] = sum(values[name] for name in _CHANNEL_COLUMNS) / len(_CHANNEL_COLUMNS)
+    if split:
+        columns["cmi"], columns["cmi_ghz"] = values["cmi"], ghz["cmi"]
     return _table(columns, spec.points)
 
 
@@ -196,8 +199,9 @@ def fig3_table() -> tuple[list[str], list[list[float]]]:
     """Per-channel mutual information and the channel average across the
     delay grid, with the flat GHZ reference."""
     grid = FIG_SPEC.grid()
-    columns = {"gx_dt": FIG_SPEC.gamma_x * grid}
-    columns.update(_correlation_columns(FIG_SPEC, cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid)))
+    rho = cascade.branch_densities(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
+    mi, ghz = _grid_measures(rho, _CHANNEL_COLUMNS)
+    columns = {"gx_dt": FIG_SPEC.gamma_x * grid, **mi, "mi_avg": sum(mi.values()) / len(mi), "mi_ghz": ghz["mi_ch1"]}
     return _table(columns, FIG_SPEC.points)
 
 
@@ -206,24 +210,19 @@ def fig4_table() -> tuple[list[str], list[list[float]]]:
     holds early-B, Eve takes one of Bob's three modes) and the balanced
     early|late channel (Eve takes either late mode), with GHZ baselines."""
     eb, ex, lb, lx = ModeLabel
-    splits = {  # column: (Alice, Eve); the ghz_ columns use the GHZ state
+    splits = {  # column: (Alice, Eve)
         "cmi_ch1_eve_early_x": ({eb}, {ex}),
         "cmi_ch1_eve_late_b": ({eb}, {lb}),
         "cmi_ch1_eve_late_x": ({eb}, {lx}),
-        "ghz_ch1": ({eb}, {ex}),
         "cmi_ch5_eve_late_b": ({eb, ex}, {lb}),
         "cmi_ch5_eve_late_x": ({eb, ex}, {lx}),
-        "ghz_ch5": ({eb, ex}, {lb}),
     }
-    splits = {name: EveSplit.from_alice_eve(alice, eve) for name, (alice, eve) in splits.items()}
     grid = FIG_SPEC.grid()
-    rho = cascade.branch_densities(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid), ghz=True)
-    subsets = {mask for split in splits.values() for mask in split.subsets}
-    table = entanglement.subset_entropies(rho, subsets)
-    columns = {"gx_dt": FIG_SPEC.gamma_x * grid}
-    for name, split in splits.items():
-        cmi = entanglement.cmi_from_table(table, split)
-        columns[name] = cmi[-1] if name.startswith("ghz") else cmi[:-1]
+    rho = cascade.branch_densities(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
+    cmi, ghz = _grid_measures(rho, {name: EveSplit.from_alice_eve(*split) for name, split in splits.items()})
+    ch1, ch5 = list(splits)[:3], list(splits)[3:]  # each channel's GHZ baseline, of its first split, follows it
+    columns = {"gx_dt": FIG_SPEC.gamma_x * grid, **{name: cmi[name] for name in ch1}, "ghz_ch1": ghz[ch1[0]],
+               **{name: cmi[name] for name in ch5}, "ghz_ch5": ghz[ch5[0]]}
     return _table(columns, len(grid))
 
 
@@ -320,15 +319,6 @@ def validate_oracles(
 # command-line surface
 # --------------------------------------------------------------------------
 
-def _add_rate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma-b", type=float, default=None, help="biexciton decay rate")
-    p.add_argument("--gamma-x", type=float, default=None, help="exciton decay rate (default 1)")
-    p.add_argument("--ratio", type=float, default=None,
-                   help="gamma_b / gamma_x; sets gamma_b = ratio * gamma_x")
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file with defaults for any flag (flags override)")
-
-
 def _has_json_type(option_type, value) -> bool:
     json_types = {float: (int, float), int: (int,)}.get(option_type, (str,))
     return isinstance(value, json_types) and not isinstance(value, bool)
@@ -389,7 +379,7 @@ def _resolve_rates(args: argparse.Namespace) -> tuple[float, float]:
 
 def _resolve_params(args: argparse.Namespace) -> DecayParams:
     gamma_b, gamma_x = _resolve_rates(args)
-    dt = args.dt if getattr(args, "dt", None) is not None else DEFAULT_DT
+    dt = args.dt if args.dt is not None else DEFAULT_DT
     return DecayParams(gamma_b=gamma_b, gamma_x=gamma_x, delta_t=dt)
 
 
@@ -400,14 +390,13 @@ def _resolve_split(args: argparse.Namespace) -> EveSplit:
 
 
 def _emit(args: argparse.Namespace, header: list[str], rows: list[list[float]]) -> None:
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = _csv_lines(header, rows)
-    out = getattr(args, "out", None)
-    if out:
-        _write_text(out, text)
+    if args.out:
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -463,7 +452,7 @@ def _cmd_optimize_dt(args: argparse.Namespace) -> int:
     )
     if dt_star in (args.dt_min, args.dt_max):
         print(f"note: the optimum lies at the bracket edge dt = {_fmt(dt_star)}", file=sys.stderr)
-    ghz_cmi = entanglement.conditional_mutual_information(cascade.branch_densities(None, ghz=True), split)[0]
+    ghz_cmi = _grid_measures(None, {"cmi_ghz": split})[1]["cmi_ghz"]
     header = ["dt_star", "gx_dt_star", "cmi_star", "cmi_ghz"]
     _emit(args, header, [[dt_star, gamma_x * dt_star, cmi_star, ghz_cmi]])
     return EXIT_OK
@@ -489,36 +478,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Photon-number entanglement from a two-pulse biexciton-exciton cascade.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # shared flags, built per parser: a parent shares its actions, and the defaults --config sets, with its children
+    rates = argparse.ArgumentParser(add_help=False)
+    rates.add_argument("--gamma-b", type=float, default=None, help="biexciton decay rate")
+    rates.add_argument("--gamma-x", type=float, default=None, help="exciton decay rate (default 1)")
+    rates.add_argument("--ratio", type=float, default=None,
+                       help="gamma_b / gamma_x; sets gamma_b = ratio * gamma_x")
+    rates.add_argument("--config", type=str, default=None,
+                       help="JSON file with defaults for any flag (flags override)")
+    point = argparse.ArgumentParser(add_help=False, parents=[rates])
+    point.add_argument("--dt", type=float, default=None, help="pulse delay")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser(
         "amplitudes",
         help="branch amplitudes alpha = exp(-gamma_b dt/2), "
              "beta = sqrt(gamma_b (exp(-gamma_b dt) - exp(-gamma_x dt)) / (gamma_x - gamma_b)), "
              "gamma = sqrt(1 - alpha^2 - beta^2)",
+        parents=[point, output],
     )
-    _add_rate_args(p)
-    p.add_argument("--dt", type=float, default=None, help="pulse delay")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(handler=_cmd_amplitudes)
 
     p = sub.add_parser(
         "state",
         help="four-mode state alpha|0000> + beta|1001> + gamma|1111> "
              "over (early-B, early-X, late-B, late-X)",
+        parents=[point, output],
     )
-    _add_rate_args(p)
-    p.add_argument("--dt", type=float, default=None, help="pulse delay")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(handler=_cmd_state)
 
     p = sub.add_parser(
         "sweep",
         help="mutual information I(p1:p2) = S(p1) + S(p2) - S(p1,p2) per channel "
              "over a delay grid, with the 7-channel average",
+        parents=[rates, output],
     )
-    _add_rate_args(p)
     p.add_argument("--dt-min", type=float, required=True)
     p.add_argument("--dt-max", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
@@ -532,61 +528,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alice", type=str, default=None,
                    help="comma-separated modes for an extra secret-rate column")
     p.add_argument("--eve", type=str, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser(
         "secure-rate",
         help="secret rate I(Alice:Bob|Eve) = I(A:BE) - I(A:E), with GHZ baseline",
+        parents=[point, output],
     )
-    _add_rate_args(p)
-    p.add_argument("--dt", type=float, default=None, help="pulse delay")
     p.add_argument("--alice", type=str, required=True, help="e.g. 'early-b' or 'eb,ex'")
     p.add_argument("--eve", type=str, default=None, help="modes Eve grabs from Bob's side")
     p.add_argument("--dephase", type=float, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(handler=_cmd_secure_rate)
 
     p = sub.add_parser(
         "optimize-dt",
         help="maximize I(Alice:Bob|Eve) over the pulse delay "
              "(coarse scan + repeated grid refinement)",
+        parents=[rates, output],
     )
-    _add_rate_args(p)
     p.add_argument("--alice", type=str, required=True)
     p.add_argument("--eve", type=str, default=None)
     p.add_argument("--dt-min", type=float, default=1e-3)
     p.add_argument("--dt-max", type=float, default=10.0)
     p.add_argument("--dephase", type=float, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(handler=_cmd_optimize_dt)
 
-    p = sub.add_parser(
-        "fig3",
-        help="CSV of per-channel mutual information vs gamma_x dt "
-             "(200 log points, rates 2:1) plus average and GHZ reference",
-    )
-    p.add_argument("--out", type=str, required=True)
-    p.set_defaults(handler=_cmd_figure)
-
-    p = sub.add_parser(
-        "fig4",
-        help="CSV of secret rates I(Alice:Bob|Eve) vs gamma_x dt for the "
-             "single-mode and balanced channels with GHZ baselines",
-    )
-    p.add_argument("--out", type=str, required=True)
-    p.set_defaults(handler=_cmd_figure)
+    for name, help_text in (
+        ("fig3", "CSV of per-channel mutual information vs gamma_x dt "
+                 "(200 log points, rates 2:1) plus average and GHZ reference"),
+        ("fig4", "CSV of secret rates I(Alice:Bob|Eve) vs gamma_x dt for the "
+                 "single-mode and balanced channels with GHZ baselines"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", type=str, required=True)
+        p.set_defaults(handler=_cmd_figure)
 
     p = sub.add_parser(
         "validate",
         help="check the closed-form branch probabilities against the "
              "rate-equation integrator and the trajectory sampler",
+        parents=[point],
     )
-    _add_rate_args(p)
-    p.add_argument("--dt", type=float, default=None, help="pulse delay")
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--step", type=float, default=1e-4)

@@ -128,12 +128,14 @@ def test_sweep_rows_ascending_and_independent():
 
 @pytest.mark.parametrize("dephase", [None, 0.0, 0.37, 1.0])
 def test_grid_densities_match_per_point_densities(dephase):
-    # the branch stack is, bit for bit, the block on the branch kets of each
-    # per-point 16x16 density, which is real there and zero elsewhere; and
-    # dephased_density, built from the branch density, is the dense formula
+    # the branch stack, with the grid evaluator's GHZ density appended, is,
+    # bit for bit, the block on the branch kets of each per-point 16x16
+    # density, which is real there and zero elsewhere; and dephased_density,
+    # built from the branch density, is the dense formula
     grid = np.geomspace(1e-3, 20.0, 25)
-    stack = cascade.branch_densities(cascade.grid_amplitudes(3.0, 1.0, grid), dephase, ghz=True)
-    assert stack.shape == (26, 3, 3)
+    stack = np.concatenate([cascade.branch_densities(cascade.grid_amplitudes(3.0, 1.0, grid), dephase),
+                            cli._GHZ_DENSITY])
+    assert stack.shape == (26, 3, 3) and not cli._GHZ_DENSITY.flags.writeable
     singles = []
     for dt in grid:
         params = DecayParams(3.0, 1.0, float(dt))
@@ -147,6 +149,11 @@ def test_grid_densities_match_per_point_densities(dephase):
     for k, single in enumerate(singles):
         assert stack[k].tobytes() == branch_block(single)[0].tobytes(), k
         assert not single[np.ix_(KETS, KETS)].imag.any() and not single[off_support].any(), k
+    # the GHZ baseline of a dephased grid is never dephased
+    sweep = ["sweep", "--alice", "eb", "--eve", "lb", "--dt-min", "0.01", "--dt-max", "5", "--points", "5",
+             "--format", "json"]
+    dephased = json.loads(run_main(sweep + ([] if dephase is None else ["--dephase", str(dephase)]))[1])
+    assert [row["cmi_ghz"] for row in dephased] == [row["cmi_ghz"] for row in json.loads(run_main(sweep)[1])]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -349,6 +356,11 @@ def test_sweep_spec_validation_names_fields():
                   channels=(9,))
     with pytest.raises(ValueError, match="gamma_b"):
         SweepSpec(gamma_b=-2.0, gamma_x=1.0, dt_min=0.1, dt_max=1.0, points=3)
+    # dt_max meets the delay rule of DecayParams under its own name
+    for dt_max, message in ((-1.0, "dt_max must be non-negative"), (math.inf, "dt_max must be non-negative"),
+                            (math.nan, "dt_max must be non-negative"), (1e10, "gamma_x \\* dt_max must be finite")):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(gamma_b=2.0, gamma_x=1e300, dt_min=0.1, dt_max=dt_max, points=3)
 
 
 def test_sweep_with_secret_rate_column():
@@ -634,35 +646,51 @@ def test_cli_validate_exit_codes():
     assert code == 2
 
 
-def test_cli_bad_arguments_exit_code():
+def test_cli_bad_arguments_exit_code(capsys):
     code, _ = run_main(["amplitudes", "--dt", "-1"])
     assert code == 2
     code, _ = run_main(["secure-rate", "--alice", "eb", "--eve", "eb"])
     assert code == 2
     code, _ = run_main(["amplitudes", "--ratio", "2", "--gamma-b", "3"])
     assert code == 2
+    named = {  # the message names the bad input: --gamma-x, not the gamma_b derived from it; --dt-max
+        ("amplitudes", "--gamma-x", "0"): "gamma_x must be positive and finite, got 0.0",
+        ("sweep", "--dt-min", "0.1", "--dt-max", "1.0", "--points", "3", "--gamma-x", "inf"):
+            "gamma_x must be positive and finite, got inf",
+        ("amplitudes", "--ratio", "3", "--gamma-x", "nan"): "gamma_x must be positive and finite, got nan",
+        ("sweep", "--dt-min", "0.1", "--dt-max", "-1", "--points", "3"):
+            "dt_max must be non-negative and finite, got -1.0",
+        ("sweep", "--dt-min", "0.1", "--dt-max", "inf", "--points", "3"):
+            "dt_max must be non-negative and finite, got inf",
+        ("sweep", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt-min", "1e9", "--dt-max", "1e10", "--points", "2"):
+            "gamma_x * dt_max must be finite, got 1e+300 * 10000000000.0",
+    }
+    capsys.readouterr()
     for argv in (
+        *map(list, named),
         ["amplitudes", "--dt", "nan"],
         ["amplitudes", "--gamma-b", "inf"],
         ["amplitudes", "--dt", "inf"],
         ["secure-rate", "--alice", "eb", "--eve", "ex", "--dt", "nan"],
-        ["sweep", "--dt-min", "0.1", "--dt-max", "inf", "--points", "3"],
         ["optimize-dt", "--alice", "eb", "--eve", "ex", "--dt-max", "inf"],
         ["validate", "--step", "nan"],
         # finite input whose gx_dt = gamma_x * dt overflows
         ["amplitudes", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt", "1e10"],
         ["secure-rate", "--alice", "eb", "--eve", "ex", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt", "1e10"],
-        ["sweep", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt-min", "1e9", "--dt-max", "1e10", "--points", "2"],
         ["optimize-dt", "--alice", "eb", "--eve", "ex", "--gamma-x", "1e300", "--dt-max", "1e10"],
         # a dephasing factor outside [0, 1]
         *([*cmd, "--dephase", d] for d in ("1.5", "nan") for cmd in (
             ["sweep", "--dt-min", "0.1", "--dt-max", "1.0", "--points", "3"],
+            ["sweep", "--ghz", "--dt-min", "0.1", "--dt-max", "1.0", "--points", "3"],
             ["secure-rate", "--alice", "eb", "--eve", "ex"],
             ["optimize-dt", "--alice", "eb", "--eve", "ex"],
         )),
     ):
         code, out = run_main(argv)
         assert (code, out) == (2, ""), argv
+        err = capsys.readouterr().err
+        if tuple(argv) in named:
+            assert err == f"error: {named[tuple(argv)]}\n", argv
     with pytest.raises(SystemExit) as exc:
         run_main(["no-such-command"])
     assert exc.value.code == 2

@@ -468,10 +468,11 @@ FIG4_SPLITS = [EveSplit.from_alice_eve(alice, eve)
 @example(ratio=1.0, d=None, dts=[0.0, LN2, 800.0])  # equal rates
 @example(ratio=20.0, d=0.0, dts=[0.0, 1e-3, 40.0])
 def test_branch_table_matches_the_dense_table(ratio, d, dts):
-    # the grid commands' 3x3 branch path against the 16x16 path, with GHZ
-    # as the last slice: all 16 masks, the 7 channels and the 5 fig4 splits
+    # the grid commands' 3x3 branch path against the 16x16 path, with the
+    # grid evaluator's GHZ density as the last slice: all 16 masks, the 7
+    # channels and the 5 fig4 splits
     grid = grid_params(dts, gamma_b=ratio)
-    branch = cascade.branch_densities(cascade.grid_amplitudes(ratio, 1.0, dts), d, ghz=True)
+    branch = np.concatenate([cascade.branch_densities(cascade.grid_amplitudes(ratio, 1.0, dts), d), cli._GHZ_DENSITY])
     dense = np.concatenate([grid_stack(grid, 1.0 if d is None else d), ghz_density()[None]])
     got = entanglement.subset_entropies(branch, range(16))
     want = entanglement.subset_entropies(dense, range(16))
