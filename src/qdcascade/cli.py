@@ -115,6 +115,14 @@ def _table(columns: dict, n: int) -> tuple[list[str], list[list[float]]]:
 _GHZ_DENSITY = cascade.branch_densities(cascade.Amplitudes(*cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real))
 _GHZ_DENSITY.flags.writeable = False
 _CHANNEL_COLUMNS = {f"mi_ch{ch.id}": ch for ch in entanglement.enumerate_channels()}
+# fig4's columns: (Alice, Eve) of each split, built once so that each split's masks are too
+_FIG4_SPLITS = {name: EveSplit.from_alice_eve(*split) for name, split in {
+    "cmi_ch1_eve_early_x": ({ModeLabel.EARLY_B}, {ModeLabel.EARLY_X}),
+    "cmi_ch1_eve_late_b": ({ModeLabel.EARLY_B}, {ModeLabel.LATE_B}),
+    "cmi_ch1_eve_late_x": ({ModeLabel.EARLY_B}, {ModeLabel.LATE_X}),
+    "cmi_ch5_eve_late_b": ({ModeLabel.EARLY_B, ModeLabel.EARLY_X}, {ModeLabel.LATE_B}),
+    "cmi_ch5_eve_late_x": ({ModeLabel.EARLY_B, ModeLabel.EARLY_X}, {ModeLabel.LATE_X}),
+}.items()}
 
 
 def _grid_measures(rho: np.ndarray | None, measures: dict) -> tuple[dict, dict]:
@@ -167,7 +175,7 @@ def optimize_delay(
     bracket: tuple[float, float],
     dephase: float | None = None,
 ) -> tuple[float, float]:
-    """Locate the delay maximizing the secret rate inside ``bracket``.
+    """Locate the delay maximizing the secret rate inside ``bracket``, two ``DecayParams`` delays.
 
     Each round evaluates one grid as a stack of branch densities and narrows
     to the two cells around its best point: a 64-point first grid guards
@@ -177,7 +185,9 @@ def optimize_delay(
     rate, so an optimum at the edge comes back as exactly ``lo`` or ``hi``.
     """
     lo, hi = bracket
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    DecayParams.check(gamma_b, gamma_x, lo, "dt_min")
+    DecayParams.check(gamma_b, gamma_x, hi, "dt_max")
+    if not lo < hi:
         raise ValueError(f"empty or unbounded bracket: ({lo}, {hi})")
     tol = REFINE_TOL_FRACTION * (hi - lo)
     a, b, points = lo, hi, COARSE_SCAN_POINTS
@@ -209,18 +219,10 @@ def fig4_table() -> tuple[list[str], list[list[float]]]:
     """Secret rates across the delay grid for the single-mode channel (Alice
     holds early-B, Eve takes one of Bob's three modes) and the balanced
     early|late channel (Eve takes either late mode), with GHZ baselines."""
-    eb, ex, lb, lx = ModeLabel
-    splits = {  # column: (Alice, Eve)
-        "cmi_ch1_eve_early_x": ({eb}, {ex}),
-        "cmi_ch1_eve_late_b": ({eb}, {lb}),
-        "cmi_ch1_eve_late_x": ({eb}, {lx}),
-        "cmi_ch5_eve_late_b": ({eb, ex}, {lb}),
-        "cmi_ch5_eve_late_x": ({eb, ex}, {lx}),
-    }
     grid = FIG_SPEC.grid()
     rho = cascade.branch_densities(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
-    cmi, ghz = _grid_measures(rho, {name: EveSplit.from_alice_eve(*split) for name, split in splits.items()})
-    ch1, ch5 = list(splits)[:3], list(splits)[3:]  # each channel's GHZ baseline, of its first split, follows it
+    cmi, ghz = _grid_measures(rho, _FIG4_SPLITS)
+    ch1, ch5 = [*_FIG4_SPLITS][:3], [*_FIG4_SPLITS][3:]  # each channel's GHZ baseline, of its first split, follows it
     columns = {"gx_dt": FIG_SPEC.gamma_x * grid, **{name: cmi[name] for name in ch1}, "ghz_ch1": ghz[ch1[0]],
                **{name: cmi[name] for name in ch5}, "ghz_ch5": ghz[ch5[0]]}
     return _table(columns, len(grid))

@@ -11,22 +11,22 @@ Every measure is a signed sum of entries of one entropy table,
 computed once and keyed by the subset's 4-bit mask. A caller with several
 measures of one state builds the table once over the union of their
 ``subsets`` and reads it with ``mi_from_table`` and ``cmi_from_table``.
-Each table is checked against subadditivity and the Araki-Lieb inequality,
-so a fault in a reduction or a spectrum that breaks them fails loudly.
+Its row order, folds and checked triples are planned once per mask set,
+and one vectorized pass checks it against subadditivity and Araki-Lieb:
+a fault in a reduction or a spectrum that breaks them fails loudly.
 
 Like ``qmath``, every measure takes a 16x16 density matrix or a stack of
 them, shape (..., 16, 16); one bad matrix fails the whole stack. The table,
-MI and CMI also take a branch density, shape (..., 3, 3): the block of a
-state on the cascade's three branch kets ``cascade.BRANCH_KETS``, zero
-elsewhere, which every reduction keeps at most 3x3. A mask reduces a branch density by a fixed 0/1 fold of its entries; masks
-with equal folds (on the branch kets early-B and late-X take equal bits, as
-do early-X and late-B) share one reduction and one spectrum. Every
-reduction below the whole state is diagonal or holds one coherent 2x2
-block, whose spectrum has a closed form, so a branch table makes one
-eigensolve, the whole state's 3x3 stack under the guards of
-``qmath.vn_entropy``; the reduced spectra share its eigenvalue floor. Per
-grid point fig3 needs 7 reduced spectra for its 15 masks, fig4 6 for its 12.
-``cascade.branch_densities`` builds the CLI's delay-grid states; ``negativity`` does not take them.
+MI and CMI also take a branch density (..., 3, 3) of the delay grids'
+``cascade.branch_densities`` (not ``negativity``): a state's block on the
+branch kets ``cascade.BRANCH_KETS``. A mask reduces it by a fixed 0/1 fold
+of its entries; masks with equal folds (on the branch kets early-B and
+late-X agree, as do early-X and late-B) share one reduction and spectrum.
+Every reduction below the whole state is diagonal or holds one coherent
+2x2 block, whose spectrum has a closed form, so a branch table makes one
+eigensolve, of the whole state's 3x3 stack under ``qmath.vn_entropy``'s
+guards and eigenvalue floor, which all its spectra share. Per grid point
+fig3 needs 7 reduced spectra for its 15 masks, fig4 6 for its 12.
 """
 
 from __future__ import annotations
@@ -151,52 +151,57 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     ``mode_mask`` (mode m is bit 3 - m, early-B the most significant); mask
     0 is the empty subset, whose entropy is that of the trace.
 
-    ``rho`` is a 16x16 density (stack) or a 3x3 branch density (stack). Each
-    distinct mask is computed once. On 16x16 densities that is one
-    ``qmath.vn_entropy`` call per mask, of ``qmath.partial_trace``. On branch
-    densities masks with equal ``_fold`` matrices share one closed-form
-    spectrum; ``_branch_spectra`` stacks them as (..., k, 3) for one Shannon
-    sum under ``vn_entropy``'s eigenvalue floor.
-    The whole state, mask 0b1111, is always in the table and computed first,
-    by ``qmath.vn_entropy``: its entropy validates the stack. The table is
-    then checked against subadditivity and Araki-Lieb.
+    ``rho`` is a 16x16 density (stack) or a 3x3 branch density (stack). The
+    whole state, mask 0b1111, is always in the table and computed first, by
+    ``qmath.vn_entropy``: its entropy validates the stack. ``_table_plan``
+    holds all that the masks alone decide. On 16x16 densities every other
+    mask is one ``qmath.vn_entropy`` of a ``qmath.partial_trace``; on branch
+    densities one product applies all the plan's folds, and the reduced
+    spectra, coherent pairs by ``_pair_spectrum``, take one Shannon sum under
+    ``vn_entropy``'s floor. The table is then checked against subadditivity
+    and Araki-Lieb in one vectorized pass.
     """
     branch = np.shape(rho)[-2:] == (3, 3)
     m = np.asarray(rho) if branch else _four_mode_matrix(rho)
-    table = {ALL_MODES_MASK: qmath.vn_entropy(m)}
-    by_fold: dict[bytes, list[int]] = {}
-    for mask in sorted(set(subsets) - {ALL_MODES_MASK}):
-        if not 0 <= mask < ALL_MODES_MASK:
-            raise ValueError(f"mode mask must lie in 0..15, got {mask}")
-        if branch:
-            by_fold.setdefault(_fold(mask).tobytes(), []).append(mask)
-        else:
-            reduced = qmath.partial_trace(m, FOUR_MODE_DIMS, [mode for mode in ModeLabel if mask & (8 >> mode)])
-            table[mask] = qmath.vn_entropy(reduced)
-    if by_fold:
-        groups = list(by_fold.values())  # equal folds, equal reductions: one spectrum per group
-        s = qmath._spectrum_entropy(_branch_spectra(m, [masks[0] for masks in groups]))
-        table.update((mask, s[..., j][()]) for j, masks in enumerate(groups) for mask in masks)
-    _check_entropy_inequalities(table)
-    return table
+    whole = qmath.vn_entropy(m)
+    order, rows, folds, (j, p, q), triples = _table_plan(frozenset(subsets), branch)
+    if branch and len(order) > 1:
+        reduced = (m.reshape(m.shape[:-2] + (9,)) @ folds).reshape(m.shape[:-2] + (-1, 3, 3))
+        spectra = np.diagonal(reduced, axis1=-2, axis2=-1).real.copy()  # zero-padded, (..., k, 3)
+        a, b = spectra[..., j, p], spectra[..., j, q]
+        spectra[..., j, p], spectra[..., j, q] = _pair_spectrum(a, b, reduced[..., j, p, q])
+        entries = np.concatenate([whole[None], np.moveaxis(qmath._spectrum_entropy(spectra), -1, 0)[rows]])
+    else:
+        entries = np.stack([whole] + [qmath.vn_entropy(qmath.partial_trace(m, FOUR_MODE_DIMS, [
+            mode for mode in ModeLabel if mask & (8 >> mode)])) for mask in order[1:]])
+    _check_entropy_inequalities(entries, order, triples)
+    return dict(zip(order, entries))
 
 
-def _branch_spectra(m: np.ndarray, masks: list[int]) -> np.ndarray:
-    """Zero-padded spectra, shape (..., k, 3), of the branch density ``m``
-    reduced to each of the k ``masks``: the diagonal of sum_ij m_ij F_ij,
-    F = ``_fold(mask)`` (all masks in one product), with the one coherent
-    pair (p, q) of the same fold, if any, replaced by its 2x2 block's
-    ``_pair_spectrum``; no fold below the whole state has two."""
-    folds = np.stack([_fold(mask) for mask in masks], axis=2)
-    reduced = (m.reshape(m.shape[:-2] + (9,)) @ folds.reshape(9, -1)).reshape(m.shape[:-2] + folds.shape[2:])
-    j, p, q = np.nonzero(np.triu(folds.any(axis=(0, 1)), 1))
-    pairs = np.bincount(j, minlength=len(masks))
-    if pairs.max() > 1:
-        raise ArithmeticError(f"the fold of modes {masks[pairs.argmax()]:04b} couples {pairs.max()} branch pairs")
-    spectra = np.diagonal(reduced, axis1=-2, axis2=-1).real.copy()
-    a, b = spectra[..., j, p], spectra[..., j, q]
-    spectra[..., j, p], spectra[..., j, q] = _pair_spectrum(a, b, reduced[..., j, p, q])
-    return spectra
+@functools.lru_cache(maxsize=32)
+def _table_plan(masks: frozenset[int], branch: bool) -> tuple:
+    """A table's keys in row order (the whole state, then ascending masks, on
+    the branch path each after the first of equal ``_fold``), the distinct
+    fold of each later row, those folds as one read-only (9, 9k) matrix, the
+    pair (p, q) that fold j couples, and the rows of each checked X, Y, XY.
+    Not cached when it raises: a bad mask, or a fold coupling two pairs."""
+    if not masks <= set(range(16)):
+        raise ValueError(f"mode mask must lie in 0..15, got {min(masks - set(range(16)))}")
+    groups: dict[bytes | int, list[int]] = {}  # equal folds, equal reductions: one spectrum per group
+    for mask in sorted(masks - {ALL_MODES_MASK}):
+        groups.setdefault(_fold(mask).tobytes() if branch else mask, []).append(mask)
+    order = (ALL_MODES_MASK, *itertools.chain(*groups.values()))
+    folds = np.stack([_fold(g[0]) for g in groups.values() if branch] or [np.zeros((3,) * 4)], axis=2).reshape(9, -1)
+    folds.flags.writeable = False
+    j, p, q = np.nonzero(np.triu(folds.reshape(9, -1, 3, 3).any(axis=0), 1))
+    pairs = np.bincount(j)
+    if np.any(pairs > 1):
+        raise ArithmeticError(
+            f"the fold of modes {[*groups.values()][pairs.argmax()][0]:04b} couples {pairs.max()} branch pairs")
+    row = {mask: i for i, mask in enumerate(order)}
+    triples = [(row[x], row[y], row[x | y]) for x, y in itertools.combinations(order, 2) if not x & y and x | y in row]
+    rows = [i for i, g in enumerate(groups.values()) for _ in g]
+    return order, np.array(rows, dtype=np.intp), folds, (j, p, q), np.array(triples, dtype=np.intp).reshape(-1, 3).T
 
 
 def _pair_spectrum(a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -228,25 +233,28 @@ def _fold(mask: int) -> np.ndarray:
     return fold
 
 
-def _check_entropy_inequalities(table: dict[int, float | np.ndarray]) -> None:
+def _check_entropy_inequalities(entries: np.ndarray, masks: tuple[int, ...], triples: np.ndarray) -> None:
     """Raise ArithmeticError unless, for each pair of disjoint subsets X, Y
     whose union is in the table too, subadditivity S(XY) <= S(X) + S(Y) and
-    Araki-Lieb |S(X) - S(Y)| <= S(XY) hold within ENTROPY_INEQUALITY_ATOL.
+    Araki-Lieb |S(X) - S(Y)| <= S(XY) hold within ENTROPY_INEQUALITY_ATOL on
+    ``entries``, the table of ``masks`` stacked row by row, for the rows
+    (X, Y, XY) in ``triples``; the error names the first failing pair in
+    ``itertools.combinations`` order over the rows.
 
     For Y the complement of X and a pure state, Araki-Lieb is
     S(X) = S(complement of X): unless the two masks have equal folds, both
     sides come from different reductions and spectra, so a fault in
     either shows.
     """
-    for x, y in itertools.combinations(table, 2):
-        if x & y or (x | y) not in table:
-            continue
-        sx, sy, sxy = table[x], table[y], table[x | y]
-        excess = np.max(np.maximum(sxy - sx - sy, np.abs(sx - sy) - sxy))
-        if not excess <= ENTROPY_INEQUALITY_ATOL:
-            raise ArithmeticError(
-                f"entropies of modes {x:04b} and {y:04b} break subadditivity or Araki-Lieb by {excess:.3e}"
-            )
+    sx, sy, sxy = entries[triples]
+    excess = np.maximum(sxy - sx - sy, np.abs(sx - sy) - sxy)
+    worst = np.max(excess, axis=tuple(range(1, excess.ndim)))
+    failed = np.flatnonzero(~(worst <= ENTROPY_INEQUALITY_ATOL))  # NaN fails
+    if failed.size:
+        x, y, _ = (masks[i] for i in triples[:, failed[0]])
+        raise ArithmeticError(
+            f"entropies of modes {x:04b} and {y:04b} break subadditivity or Araki-Lieb by {worst[failed[0]]:.3e}"
+        )
 
 
 def _clamp_roundoff(value, what: str):

@@ -1,5 +1,6 @@
 """Channel enumeration, mutual information, secret rates, negativity."""
 
+import functools
 import itertools
 import math
 
@@ -412,6 +413,12 @@ def kept_modes(mask):
     return [m for m in ModeLabel if mask >> (3 - m) & 1]
 
 
+def assert_same_table(got, want):
+    assert list(got) == list(want)
+    for mask in want:
+        assert got[mask].tobytes() == want[mask].tobytes(), mask
+
+
 def test_mode_mask_bit_order():
     assert entanglement.mode_mask(()) == 0
     assert entanglement.mode_mask({EB}) == 0b1000
@@ -438,6 +445,17 @@ def test_subset_entropies_equal_each_reduced_entropy(gb, dts, d, seed):
 def test_subset_entropies_of_pure_cascade_states():
     grid = grid_params(np.geomspace(0.01, 10.0, 40))
     table = entanglement.subset_entropies(grid_stack(grid), range(16))
+    # one plan per mask set: the masks in any iterable, order or multiplicity
+    # give the same table, the whole state first, then ascending masks, on
+    # the branch path each after the first mask of equal fold
+    branch = cascade.branch_densities(cascade.grid_amplitudes(2.0, 1.0, [p.delta_t for p in grid]))
+    masks = [0b0110, 0b1000, 0b0001, 0b1001]
+    for rho, order in ((grid_stack(grid), [0b1111, 0b0001, 0b0110, 0b1000, 0b1001]),
+                       (branch, [0b1111, 0b0001, 0b1000, 0b0110, 0b1001])):
+        want = entanglement.subset_entropies(rho, masks)
+        assert list(want) == order
+        for given in (masks + masks[::2], set(masks), (mask for mask in masks), masks[::-1]):
+            assert_same_table(entanglement.subset_entropies(rho, given), want)
     for mask in range(16):
         np.testing.assert_allclose(table[mask], table[0b1111 ^ mask], rtol=0.0, atol=1e-10)
     # one mode: early-B and late-X are empty only on the alpha branch,
@@ -449,8 +467,9 @@ def test_subset_entropies_of_pure_cascade_states():
 
 
 def test_subset_entropies_reject_bad_masks():
-    with pytest.raises(ValueError, match="mask"):
-        entanglement.subset_entropies(ghz_density(), [16])
+    for rho in (ghz_density(), cli._GHZ_DENSITY) * 2:  # a plan that raised is not cached
+        with pytest.raises(ValueError, match="mode mask must lie in 0..15, got 16"):
+            entanglement.subset_entropies(rho, [16])
     with pytest.raises(ValueError, match="dimension"):
         entanglement.subset_entropies(np.eye(8) / 8, [1])
 
@@ -487,6 +506,45 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
     for split in FIG4_SPLITS:
         np.testing.assert_allclose(entanglement.cmi_from_table(got, split), entanglement.cmi_from_table(want, split),
                                    rtol=0.0, atol=1e-12, err_msg=str(split))
+
+
+def pairwise_excesses(table):
+    """(X, Y, worst excess) of each pair the table check covers, in its
+    order: the pairwise loop it replaced."""
+    return [(x, y, np.max(np.maximum(table[x | y] - table[x] - table[y], np.abs(table[x] - table[y]) - table[x | y])))
+            for x, y in itertools.combinations(table, 2) if not x & y and x | y in table]
+
+
+@pytest.mark.parametrize("point", [0, 100, 200])
+def test_table_check_flags_one_entry_past_its_tolerance(point):
+    # fig3's table of 200 grid points and the GHZ state, one entry changed at
+    # one point; the pairwise loop names the pair the check must name
+    rho = np.concatenate([cascade.branch_densities(cascade.grid_amplitudes(2.0, 1.0, cli.FIG_SPEC.grid())),
+                          cli._GHZ_DENSITY])
+    masks = frozenset(mask for ch in entanglement.enumerate_channels() for mask in ch.subsets)
+    table = entanglement.subset_entropies(rho, masks)
+    order, *_, triples = entanglement._table_plan(masks, True)
+    assert len(rho) == 201 and list(table) == list(order)
+    atol = entanglement.ENTROPY_INEQUALITY_ATOL
+    # S(1111) enters only |S(X) - S(~X)| - S(1111), Araki-Lieb of the
+    # complementary pairs: at D - atol, D the largest |S(X) - S(~X)| at the
+    # point, the worst excess is exactly atol (D - atol is exact in binary)
+    edge = max(abs(table[x][point] - table[0b1111 ^ x][point]) for x in table if x != 0b1111) - atol
+    row = {mask: i for i, mask in enumerate(order)}
+    for mask, value, passes in ((0b1111, edge, True), (0b1111, np.nextafter(edge, -1.0), False),
+                                (0b1111, np.nan, False), (0b0110, np.nan, False),
+                                (0b0110, table[0b0110][point] + atol * (1.0 + 1e-3), False)):
+        entries = np.stack(list(table.values()))
+        entries[row[mask], point] = value
+        excesses = pairwise_excesses(dict(zip(order, entries)))
+        failed = [(x, y, e) for x, y, e in excesses if not e <= atol]
+        if passes:
+            assert max(e for *_, e in excesses) == atol and not failed
+            entanglement._check_entropy_inequalities(entries, order, triples)
+            continue
+        x, y, excess = failed[0]
+        with pytest.raises(ArithmeticError, match=f"modes {x:04b} and {y:04b} .* by {excess:.3e}$"):
+            entanglement._check_entropy_inequalities(entries, order, triples)
 
 
 def _pair_blocks(rng, n):
@@ -529,23 +587,41 @@ def test_table_check_catches_a_reduction_of_the_wrong_modes(monkeypatch):
         entanglement.mutual_information(final_density(POINT), entanglement.channel_by_id(5))
 
 
+def patch_folds(monkeypatch, fold):
+    """Replace ``_fold`` for the test, with a table-plan cache of its own: a
+    plan cached before the patch would hide the fault, and one built under
+    it must not outlive the test."""
+    monkeypatch.setattr(entanglement, "_fold", fold)
+    plan = entanglement._table_plan
+    monkeypatch.setattr(entanglement, "_table_plan", functools.lru_cache(**plan.cache_parameters())(plan.__wrapped__))
+
+
 def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
     # the same fault on the branch path: keep only the last mode of each
     # subset, in the fold the tables group and reduce by
-    fold = entanglement._fold
-    monkeypatch.setattr(entanglement, "_fold", lambda mask: fold(mask & -mask))
     rho = cascade.branch_densities(cascade.amplitudes(POINT))
-    with pytest.raises(ArithmeticError, match="0100 and 1000 .* Araki-Lieb"):
-        entanglement.conditional_mutual_information(rho, EveSplit.from_alice_eve({EB}, {EX}))
-    with pytest.raises(ArithmeticError, match="0011 and 1100 .* Araki-Lieb"):
-        entanglement.mutual_information(rho, entanglement.channel_by_id(5))
+    split = EveSplit.from_alice_eve({EB}, {EX})
+    before = entanglement.subset_entropies(rho, split.subsets)
+    fold = entanglement._fold
+    with monkeypatch.context() as patched:
+        patch_folds(patched, lambda mask: fold(mask & -mask))
+        with pytest.raises(ArithmeticError, match="0100 and 1000 .* Araki-Lieb"):
+            entanglement.conditional_mutual_information(rho, split)
+        with pytest.raises(ArithmeticError, match="0011 and 1100 .* Araki-Lieb"):
+            entanglement.mutual_information(rho, entanglement.channel_by_id(5))
+    # the faulty plans went with the patch
+    assert_same_table(entanglement.subset_entropies(rho, split.subsets), before)
 
 
 def test_branch_table_rejects_a_fold_with_two_coherent_pairs(monkeypatch):
     # no fold below the whole state couples more than one pair of branches;
     # the whole state's own fold, which couples all three, stands in for one
-    fold = entanglement._fold
-    monkeypatch.setattr(entanglement, "_fold", lambda mask: fold(0b1111))
     rho = cascade.branch_densities(cascade.amplitudes(POINT))
-    with pytest.raises(ArithmeticError, match="modes 1000 couples 3 branch pairs"):
-        entanglement.subset_entropies(rho, [0b1000])
+    before = entanglement.subset_entropies(rho, [0b1000])
+    fold = entanglement._fold
+    with monkeypatch.context() as patched:
+        patch_folds(patched, lambda mask: fold(0b1111))
+        for _ in range(2):  # a plan that raised is not cached
+            with pytest.raises(ArithmeticError, match="modes 1000 couples 3 branch pairs"):
+                entanglement.subset_entropies(rho, [0b1000])
+    assert_same_table(entanglement.subset_entropies(rho, [0b1000]), before)
