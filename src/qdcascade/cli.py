@@ -592,7 +592,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = _with_config(argv, args)
         return args.handler(args)
     # LinAlgError subclasses ValueError, so it is caught before bad arguments
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
     except ValueError as exc:

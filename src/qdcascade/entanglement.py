@@ -11,7 +11,7 @@ Every measure is a signed sum of entries of one entropy table,
 computed once and keyed by the subset's 4-bit mask. A caller with several
 measures of one state builds the table once over the union of their
 ``subsets`` and reads it with ``mi_from_table`` and ``cmi_from_table``.
-Its row order, folds and checked triples are planned once per mask set,
+Its row order, reductions and checked triples are planned once per mask set,
 and one vectorized pass checks it against subadditivity and Araki-Lieb:
 a fault in a reduction or a spectrum that breaks them fails loudly.
 
@@ -19,14 +19,12 @@ Like ``qmath``, every measure takes a 16x16 density matrix or a stack of
 them, shape (..., 16, 16); one bad matrix fails the whole stack. The table,
 MI and CMI also take a branch density (..., 3, 3) of the delay grids'
 ``cascade.branch_densities`` (not ``negativity``): a state's block on the
-branch kets ``cascade.BRANCH_KETS``. A mask reduces it by a fixed 0/1 fold
-of its entries; masks with equal folds (on the branch kets early-B and
-late-X agree, as do early-X and late-B) share one reduction and spectrum.
-Every reduction below the whole state is diagonal or holds one coherent
-2x2 block, whose spectrum has a closed form, so a branch table makes one
+branch kets ``cascade.BRANCH_KETS``. Tracing out modes merges the kets
+that agree on the kept modes, adding their populations, and keeps the
+coherence of the one pair of kets, if any, that agree on the traced modes:
+a 2x2 block with a closed-form spectrum. So a branch table makes one
 eigensolve, of the whole state's 3x3 stack under ``qmath.vn_entropy``'s
-guards and eigenvalue floor, which all its spectra share. Per grid point
-fig3 needs 7 reduced spectra for its 15 masks, fig4 6 for its 12.
+guards and eigenvalue floor, which all its spectra share.
 """
 
 from __future__ import annotations
@@ -156,20 +154,19 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     ``qmath.vn_entropy``: its entropy validates the stack. ``_table_plan``
     holds all that the masks alone decide. On 16x16 densities every other
     mask is one ``qmath.vn_entropy`` of a ``qmath.partial_trace``; on branch
-    densities one product applies all the plan's folds, and the reduced
-    spectra, coherent pairs by ``_pair_spectrum``, take one Shannon sum under
-    ``vn_entropy``'s floor. The table is then checked against subadditivity
-    and Araki-Lieb in one vectorized pass.
+    densities one product sums the populations that each reduction merges,
+    the coherent pairs take ``_pair_spectrum``, and the spectra take one
+    Shannon sum under ``vn_entropy``'s floor. The table is then checked
+    against subadditivity and Araki-Lieb in one vectorized pass.
     """
     branch = np.shape(rho)[-2:] == (3, 3)
     m = np.asarray(rho) if branch else _four_mode_matrix(rho)
     whole = qmath.vn_entropy(m)
-    order, rows, folds, (j, p, q), triples = _table_plan(frozenset(subsets), branch)
+    order, rows, groups, (r, i, j, gi, gj), triples = _table_plan(frozenset(subsets))
     if branch and len(order) > 1:
-        reduced = (m.reshape(m.shape[:-2] + (9,)) @ folds).reshape(m.shape[:-2] + (-1, 3, 3))
-        spectra = np.diagonal(reduced, axis1=-2, axis2=-1).real.copy()  # zero-padded, (..., k, 3)
-        a, b = spectra[..., j, p], spectra[..., j, q]
-        spectra[..., j, p], spectra[..., j, q] = _pair_spectrum(a, b, reduced[..., j, p, q])
+        spectra = (np.diagonal(m, axis1=-2, axis2=-1).real @ groups).reshape(m.shape[:-2] + (-1, 3))  # zero-padded
+        spectra[..., r, gi], spectra[..., r, gj] = _pair_spectrum(
+            spectra[..., r, gi], spectra[..., r, gj], m[..., i, j])
         entries = np.concatenate([whole[None], np.moveaxis(qmath._spectrum_entropy(spectra), -1, 0)[rows]])
     else:
         entries = np.stack([whole] + [qmath.vn_entropy(qmath.partial_trace(m, FOUR_MODE_DIMS, [
@@ -179,29 +176,29 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
 
 
 @functools.lru_cache(maxsize=32)
-def _table_plan(masks: frozenset[int], branch: bool) -> tuple:
-    """A table's keys in row order (the whole state, then ascending masks, on
-    the branch path each after the first of equal ``_fold``), the distinct
-    fold of each later row, those folds as one read-only (9, 9k) matrix, the
-    pair (p, q) that fold j couples, and the rows of each checked X, Y, XY.
-    Not cached when it raises: a bad mask, or a fold coupling two pairs."""
+def _table_plan(masks: frozenset[int]) -> tuple:
+    """A table's keys in row order (the whole state, then ascending masks);
+    the spectrum of each later row, one per distinct ``_reduction``; their
+    groups as one read-only (3, 3k) 0/1 matrix, column 3s + g summing the
+    populations of spectrum s's group g; the coherent pairs as index arrays
+    (spectrum, ket i, ket j, group of i, group of j); and the rows of each
+    checked X, Y, XY. Not cached when it raises: a bad mask, or a reduction
+    coupling two pairs."""
     if not masks <= set(range(16)):
         raise ValueError(f"mode mask must lie in 0..15, got {min(masks - set(range(16)))}")
-    groups: dict[bytes | int, list[int]] = {}  # equal folds, equal reductions: one spectrum per group
-    for mask in sorted(masks - {ALL_MODES_MASK}):
-        groups.setdefault(_fold(mask).tobytes() if branch else mask, []).append(mask)
-    order = (ALL_MODES_MASK, *itertools.chain(*groups.values()))
-    folds = np.stack([_fold(g[0]) for g in groups.values() if branch] or [np.zeros((3,) * 4)], axis=2).reshape(9, -1)
-    folds.flags.writeable = False
-    j, p, q = np.nonzero(np.triu(folds.reshape(9, -1, 3, 3).any(axis=0), 1))
-    pairs = np.bincount(j)
-    if np.any(pairs > 1):
-        raise ArithmeticError(
-            f"the fold of modes {[*groups.values()][pairs.argmax()][0]:04b} couples {pairs.max()} branch pairs")
+    order = (ALL_MODES_MASK, *sorted(masks - {ALL_MODES_MASK}))
+    for mask in order[1:]:
+        if len(pairs := _reduction(mask)[1]) > 1:
+            raise ArithmeticError(f"the reduction to modes {mask:04b} couples {len(pairs)} branch pairs")
+    distinct: dict[tuple, int] = {}  # masks that reduce alike share one spectrum
+    rows = np.array([distinct.setdefault(_reduction(mask), len(distinct)) for mask in order[1:]], dtype=np.intp)
+    kets = range(len(BRANCH_KETS))
+    groups = np.array([[g[i] == c for g, _ in distinct for c in kets] for i in kets], dtype=float)
+    groups.flags.writeable = False
+    pairs = np.array([(r, i, j, g[i], g[j]) for r, (g, p) in enumerate(distinct) for i, j in p], dtype=np.intp)
     row = {mask: i for i, mask in enumerate(order)}
     triples = [(row[x], row[y], row[x | y]) for x, y in itertools.combinations(order, 2) if not x & y and x | y in row]
-    rows = [i for i, g in enumerate(groups.values()) for _ in g]
-    return order, np.array(rows, dtype=np.intp), folds, (j, p, q), np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    return order, rows, groups, pairs.reshape(-1, 5).T, np.array(triples, dtype=np.intp).reshape(-1, 3).T
 
 
 def _pair_spectrum(a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -215,22 +212,17 @@ def _pair_spectrum(a, b, c) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _fold(mask: int) -> np.ndarray:
-    """The 0/1 matrix F, shape (k, k, k, k) for the k ``BRANCH_KETS``, that
-    reduces a branch density m to the modes of ``mask``: V (m o C) V^T over
-    the g <= k distinct restrictions of the kets to ``mask``, where C_ij = 1
-    if kets i and j agree off ``mask`` and V merges the kets that agree on
-    it, is sum_ij m_ij F_ij, zero-padded from g x g to k x k. Distinct masks
-    can have equal folds. Each fold is built on first use and kept
-    read-only."""
-    groups = sorted({ket & mask for ket in BRANCH_KETS})
-    k = len(BRANCH_KETS)
-    fold = np.zeros((k, k, k, k))
-    for (i, a), (j, b) in itertools.product(enumerate(BRANCH_KETS), repeat=2):
-        if (a ^ b) & ~mask == 0:
-            fold[i, j, groups.index(a & mask), groups.index(b & mask)] = 1.0
-    fold.flags.writeable = False
-    return fold
+def _reduction(mask: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """How tracing a branch density down to the modes of ``mask`` acts on
+    ``BRANCH_KETS``: ket i joins group ``groups[i]``, the index of its
+    restriction to ``mask`` among the distinct ones in ascending order, and
+    the populations of one group add; the coherence of kets i < j survives,
+    at (group of i, group of j), for each (i, j) in ``pairs``, the kets
+    that differ on ``mask`` only."""
+    restrictions = sorted({ket & mask for ket in BRANCH_KETS})
+    groups = tuple(restrictions.index(ket & mask) for ket in BRANCH_KETS)
+    pairs = tuple((i, j) for (i, a), (j, b) in itertools.combinations(enumerate(BRANCH_KETS), 2) if not (a ^ b) & ~mask)
+    return groups, pairs
 
 
 def _check_entropy_inequalities(entries: np.ndarray, masks: tuple[int, ...], triples: np.ndarray) -> None:
@@ -242,7 +234,7 @@ def _check_entropy_inequalities(entries: np.ndarray, masks: tuple[int, ...], tri
     ``itertools.combinations`` order over the rows.
 
     For Y the complement of X and a pure state, Araki-Lieb is
-    S(X) = S(complement of X): unless the two masks have equal folds, both
+    S(X) = S(complement of X): unless the two masks reduce alike, both
     sides come from different reductions and spectra, so a fault in
     either shows.
     """

@@ -47,19 +47,24 @@ def final_density(params):
     return qmath.density_from_state(cascade.final_state(params))
 
 
-def protected_rate_closed_form(gx_dt):
-    """I(eB : lB lX | eX) at gamma_b : gamma_x = 2 : 1, from the branch weights.
+def protected_rate(alpha2, beta2, gamma2):
+    """I(eB : lB lX | eX) of the pure state with these branch weights.
 
     The state is pure, so I(A:BE) = 2 S(eB) = 2 h(alpha^2). The early modes
     are diagonal (the late patterns 00, 01, 11 are distinct), so
     I(A:E) = h(alpha^2) + h(gamma^2) - H(alpha^2, beta^2, gamma^2).
     """
-    a = cascade.amplitudes(DecayParams(2.0, 1.0, gx_dt))
     return (
-        oracle_math.shannon_entropy((a.alpha2, a.beta2, a.gamma2))
-        + oracle_math.binary_entropy(a.alpha2)
-        - oracle_math.binary_entropy(a.gamma2)
+        oracle_math.shannon_entropy((alpha2, beta2, gamma2))
+        + oracle_math.binary_entropy(alpha2)
+        - oracle_math.binary_entropy(gamma2)
     )
+
+
+def protected_rate_closed_form(gx_dt):
+    """``protected_rate`` at gamma_b : gamma_x = 2 : 1 and gamma_x dt = gx_dt."""
+    a = cascade.amplitudes(DecayParams(2.0, 1.0, gx_dt))
+    return protected_rate(a.alpha2, a.beta2, a.gamma2)
 
 
 def protected_rate_argmax(lo, hi):
@@ -179,8 +184,9 @@ def test_criterion_07_secret_rate_optimum():
     assert abs(dt_star - dt_oracle) <= 1e-4, (
         f"argmax gx_dt = {dt_star:.8f}, closed form gives {dt_oracle:.8f}"
     )
-    for gx_dt in np.geomspace(1e-3, 10.0, 20001)[1:-1]:
-        assert protected_rate_closed_form(float(gx_dt)) <= cmi_star + 1e-12
+    grid = cascade.grid_amplitudes(2.0, 1.0, np.geomspace(1e-3, 10.0, 20001)[1:-1])
+    for weights in zip(grid.alpha2.tolist(), grid.beta2.tolist(), grid.gamma2.tolist()):
+        assert protected_rate(*weights) <= cmi_star + 1e-12
 
     # the quoted 1.9084 is the rate at the half-occupation point
     # gx_dt = ln2/2 (alpha^2 = 1/2), not the maximum

@@ -730,6 +730,7 @@ def test_cli_long_delay_exit_code():
     [
         ((entanglement, "conditional_mutual_information"), ArithmeticError("paths disagree")),
         ((np.linalg, "eigvalsh"), np.linalg.LinAlgError("eigenvalues did not converge")),
+        ((cascade, "dephased_density"), MemoryError("Unable to allocate")),
     ],
 )
 def test_cli_numerical_error_exit_code(monkeypatch, target, error):

@@ -446,12 +446,11 @@ def test_subset_entropies_of_pure_cascade_states():
     grid = grid_params(np.geomspace(0.01, 10.0, 40))
     table = entanglement.subset_entropies(grid_stack(grid), range(16))
     # one plan per mask set: the masks in any iterable, order or multiplicity
-    # give the same table, the whole state first, then ascending masks, on
-    # the branch path each after the first mask of equal fold
+    # give the same table, the whole state first, then ascending masks
     branch = cascade.branch_densities(cascade.grid_amplitudes(2.0, 1.0, [p.delta_t for p in grid]))
     masks = [0b0110, 0b1000, 0b0001, 0b1001]
     for rho, order in ((grid_stack(grid), [0b1111, 0b0001, 0b0110, 0b1000, 0b1001]),
-                       (branch, [0b1111, 0b0001, 0b1000, 0b0110, 0b1001])):
+                       (branch, [0b1111, 0b0001, 0b0110, 0b1000, 0b1001])):
         want = entanglement.subset_entropies(rho, masks)
         assert list(want) == order
         for given in (masks + masks[::2], set(masks), (mask for mask in masks), masks[::-1]):
@@ -523,7 +522,7 @@ def test_table_check_flags_one_entry_past_its_tolerance(point):
                           cli._GHZ_DENSITY])
     masks = frozenset(mask for ch in entanglement.enumerate_channels() for mask in ch.subsets)
     table = entanglement.subset_entropies(rho, masks)
-    order, *_, triples = entanglement._table_plan(masks, True)
+    order, *_, triples = entanglement._table_plan(masks)
     assert len(rho) == 201 and list(table) == list(order)
     atol = entanglement.ENTROPY_INEQUALITY_ATOL
     # S(1111) enters only |S(X) - S(~X)| - S(1111), Araki-Lieb of the
@@ -587,24 +586,24 @@ def test_table_check_catches_a_reduction_of_the_wrong_modes(monkeypatch):
         entanglement.mutual_information(final_density(POINT), entanglement.channel_by_id(5))
 
 
-def patch_folds(monkeypatch, fold):
-    """Replace ``_fold`` for the test, with a table-plan cache of its own: a
-    plan cached before the patch would hide the fault, and one built under
-    it must not outlive the test."""
-    monkeypatch.setattr(entanglement, "_fold", fold)
+def patch_folds(monkeypatch, reduction):
+    """Replace ``_reduction`` for the test, with a table-plan cache of its
+    own: a plan cached before the patch would hide the fault, and one built
+    under it must not outlive the test."""
+    monkeypatch.setattr(entanglement, "_reduction", reduction)
     plan = entanglement._table_plan
     monkeypatch.setattr(entanglement, "_table_plan", functools.lru_cache(**plan.cache_parameters())(plan.__wrapped__))
 
 
 def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
     # the same fault on the branch path: keep only the last mode of each
-    # subset, in the fold the tables group and reduce by
+    # subset, in the reduction the tables merge populations by
     rho = cascade.branch_densities(cascade.amplitudes(POINT))
     split = EveSplit.from_alice_eve({EB}, {EX})
     before = entanglement.subset_entropies(rho, split.subsets)
-    fold = entanglement._fold
+    reduction = entanglement._reduction
     with monkeypatch.context() as patched:
-        patch_folds(patched, lambda mask: fold(mask & -mask))
+        patch_folds(patched, lambda mask: reduction(mask & -mask))
         with pytest.raises(ArithmeticError, match="0100 and 1000 .* Araki-Lieb"):
             entanglement.conditional_mutual_information(rho, split)
         with pytest.raises(ArithmeticError, match="0011 and 1100 .* Araki-Lieb"):
@@ -614,13 +613,13 @@ def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
 
 
 def test_branch_table_rejects_a_fold_with_two_coherent_pairs(monkeypatch):
-    # no fold below the whole state couples more than one pair of branches;
-    # the whole state's own fold, which couples all three, stands in for one
+    # no reduction below the whole state couples more than one pair of
+    # branches; the whole state's own, which couples all three, stands in
     rho = cascade.branch_densities(cascade.amplitudes(POINT))
     before = entanglement.subset_entropies(rho, [0b1000])
-    fold = entanglement._fold
+    reduction = entanglement._reduction
     with monkeypatch.context() as patched:
-        patch_folds(patched, lambda mask: fold(0b1111))
+        patch_folds(patched, lambda mask: reduction(0b1111))
         for _ in range(2):  # a plan that raised is not cached
             with pytest.raises(ArithmeticError, match="modes 1000 couples 3 branch pairs"):
                 entanglement.subset_entropies(rho, [0b1000])
