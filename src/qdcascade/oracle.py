@@ -10,16 +10,16 @@ Two routes that never touch the closed-form amplitude expressions:
   pattern (early-B, early-X, late-B, late-X) by comparing its waiting
   times with the delay, in two buffers each worker reuses across blocks.
 
-Both are deterministic: the sampler is keyed by a 64-bit seed through a
-counter-based generator (Philox), with per-block streams derived by a
-splitmix-style scramble so totals do not depend on how many workers run.
+Both are deterministic: block k of the sampler draws from SFC64 seeded by
+``SeedSequence(seed, spawn_key=(k,))``, numpy's k-th spawned child of the
+64-bit seed, so no two (seed, block) pairs share a stream and totals do not
+depend on how many workers run.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,20 +101,14 @@ def rate_equation_populations(p: DecayParams, step: float) -> Populations:
     return Populations(pb, px, pg)
 
 
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(x: int) -> int:
-    z = (x + _SPLITMIX_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    key = _splitmix64((seed & _MASK64) ^ block_index)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The stream of block ``block_index``: SFC64 on the child that
+    ``SeedSequence(seed mod 2**64).spawn(n)[block_index]`` gives."""
+    entropy = np.random.SeedSequence(seed & _MASK64, spawn_key=(block_index,))
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 def _tally_blocks(p: DecayParams, trials: int, seed: int, first: int, stride: int) -> tuple[int, int]:
@@ -170,6 +164,8 @@ def monte_carlo_patterns(
     if workers == 1:
         tallies = [_tally_blocks(p, trials, seed, 0, 1)]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a multi-worker run pays this import
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             tallies = list(pool.map(lambda w: _tally_blocks(p, trials, seed, w, workers), range(workers)))
     survived, late = (sum(column) for column in zip(*tallies))

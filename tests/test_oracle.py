@@ -1,7 +1,9 @@
 """Rate-equation integrator and quantum-jump trajectory sampler."""
 
+import concurrent.futures
 import math
 import os
+import statistics
 
 import pytest
 
@@ -123,12 +125,12 @@ def pattern_tuple(counts_by_pattern):
     return tuple(counts_by_pattern.get(pattern, 0) for pattern in range(16))
 
 
-# 1e6 trials, seed 42, per gamma_b; recorded from the sampler that binned
-# every trajectory with np.where and np.bincount
+# 1e6 trials, seed 42, per gamma_b; recorded from the sampler whose block k
+# draws from SFC64 on SeedSequence(42, spawn_key=(k,))
 PINNED_COUNTS = {
-    2.0: {0b0000: 499950, 0b1001: 414263, 0b1111: 85787},
-    1.0: {0b0000: 449217, 0b1001: 359883, 0b1111: 190900},
-    10.0: {0b0000: 499950, 0b1001: 481233, 0b1111: 18817},
+    2.0: {0b0000: 500109, 0b1001: 414106, 0b1111: 85785},
+    1.0: {0b0000: 449424, 0b1001: 359055, 0b1111: 191521},
+    10.0: {0b0000: 500109, 0b1001: 480877, 0b1111: 19014},
 }
 
 
@@ -148,7 +150,31 @@ def test_mc_frequencies_match_branch_probabilities(gamma_b, delta_t):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_mc_counts_pinned_with_a_one_trial_last_block(workers):
     counts = oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, LN2 / 2), TRIALS_PER_BLOCK + 1, 3, workers)
-    assert counts.counts == pattern_tuple({0b0000: 32646, 0b1001: 27197, 0b1111: 5694})
+    assert counts.counts == pattern_tuple({0b0000: 32805, 0b1001: 27019, 0b1111: 5713})
+
+
+def test_mc_z_scores_over_many_seeds_are_standard_normal():
+    # 64 seeds x one block at the ratio-2 anchor: each pattern's z-score is
+    # N(0, 1), so its sample mean has standard error 1/8 and its sample sd
+    # about 0.09; the bounds are 4 of each
+    params = DecayParams(2.0, 1.0, LN2 / 2)
+    a = cascade.amplitudes(params)
+    per_seed = [
+        z_scores(oracle.monte_carlo_patterns(params, TRIALS_PER_BLOCK, seed), (a.alpha2, a.beta2, a.gamma2))
+        for seed in range(64)
+    ]
+    for pattern, zs in zip(IDEAL_PATTERNS, zip(*per_seed)):
+        assert abs(statistics.fmean(zs)) < 0.5, pattern
+        assert 0.64 < statistics.stdev(zs) < 1.36, pattern
+
+
+def test_mc_seeds_do_not_share_block_streams():
+    # block k of seed s used to be block k ^ 1 of seed s ^ 1, so seeds 0 and
+    # 1 gave the same counts over two blocks
+    assert oracle._block_rng(0, 1).random() != oracle._block_rng(1, 0).random()
+    params = DecayParams(2.0, 1.0, LN2 / 2)
+    counts = [oracle.monte_carlo_patterns(params, 2 * TRIALS_PER_BLOCK, seed) for seed in (0, 1)]
+    assert counts[0] != counts[1]
 
 
 def test_mc_seed_reproducibility():
@@ -195,7 +221,7 @@ class RecordingPool:
 @pytest.mark.parametrize("cpus,blocks,pool_size", [(2, 5, 2), (64, 3, 3)])
 def test_mc_thread_pool_capped_at_cpus_and_blocks(monkeypatch, cpus, blocks, pool_size):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setenv("CASCADE_THREADS", "100000")
     assert oracle._worker_count(None, blocks) == pool_size
