@@ -180,21 +180,20 @@ def ghz_state(n: int) -> np.ndarray:
     return v
 
 
-def branch_densities(amps: Amplitudes, dephase: float | None = None) -> np.ndarray:
+def branch_densities(amps: Amplitudes, dephase: float = 1.0) -> np.ndarray:
     """The final-state densities of ``amps`` (one point or a grid) on
     ``BRANCH_KETS`` as one stack, shape (N, 3, 3): R = c c^T of the
-    amplitudes c = (alpha, beta, gamma), dephased to
-    d R + (1 - d) diag(c^2) unless ``dephase`` is None: a valid density for
-    any d in [0, 1]; any other d raises ValueError."""
-    if dephase is not None and not 0.0 <= dephase <= 1.0:
+    amplitudes c = (alpha, beta, gamma), dephased to d R + (1 - d) diag(c^2):
+    a valid density for any d in [0, 1], and R itself, bit for bit, at d = 1
+    (no dephasing); any other d raises ValueError."""
+    if not 0.0 <= dephase <= 1.0:
         raise ValueError(f"dephase must lie in [0, 1], got {dephase}")
     c = np.column_stack([amps.alpha, amps.beta, amps.gamma])
     rho = c[:, :, None] * c[:, None, :]
-    if dephase is not None:
-        diagonal = np.arange(3)
-        populations = rho[:, diagonal, diagonal]
-        rho *= dephase
-        rho[:, diagonal, diagonal] += (1.0 - dephase) * populations
+    diagonal = np.arange(3)
+    populations = rho[:, diagonal, diagonal]
+    rho *= dephase
+    rho[:, diagonal, diagonal] += (1.0 - dephase) * populations
     return rho
 
 

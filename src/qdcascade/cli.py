@@ -61,10 +61,22 @@ def parse_mode_list(text: str) -> frozenset[ModeLabel]:
     return frozenset(ModeLabel.parse(t) for t in tokens)
 
 
+def _check_bracket(gamma_b: float, gamma_x: float, lo: float, hi: float) -> None:
+    """Check the rates and a delay bracket (lo, hi), named by the flags
+    ``dt_min`` and ``dt_max``: each end by the rules of ``DecayParams``,
+    ``dt_max`` first, then lo < hi."""
+    DecayParams.check(gamma_b, gamma_x, hi, "dt_max")
+    DecayParams.check(gamma_b, gamma_x, lo, "dt_min")
+    if not lo < hi:
+        raise ValueError(f"dt_min must be smaller than dt_max, got {lo} and {hi}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """A delay sweep request: rates, dt grid, channel selection, options;
-    the rates and ``dt_max`` obey the rules of ``DecayParams``."""
+    """A delay sweep request: rates, dt grid, channel selection, options,
+    and the checked Alice/Eve split of an extra secret-rate column, if any.
+    The bracket, points, scale and channel ids are checked here, before any
+    grid is built; ``cascade.branch_densities`` checks ``dephase``."""
 
     gamma_b: float
     gamma_x: float
@@ -73,28 +85,20 @@ class SweepSpec:
     points: int
     scale: str = "linear"
     channels: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7)
-    dephase: float | None = None
+    dephase: float = 1.0
     ghz_reference: bool = False
-    alice: frozenset[ModeLabel] | None = None
-    eve: frozenset[ModeLabel] = frozenset()
+    split: EveSplit | None = None
 
     def __post_init__(self):
-        DecayParams.check(self.gamma_b, self.gamma_x, self.dt_max, "dt_max")
+        _check_bracket(self.gamma_b, self.gamma_x, self.dt_min, self.dt_max)
         if self.points < 2:
             raise ValueError("points: need at least 2")
-        if not self.dt_min >= 0.0:
-            raise ValueError("dt_min: must be non-negative")
-        if not self.dt_min < self.dt_max:
-            raise ValueError("dt_min: must be smaller than dt_max")
         if self.scale not in ("linear", "log"):
             raise ValueError("scale: must be 'linear' or 'log'")
         if self.scale == "log" and self.dt_min <= 0.0:
             raise ValueError("dt_min: log scale requires dt_min > 0")
-        bad = [c for c in self.channels if not 1 <= c <= 7]
-        if bad:
-            raise ValueError(f"channels: ids must be in 1..7, got {bad}")
-        if self.alice is None and self.eve or self.alice is not None and not self.alice:
-            raise ValueError("alice: a split needs a nonempty Alice's subset")
+        for c in self.channels:
+            entanglement.channel_by_id(c)
 
     def grid(self) -> np.ndarray:
         if self.scale == "log":
@@ -143,7 +147,7 @@ def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     grid = spec.grid()
     amps = cascade.grid_amplitudes(spec.gamma_b, spec.gamma_x, grid)
     rho = cascade.branch_densities(amps, spec.dephase)  # also under --ghz, where it only checks --dephase
-    split = {} if spec.alice is None else {"cmi": EveSplit.from_alice_eve(spec.alice, spec.eve)}
+    split = {} if spec.split is None else {"cmi": spec.split}
     values, ghz = _grid_measures(None if spec.ghz_reference else rho, {**_CHANNEL_COLUMNS, **split})
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid, "alpha2": amps.alpha2, "beta2": amps.beta2,
                "gamma2": amps.gamma2, "fidelity": amps.ghz_fidelity}
@@ -154,12 +158,10 @@ def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     return _table(columns, spec.points)
 
 
-def secure_rate(
-    params: DecayParams, split: EveSplit, dephase: float | None = None
-) -> dict[str, float]:
+def secure_rate(params: DecayParams, split: EveSplit, dephase: float = 1.0) -> dict[str, float]:
     """Secret rate I(Alice:Bob|Eve) for the cascade state plus the GHZ
     baseline for the same split."""
-    rho = cascade.dephased_density(params, 1.0 if dephase is None else dephase)
+    rho = cascade.dephased_density(params, dephase)
     return {
         "dt": params.delta_t,
         "gx_dt": params.gamma_x * params.delta_t,
@@ -173,7 +175,7 @@ def optimize_delay(
     gamma_x: float,
     split: EveSplit,
     bracket: tuple[float, float],
-    dephase: float | None = None,
+    dephase: float = 1.0,
 ) -> tuple[float, float]:
     """Locate the delay maximizing the secret rate inside ``bracket``, two ``DecayParams`` delays.
 
@@ -185,10 +187,7 @@ def optimize_delay(
     rate, so an optimum at the edge comes back as exactly ``lo`` or ``hi``.
     """
     lo, hi = bracket
-    DecayParams.check(gamma_b, gamma_x, lo, "dt_min")
-    DecayParams.check(gamma_b, gamma_x, hi, "dt_max")
-    if not lo < hi:
-        raise ValueError(f"empty or unbounded bracket: ({lo}, {hi})")
+    _check_bracket(gamma_b, gamma_x, lo, hi)
     tol = REFINE_TOL_FRACTION * (hi - lo)
     a, b, points = lo, hi, COARSE_SCAN_POINTS
     best_dt, best_cmi = lo, -math.inf
@@ -231,14 +230,6 @@ def fig4_table() -> tuple[list[str], list[list[float]]]:
 def _write_text(path: str, data: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(data)
-
-
-def reproduce_fig3(path: str) -> None:
-    _write_text(path, _csv_lines(*fig3_table()))
-
-
-def reproduce_fig4(path: str) -> None:
-    _write_text(path, _csv_lines(*fig4_table()))
 
 
 @dataclass(frozen=True)
@@ -386,9 +377,7 @@ def _resolve_params(args: argparse.Namespace) -> DecayParams:
 
 
 def _resolve_split(args: argparse.Namespace) -> EveSplit:
-    alice = parse_mode_list(args.alice)
-    eve = parse_mode_list(args.eve) if getattr(args, "eve", None) else frozenset()
-    return EveSplit.from_alice_eve(alice, eve)
+    return EveSplit.from_alice_eve(parse_mode_list(args.alice), parse_mode_list(args.eve or ""))
 
 
 def _emit(args: argparse.Namespace, header: list[str], rows: list[list[float]]) -> None:
@@ -426,13 +415,13 @@ def _cmd_state(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     gamma_b, gamma_x = _resolve_rates(args)
     channels = tuple(args.channel) if args.channel else (1, 2, 3, 4, 5, 6, 7)
-    alice = parse_mode_list(args.alice) if args.alice is not None else None
-    eve = parse_mode_list(args.eve) if args.eve else frozenset()
+    if args.alice is None and args.eve:
+        raise ValueError("--eve needs --alice")
     spec = SweepSpec(
         gamma_b=gamma_b, gamma_x=gamma_x,
         dt_min=args.dt_min, dt_max=args.dt_max, points=args.points, scale=args.scale,
         channels=channels, dephase=args.dephase, ghz_reference=args.ghz,
-        alice=alice, eve=eve,
+        split=None if args.alice is None else _resolve_split(args),
     )
     _emit(args, *sweep_table(spec))
     return EXIT_OK
@@ -461,7 +450,7 @@ def _cmd_optimize_dt(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    {"fig3": reproduce_fig3, "fig4": reproduce_fig4}[args.command](args.out)
+    _emit(args, *{"fig3": fig3_table, "fig4": fig4_table}[args.command]())
     return EXIT_OK
 
 
@@ -523,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=("linear", "log"), default="linear")
     p.add_argument("--channel", type=int, action="append",
                    help="channel id 1..7; repeat to select several (default: all)")
-    p.add_argument("--dephase", type=float, default=None,
-                   help="attenuate all coherences by this factor in [0, 1]")
+    p.add_argument("--dephase", type=float, default=1.0,
+                   help="attenuate all coherences by this factor in [0, 1] (default 1: no dephasing)")
     p.add_argument("--ghz", action="store_true",
                    help="evaluate the GHZ reference state instead of the cascade state")
     p.add_argument("--alice", type=str, default=None,
@@ -539,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--alice", type=str, required=True, help="e.g. 'early-b' or 'eb,ex'")
     p.add_argument("--eve", type=str, default=None, help="modes Eve grabs from Bob's side")
-    p.add_argument("--dephase", type=float, default=None)
+    p.add_argument("--dephase", type=float, default=1.0)
     p.set_defaults(handler=_cmd_secure_rate)
 
     p = sub.add_parser(
@@ -552,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eve", type=str, default=None)
     p.add_argument("--dt-min", type=float, default=1e-3)
     p.add_argument("--dt-max", type=float, default=10.0)
-    p.add_argument("--dephase", type=float, default=None)
+    p.add_argument("--dephase", type=float, default=1.0)
     p.set_defaults(handler=_cmd_optimize_dt)
 
     for name, help_text in (
@@ -563,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", type=str, required=True)
-        p.set_defaults(handler=_cmd_figure)
+        p.set_defaults(handler=_cmd_figure, format="csv")
 
     p = sub.add_parser(
         "validate",

@@ -12,8 +12,9 @@ Two routes that never touch the closed-form amplitude expressions:
 
 Both are deterministic: block k of the sampler draws from SFC64 seeded by
 ``SeedSequence(seed, spawn_key=(k,))``, numpy's k-th spawned child of the
-64-bit seed, so no two (seed, block) pairs share a stream and totals do not
-depend on how many workers run.
+non-negative seed, taken whole: two (seed, block) pairs never share seed
+material, their streams are independent as numpy documents spawned children
+to be, and totals do not depend on how many workers run.
 """
 
 from __future__ import annotations
@@ -101,13 +102,10 @@ def rate_equation_populations(p: DecayParams, step: float) -> Populations:
     return Populations(pb, px, pg)
 
 
-_MASK64 = (1 << 64) - 1
-
-
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     """The stream of block ``block_index``: SFC64 on the child that
-    ``SeedSequence(seed mod 2**64).spawn(n)[block_index]`` gives."""
-    entropy = np.random.SeedSequence(seed & _MASK64, spawn_key=(block_index,))
+    ``SeedSequence(seed).spawn(n)[block_index]`` gives."""
+    entropy = np.random.SeedSequence(seed, spawn_key=(block_index,))
     return np.random.Generator(np.random.SFC64(entropy))
 
 
@@ -160,6 +158,8 @@ def monte_carlo_patterns(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     workers = _worker_count(workers, math.ceil(trials / TRIALS_PER_BLOCK))
     if workers == 1:
         tallies = [_tally_blocks(p, trials, seed, 0, 1)]

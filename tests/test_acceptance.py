@@ -259,15 +259,15 @@ def test_criterion_10_fidelity():
 @criterion(11, "figure tables are byte-deterministic and match the goldens")
 def test_criterion_11_csv_determinism(tmp_path):
     paths = {}
-    for name, produce in (("fig3", cli.reproduce_fig3), ("fig4", cli.reproduce_fig4)):
+    for name in ("fig3", "fig4"):
         first = tmp_path / f"{name}_first.csv"
         second = tmp_path / f"{name}_second.csv"
         threaded = tmp_path / f"{name}_threaded.csv"
-        produce(str(first))
-        produce(str(second))
+        cli.main([name, "--out", str(first)])
+        cli.main([name, "--out", str(second)])
         os.environ["CASCADE_THREADS"] = "4"
         try:
-            produce(str(threaded))
+            cli.main([name, "--out", str(threaded)])
         finally:
             del os.environ["CASCADE_THREADS"]
         assert first.read_bytes() == second.read_bytes()

@@ -102,7 +102,7 @@ def test_sweep_rows_ascending_and_independent():
     # each row of the stacked evaluation equals, bit for bit, the evaluation
     # of its own state as a single-state stack of branch densities
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.1, dt_max=1.5, points=7,
-                     scale="log", alice=frozenset({EB}), eve=frozenset({LB}))
+                     scale="log", split=EveSplit.from_alice_eve({EB}, {LB}))
     cols = sweep_columns(spec)
     assert cols["dt"] == sorted(cols["dt"])
     channels = entanglement.enumerate_channels()
@@ -126,12 +126,13 @@ def test_sweep_rows_ascending_and_independent():
             assert cols[name][k] == value, (name, k)
 
 
-@pytest.mark.parametrize("dephase", [None, 0.0, 0.37, 1.0])
+@pytest.mark.parametrize("dephase", [0.0, 0.37, 1.0])
 def test_grid_densities_match_per_point_densities(dephase):
     # the branch stack, with the grid evaluator's GHZ density appended, is,
     # bit for bit, the block on the branch kets of each per-point 16x16
     # density, which is real there and zero elsewhere; and dephased_density,
-    # built from the branch density, is the dense formula
+    # built from the branch density, is the dense formula (at d = 1, the
+    # pure state's projector)
     grid = np.geomspace(1e-3, 20.0, 25)
     stack = np.concatenate([cascade.branch_densities(cascade.grid_amplitudes(3.0, 1.0, grid), dephase),
                             cli._GHZ_DENSITY])
@@ -140,8 +141,8 @@ def test_grid_densities_match_per_point_densities(dephase):
     for dt in grid:
         params = DecayParams(3.0, 1.0, float(dt))
         pure = qmath.density_from_state(cascade.final_state(params))
-        singles.append(pure if dephase is None else oracle_math.dephase(pure, dephase))
-        dense = cascade.dephased_density(params, 1.0 if dephase is None else dephase)
+        singles.append(oracle_math.dephase(pure, dephase))
+        dense = cascade.dephased_density(params, dephase)
         assert dense.tobytes() == singles[-1].tobytes(), dt
     singles.append(qmath.density_from_state(cascade.ghz_state(4)))
     off_support = np.ones((16, 16), dtype=bool)
@@ -152,7 +153,7 @@ def test_grid_densities_match_per_point_densities(dephase):
     # the GHZ baseline of a dephased grid is never dephased
     sweep = ["sweep", "--alice", "eb", "--eve", "lb", "--dt-min", "0.01", "--dt-max", "5", "--points", "5",
              "--format", "json"]
-    dephased = json.loads(run_main(sweep + ([] if dephase is None else ["--dephase", str(dephase)]))[1])
+    dephased = json.loads(run_main(sweep + ["--dephase", str(dephase)])[1])
     assert [row["cmi_ghz"] for row in dephased] == [row["cmi_ghz"] for row in json.loads(run_main(sweep)[1])]
 
 
@@ -253,6 +254,25 @@ def test_cli_bad_grids_exit_2(argv, error, capsys):
         assert err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("split", [["--alice", "eb", "--eve", "eb"], ["--alice", ""]])
+def test_cli_sweep_rejects_a_bad_split_before_any_grid(monkeypatch, split):
+    def fail(*args, **kwargs):
+        raise AssertionError("a grid was built for a bad split")
+
+    monkeypatch.setattr(cascade, "grid_amplitudes", fail)
+    code, out = run_main(["sweep", "--points", "3", "--dt-min", "0.1", "--dt-max", "1", *split])
+    assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
+
+
+@pytest.mark.parametrize("bracket", [["--dt-min", "-1", "--dt-max", "1"], ["--dt-min", "2", "--dt-max", "1"]])
+def test_sweep_and_optimize_dt_reject_a_bracket_alike(bracket, capsys):
+    errors = []
+    for argv in (["sweep", "--points", "3", *bracket], ["optimize-dt", "--alice", "eb", "--eve", "ex", *bracket]):
+        assert run_main(argv) == (cli.EXIT_BAD_ARGUMENTS, ""), argv
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: dt_min must be ")
+
+
 def test_each_branch_table_makes_one_eigensolve(monkeypatch):
     # a branch table hands eigvalsh only the whole state, as one 3x3 stack
     # of its grid points; every reduced spectrum is closed-form. The dense
@@ -266,8 +286,9 @@ def test_each_branch_table_makes_one_eigensolve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     spec = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30, dephase=0.8,
-                     alice=frozenset({EB, EX}), eve=frozenset({LB}))
-    empty_eve = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30, alice=frozenset({EB}))
+                     split=EveSplit.from_alice_eve({EB, EX}, {LB}))
+    empty_eve = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30,
+                          split=EveSplit.from_alice_eve({EB}))
     # the figures' 200 points and the sweeps' 30, each with the GHZ slice
     for build, states in ((cli.fig3_table, 201), (cli.fig4_table, 201),
                           (lambda: cli.sweep_table(spec), 31), (lambda: cli.sweep_table(empty_eve), 31)):
@@ -353,7 +374,7 @@ def test_sweep_spec_validation_names_fields():
         SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.0, dt_max=1.0, points=3, scale="log")
     with pytest.raises(ValueError, match="dt_min"):
         SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=2.0, dt_max=1.0, points=3)
-    with pytest.raises(ValueError, match="channels"):
+    with pytest.raises(ValueError, match="channel id"):
         SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.1, dt_max=1.0, points=3,
                   channels=(9,))
     with pytest.raises(ValueError, match="gamma_b"):
@@ -367,7 +388,7 @@ def test_sweep_spec_validation_names_fields():
 
 def test_sweep_with_secret_rate_column():
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=LN2 / 2, dt_max=1.0, points=2,
-                     alice=frozenset({EB}), eve=frozenset({EX}))
+                     split=EveSplit.from_alice_eve({EB}, {EX}))
     cols = sweep_columns(spec)
     assert abs(cols["cmi"][0] - 1.9083982468759764) < 1e-9
     assert abs(cols["cmi_ghz"][0] - 1.0) < 1e-10
@@ -426,7 +447,7 @@ def test_optimize_delay_stable_under_bracket_widening():
 
 def test_optimize_delay_rejects_empty_bracket():
     split = EveSplit.from_alice_eve({EB}, {EX})
-    with pytest.raises(ValueError, match="bracket"):
+    with pytest.raises(ValueError, match="dt_min"):
         cli.optimize_delay(2.0, 1.0, split, (1.0, 1.0))
 
 
@@ -502,23 +523,23 @@ def test_cli_optimize_dt_notes_an_edge_optimum(capsys):
 
 def test_fig3_matches_golden_bytes(tmp_path):
     out = tmp_path / "fig3.csv"
-    cli.reproduce_fig3(str(out))
+    cli.main(["fig3", "--out", str(out)])
     assert out.read_bytes() == (GOLDEN_DIR / "fig3.csv").read_bytes()
 
 
 def test_fig4_matches_golden_bytes(tmp_path):
     out = tmp_path / "fig4.csv"
-    cli.reproduce_fig4(str(out))
+    cli.main(["fig4", "--out", str(out)])
     assert out.read_bytes() == (GOLDEN_DIR / "fig4.csv").read_bytes()
 
 
 def test_fig_outputs_independent_of_worker_env(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    cli.reproduce_fig3(str(first))
+    cli.main(["fig3", "--out", str(first)])
     os.environ["CASCADE_THREADS"] = "4"
     try:
-        cli.reproduce_fig3(str(second))
+        cli.main(["fig3", "--out", str(second)])
     finally:
         del os.environ["CASCADE_THREADS"]
     assert first.read_bytes() == second.read_bytes()
@@ -704,8 +725,10 @@ def test_cli_bad_arguments_exit_code(capsys):
     (["--alice", "", "--eve", "lb"], frozenset(), frozenset({LB})),
 ])
 def test_cli_sweep_rejects_eve_without_alice(split, alice, eve, capsys):
-    with pytest.raises(ValueError, match="alice"):
-        SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.1, dt_max=1.0, points=3, alice=alice, eve=eve)
+    # "--eve needs --alice" is the CLI's own rule; an empty Alice is EveSplit's
+    if alice is not None:
+        with pytest.raises(ValueError, match="Alice's subset must be nonempty"):
+            EveSplit.from_alice_eve(alice, eve)
     code, out = run_main(["sweep", "--dt-min", "0.1", "--dt-max", "1.0", "--points", "3", *split])
     assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
     assert "alice" in capsys.readouterr().err.lower()

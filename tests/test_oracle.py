@@ -177,6 +177,19 @@ def test_mc_seeds_do_not_share_block_streams():
     assert counts[0] != counts[1]
 
 
+def test_mc_seeds_do_not_alias_modulo_2_64(capsys):
+    # seeds used to be reduced mod 2**64, so 2**64 drew seed 0's streams
+    # and -1 those of 2**64 - 1; now a negative seed is refused
+    params = DecayParams(2.0, 1.0, LN2 / 2)
+    counts = [oracle.monte_carlo_patterns(params, TRIALS_PER_BLOCK, seed) for seed in (0, 1 << 64)]
+    assert counts[0] != counts[1]
+    with pytest.raises(ValueError, match="seed"):
+        oracle.monte_carlo_patterns(params, TRIALS_PER_BLOCK, -1)
+    code = cli.main(["validate", "--seed", "-1", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (cli.EXIT_BAD_ARGUMENTS, "", "error: seed must be non-negative, got -1\n")
+
+
 def test_mc_seed_reproducibility():
     params = DecayParams(2.0, 1.0, LN2 / 2)
     first = oracle.monte_carlo_patterns(params, 300_000, 123)
