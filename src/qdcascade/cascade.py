@@ -180,14 +180,19 @@ def ghz_state(n: int) -> np.ndarray:
     return v
 
 
+def check_dephase(dephase: float) -> None:
+    """Raise ValueError unless the dephasing factor lies in [0, 1]; a NaN does not."""
+    if not 0.0 <= dephase <= 1.0:
+        raise ValueError(f"dephase must lie in [0, 1], got {dephase}")
+
+
 def branch_densities(amps: Amplitudes, dephase: float = 1.0) -> np.ndarray:
     """The final-state densities of ``amps`` (one point or a grid) on
     ``BRANCH_KETS`` as one stack, shape (N, 3, 3): R = c c^T of the
     amplitudes c = (alpha, beta, gamma), dephased to d R + (1 - d) diag(c^2):
     a valid density for any d in [0, 1], and R itself, bit for bit, at d = 1
-    (no dephasing); any other d raises ValueError."""
-    if not 0.0 <= dephase <= 1.0:
-        raise ValueError(f"dephase must lie in [0, 1], got {dephase}")
+    (no dephasing); ``check_dephase`` refuses any other d."""
+    check_dephase(dephase)
     c = np.column_stack([amps.alpha, amps.beta, amps.gamma])
     rho = c[:, :, None] * c[:, None, :]
     diagonal = np.arange(3)

@@ -75,8 +75,8 @@ def _check_bracket(gamma_b: float, gamma_x: float, lo: float, hi: float) -> None
 class SweepSpec:
     """A delay sweep request: rates, dt grid, channel selection, options,
     and the checked Alice/Eve split of an extra secret-rate column, if any.
-    The bracket, points, scale and channel ids are checked here, before any
-    grid is built; ``cascade.branch_densities`` checks ``dephase``."""
+    The bracket, points, scale, channel ids and ``dephase`` are checked
+    here, before any grid is built."""
 
     gamma_b: float
     gamma_x: float
@@ -99,6 +99,7 @@ class SweepSpec:
             raise ValueError("dt_min: log scale requires dt_min > 0")
         for c in self.channels:
             entanglement.channel_by_id(c)
+        cascade.check_dephase(self.dephase)
 
     def grid(self) -> np.ndarray:
         if self.scale == "log":
@@ -146,9 +147,9 @@ def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     """Header and dt-ascending rows of a delay sweep."""
     grid = spec.grid()
     amps = cascade.grid_amplitudes(spec.gamma_b, spec.gamma_x, grid)
-    rho = cascade.branch_densities(amps, spec.dephase)  # also under --ghz, where it only checks --dephase
+    rho = None if spec.ghz_reference else cascade.branch_densities(amps, spec.dephase)
     split = {} if spec.split is None else {"cmi": spec.split}
-    values, ghz = _grid_measures(None if spec.ghz_reference else rho, {**_CHANNEL_COLUMNS, **split})
+    values, ghz = _grid_measures(rho, {**_CHANNEL_COLUMNS, **split})
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid, "alpha2": amps.alpha2, "beta2": amps.beta2,
                "gamma2": amps.gamma2, "fidelity": amps.ghz_fidelity}
     columns.update((f"mi_ch{c}", values[f"mi_ch{c}"]) for c in spec.channels)
@@ -456,8 +457,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
     report = validate_oracles(params, args.trials, args.seed, step=args.step)
     sys.stdout.write(report.format_report() + "\n")
     return EXIT_OK if report.passed else EXIT_VALIDATION_FAILURE

@@ -3,12 +3,16 @@
 Two routes that never touch the closed-form amplitude expressions:
 
 * a fourth-order Runge-Kutta integration of the classical rate equations
-  for the ladder populations, and
+  for the ladder populations: the equations are linear, so one classical
+  RK4 step is the matrix I + D with D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
+  and its n steps are (I + D)^n, taken by binary powering with I kept apart
+  (each squaring is D -> 2D + D^2) in O(log n) 3x3 products, and
 * a quantum-jump Monte Carlo sampler of the full two-pulse protocol that
-  draws exponential waiting times for both emissions, applies the g<->B
-  swap at the pulse, and tallies each trajectory's four-bit emission
-  pattern (early-B, early-X, late-B, late-X) by comparing its waiting
-  times with the delay, in two buffers each worker reuses across blocks.
+  draws exponential waiting times for both emissions as log(1 - u) / -rate
+  from uniforms u, applies the g<->B swap at the pulse, and tallies each
+  trajectory's four-bit emission pattern (early-B, early-X, late-B, late-X)
+  by comparing its waiting times with the delay, in two buffers each worker
+  reuses across blocks.
 
 Both are deterministic: block k of the sampler draws from SFC64 seeded by
 ``SeedSequence(seed, spawn_key=(k,))``, numpy's k-th spawned child of the
@@ -46,10 +50,10 @@ class Populations:
 
     def __post_init__(self):
         for name, value in (("p_b", self.p_b), ("p_x", self.p_x), ("p_g", self.p_g)):
-            if value < -POPULATION_SUM_ATOL or value > 1.0 + POPULATION_SUM_ATOL:
+            if not -POPULATION_SUM_ATOL <= value <= 1.0 + POPULATION_SUM_ATOL:  # a NaN fails too
                 raise ValueError(f"{name} outside [0, 1]: {value}")
         total = self.p_b + self.p_x + self.p_g
-        if abs(total - 1.0) > POPULATION_SUM_ATOL:
+        if not abs(total - 1.0) <= POPULATION_SUM_ATOL:
             raise ValueError(f"populations must sum to 1, got {total:.12g}")
 
 
@@ -75,7 +79,8 @@ class PatternCounts:
 
 def rate_equation_populations(p: DecayParams, step: float) -> Populations:
     """Integrate dP_B/dt = -gamma_b P_B, dP_X/dt = gamma_b P_B - gamma_x P_X
-    from (1, 0, 0) to t = delta_t with classical RK4."""
+    from (1, 0, 0) to t = delta_t with n = ceil(delta_t / step) classical RK4
+    steps, taken at once as the n-th power of the one-step map."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
     if p.delta_t == 0.0:
@@ -85,20 +90,20 @@ def rate_equation_populations(p: DecayParams, step: float) -> Populations:
 
     gb, gx = p.gamma_b, p.gamma_x
     n_steps = math.ceil(p.delta_t / step)
-    h = p.delta_t / n_steps
-    half_h, sixth_h = 0.5 * h, h / 6.0
-    pb, px, pg = 1.0, 0.0, 0.0
-    for _ in range(n_steps):
-        b1, x1, g1 = -gb * pb, gb * pb - gx * px, gx * px
-        sb, sx = pb + half_h * b1, px + half_h * x1
-        b2, x2, g2 = -gb * sb, gb * sb - gx * sx, gx * sx
-        sb, sx = pb + half_h * b2, px + half_h * x2
-        b3, x3, g3 = -gb * sb, gb * sb - gx * sx, gx * sx
-        sb, sx = pb + h * b3, px + h * x3
-        b4, x4, g4 = -gb * sb, gb * sb - gx * sx, gx * sx
-        pb += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        px += sixth_h * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
-        pg += sixth_h * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+    a = (p.delta_t / n_steps) * np.array([[-gb, 0.0, 0.0], [gb, -gx, 0.0], [0.0, gx, 0.0]])  # h A
+    eye = np.eye(3)
+    # one RK4 step is I + d with d = a + a^2/2 + a^3/6 + a^4/24. Binary powering
+    # keeps I apart so the small d is never rounded into it: total is
+    # (I + d)^k - I over the bits taken so far, and squaring maps d to 2d + d^2
+    total = np.zeros((3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):  # an unstable step gives inf or NaN, which Populations refuses
+        d = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+        while n_steps:
+            if n_steps & 1:
+                total += d + total @ d
+            d = 2.0 * d + d @ d
+            n_steps >>= 1
+    pb, px, pg = (total[:, 0] + (1.0, 0.0, 0.0)).tolist()
     return Populations(pb, px, pg)
 
 
@@ -120,10 +125,10 @@ def _tally_blocks(p: DecayParams, trials: int, seed: int, first: int, stride: in
         b, x = t_b[:n], t_x[:n]
         rng = _block_rng(seed, k)
         for u, rate in ((b, p.gamma_b), (x, p.gamma_x)):
-            # inverse CDF on (0, 1]: u in [0, 1) gives -log1p(-u) / rate without log(0)
-            np.negative(rng.random(n, out=u), out=u)
-            np.log1p(u, out=u)
-            np.divide(np.negative(u, out=u), rate, out=u)
+            # inverse CDF: u = k 2^-53 in [0, 1) makes 1 - u exact and never 0, so log(1 - u) / -rate is finite
+            np.subtract(1.0, rng.random(n, out=u), out=u)
+            np.log(u, out=u)
+            np.divide(u, -rate, out=u)
         survived += int(np.count_nonzero(b >= p.delta_t))
         late += int(np.count_nonzero(np.add(b, x, out=x) >= p.delta_t))
     return survived, late
@@ -157,7 +162,7 @@ def monte_carlo_patterns(
     is late - survived.
     """
     if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     workers = _worker_count(workers, math.ceil(trials / TRIALS_PER_BLOCK))

@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the package against:
 Kronecker products, Shannon entropies of explicit probability vectors, the
 branch populations and the eigenvalues of a 2x2 Hermitian block in
-high-precision decimal arithmetic, dense dephasing,
-and the two-pulse protocol step by step (early window, pulse, late
-cascade), which must reproduce ``cascade.final_state``."""
+high-precision decimal arithmetic, dense dephasing, classical RK4 on the
+rate equations one step at a time, and the two-pulse protocol step by step
+(early window, pulse, late cascade), which must reproduce
+``cascade.final_state``."""
 
 import decimal
 import math
@@ -65,6 +66,31 @@ def pair_eigenvalues(a: float, b: float, c: complex) -> tuple[float, float]:
         c2 = decimal.Decimal(complex(c).real) ** 2 + decimal.Decimal(complex(c).imag) ** 2
         upper = (a + b) / 2 + (((a - b) / 2) ** 2 + c2).sqrt()
         return float(upper), float((a * b - c2) / upper) if upper else 0.0
+
+
+def rk4_step_loop(gamma_b: float, gamma_x: float, delta_t: float, step: float) -> tuple[float, float, float]:
+    """(P_B, P_X, P_G) after n = ceil(delta_t / step) classical RK4 steps of
+    dP_B/dt = -gamma_b P_B, dP_X/dt = gamma_b P_B - gamma_x P_X from
+    (1, 0, 0), taken one at a time with the four stages written out:
+    the same steps ``oracle.rate_equation_populations`` takes as one power
+    of the step map."""
+    gb, gx = gamma_b, gamma_x
+    n_steps = math.ceil(delta_t / step)
+    h = delta_t / n_steps
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    pb, px, pg = 1.0, 0.0, 0.0
+    for _ in range(n_steps):
+        b1, x1, g1 = -gb * pb, gb * pb - gx * px, gx * px
+        sb, sx = pb + half_h * b1, px + half_h * x1
+        b2, x2, g2 = -gb * sb, gb * sb - gx * sx, gx * sx
+        sb, sx = pb + half_h * b2, px + half_h * x2
+        b3, x3, g3 = -gb * sb, gb * sb - gx * sx, gx * sx
+        sb, sx = pb + h * b3, px + h * x3
+        b4, x4, g4 = -gb * sb, gb * sb - gx * sx, gx * sx
+        pb += sixth_h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        px += sixth_h * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+        pg += sixth_h * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+    return pb, px, pg
 
 
 def dephase(rho, d: float) -> np.ndarray:

@@ -264,6 +264,17 @@ def test_cli_sweep_rejects_a_bad_split_before_any_grid(monkeypatch, split):
     assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
 
 
+@pytest.mark.parametrize("dephase", ["2", "nan"])
+def test_cli_sweep_rejects_a_bad_dephase_before_any_grid(monkeypatch, dephase, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a grid was built for a bad dephasing factor")
+
+    monkeypatch.setattr(cascade, "grid_amplitudes", fail)
+    code, out = run_main(["sweep", "--points", "1000000", "--dt-min", "0", "--dt-max", "1", "--dephase", dephase])
+    assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
+    assert capsys.readouterr().err == f"error: dephase must lie in [0, 1], got {float(dephase)}\n"
+
+
 @pytest.mark.parametrize("bracket", [["--dt-min", "-1", "--dt-max", "1"], ["--dt-min", "2", "--dt-max", "1"]])
 def test_sweep_and_optimize_dt_reject_a_bracket_alike(bracket, capsys):
     errors = []
@@ -687,6 +698,9 @@ def test_cli_bad_arguments_exit_code(capsys):
             "dt_max must be non-negative and finite, got inf",
         ("sweep", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt-min", "1e9", "--dt-max", "1e10", "--points", "2"):
             "gamma_x * dt_max must be finite, got 1e+300 * 10000000000.0",
+        ("validate", "--trials", "0"): "trials must be at least 1, got 0",
+        # a step so unstable that the populations overflow to NaN
+        ("validate", "--gamma-b", "1e200", "--dt", "1", "--step", "0.1"): "p_b outside [0, 1]: nan",
     }
     capsys.readouterr()
     for argv in (

@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import os
 import statistics
+import time
 
 import pytest
 
@@ -18,6 +19,8 @@ from qdcascade.oracle import (
     PatternCounts,
     Populations,
 )
+
+import oracle_math
 
 LN2 = math.log(2.0)
 
@@ -51,17 +54,38 @@ def test_rk4_matches_closed_form(ratio):
         assert abs(pops.p_g - a.gamma2) < 1e-8
 
 
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0, 10.0])
+def test_rk4_power_matches_the_step_loop(ratio):
+    # 1e-4 gives ceil(delta_t / 1e-4) steps, 3466 at ratio 2, not a power of
+    # 2; 2**-10 at delta_t = 1 gives 1024, a power of 2
+    for dt, step in ((LN2 / ratio, 1e-4), (1.0, 2.0**-10)):
+        pops = oracle.rate_equation_populations(DecayParams(ratio, 1.0, dt), step)
+        loop = oracle_math.rk4_step_loop(ratio, 1.0, dt, step)
+        assert max(abs(a - b) for a, b in zip((pops.p_b, pops.p_x, pops.p_g), loop)) < 1e-14, (dt, step)
+
+
 @pytest.mark.parametrize(
     "gamma_b,expected",
     [
-        (2.0, (0.5000000000000011, 0.41421356237309465, 0.08578643762690481)),
-        (0.5, (0.5000000000000046, 0.2500000000000016, 0.2500000000000015)),
+        (2.0, (0.5, 0.41421356237309503, 0.08578643762690495)),
+        (0.5, (0.5, 0.25000000000000006, 0.25000000000000006)),
     ],
 )
 def test_rk4_populations_pinned(gamma_b, expected):
-    # recorded from the integrator with a separate derivative function per stage
+    # recorded from the integrator that takes its n steps as one power of the step map
     pops = oracle.rate_equation_populations(DecayParams(gamma_b, 1.0, LN2 / gamma_b), 1e-4)
     assert (pops.p_b, pops.p_x, pops.p_g) == expected
+
+
+def test_rk4_a_billion_steps_run_in_bounded_time():
+    # ceil(1 / 1e-9) = 1e9 steps: about 30 squarings of the step map, where a
+    # loop of steps would run for minutes
+    params = DecayParams(2.0, 1.0, 1.0)
+    a = cascade.amplitudes(params)
+    start = time.perf_counter()
+    pops = oracle.rate_equation_populations(params, 1e-9)
+    assert time.perf_counter() - start < 0.1
+    assert max(abs(pops.p_b - a.alpha2), abs(pops.p_x - a.beta2), abs(pops.p_g - a.gamma2)) < 1e-13
 
 
 def test_rk4_degenerate_rates_value():
@@ -101,6 +125,9 @@ def test_populations_validation():
         Populations(0.6, 0.6, 0.1)
     with pytest.raises(ValueError):
         Populations(1.2, -0.1, -0.1)
+    for bad in ((math.nan, 0.0, 1.0), (0.0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match="outside"):
+            Populations(*bad)
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +282,7 @@ def test_mc_rejects_a_non_integer_thread_count(monkeypatch, capsys):
 
 
 def test_mc_rejects_zero_trials():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
         oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, 1.0), 0, 1)
 
 
