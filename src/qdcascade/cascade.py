@@ -186,29 +186,40 @@ def check_dephase(dephase: float) -> None:
         raise ValueError(f"dephase must lie in [0, 1], got {dephase}")
 
 
-def branch_densities(amps: Amplitudes, dephase: float = 1.0) -> np.ndarray:
-    """The final-state densities of ``amps`` (one point or a grid) on
-    ``BRANCH_KETS`` as one stack, shape (N, 3, 3): R = c c^T of the
-    amplitudes c = (alpha, beta, gamma), dephased to d R + (1 - d) diag(c^2):
-    a valid density for any d in [0, 1], and R itself, bit for bit, at d = 1
-    (no dephasing); ``check_dephase`` refuses any other d."""
-    check_dephase(dephase)
-    c = np.column_stack([amps.alpha, amps.beta, amps.gamma])
-    rho = c[:, :, None] * c[:, None, :]
-    diagonal = np.arange(3)
-    populations = rho[:, diagonal, diagonal]
-    rho *= dephase
-    rho[:, diagonal, diagonal] += (1.0 - dephase) * populations
-    return rho
+class BranchState:
+    """Final states on ``BRANCH_KETS``, one per row: the amplitudes
+    c = (alpha, beta, gamma) of a checked ``Amplitudes`` (one point or a
+    grid), shape (N, 3), and a dephasing factor d, shape (N,), that
+    ``check_dephase`` accepted; both read-only. Row k is the density
+    d c c^T + (1 - d) diag(c^2), pure at d = 1 (no dephasing). ``a + b``
+    stacks the rows of a, then those of b."""
+
+    def __init__(self, amps: Amplitudes, dephase: float = 1.0):
+        check_dephase(dephase)
+        self.c = np.column_stack([amps.alpha, amps.beta, amps.gamma])
+        self.d = np.full(len(self.c), float(dephase))
+        self.c.flags.writeable = self.d.flags.writeable = False
+
+    def __add__(self, other: "BranchState") -> "BranchState":
+        joined = object.__new__(BranchState)
+        joined.c, joined.d = np.concatenate([self.c, other.c]), np.concatenate([self.d, other.d])
+        joined.c.flags.writeable = joined.d.flags.writeable = False
+        return joined
+
+    def density(self) -> np.ndarray:
+        """The densities as one real stack, shape (N, 3, 3): c c^T where d = 1."""
+        rho = self.c[:, :, None] * self.c[:, None, :] * self.d[:, None, None]
+        rho[:, [0, 1, 2], [0, 1, 2]] += (1.0 - self.d[:, None]) * (self.c * self.c)
+        return rho
 
 
 def dephased_density(p: DecayParams, d: float) -> np.ndarray:
     """Density matrix of the final state with all coherences attenuated by d:
-    the 16x16 embedding of its ``branch_densities`` block on ``BRANCH_KETS``.
+    the 16x16 embedding of its ``BranchState`` block on ``BRANCH_KETS``.
 
     d = 1 returns the pure projector unchanged; d = 0 keeps only the
-    populations. ``branch_densities`` rejects a d outside [0, 1].
+    populations. ``BranchState`` rejects a d outside [0, 1].
     """
     rho = np.zeros((16, 16), dtype=np.complex128)
-    rho[np.ix_(BRANCH_KETS, BRANCH_KETS)] = branch_densities(amplitudes(p), d)[0]
+    rho[np.ix_(BRANCH_KETS, BRANCH_KETS)] = BranchState(amplitudes(p), d).density()[0]
     return rho

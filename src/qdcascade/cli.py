@@ -116,9 +116,8 @@ def _table(columns: dict, n: int) -> tuple[list[str], list[list[float]]]:
     return list(columns), np.column_stack([np.broadcast_to(c, (n,)) for c in columns.values()]).tolist()
 
 
-# the GHZ reference on the branch kets: appended, never dephased, to every grid stack
-_GHZ_DENSITY = cascade.branch_densities(cascade.Amplitudes(*cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real))
-_GHZ_DENSITY.flags.writeable = False
+# the GHZ reference on the branch kets: appended, never dephased, to every grid's branch state
+_GHZ_BRANCH = cascade.BranchState(cascade.Amplitudes(*cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real))
 _CHANNEL_COLUMNS = {f"mi_ch{ch.id}": ch for ch in entanglement.enumerate_channels()}
 # fig4's columns: (Alice, Eve) of each split, built once so that each split's masks are too
 _FIG4_SPLITS = {name: EveSplit.from_alice_eve(*split) for name, split in {
@@ -130,12 +129,12 @@ _FIG4_SPLITS = {name: EveSplit.from_alice_eve(*split) for name, split in {
 }.items()}
 
 
-def _grid_measures(rho: np.ndarray | None, measures: dict) -> tuple[dict, dict]:
+def _grid_measures(rho: cascade.BranchState | None, measures: dict) -> tuple[dict, dict]:
     """(grid values, GHZ values) of ``measures`` (column name: a ``Channel``
     for its MI or an ``EveSplit`` for its CMI) from one entropy table of the
-    branch density stack ``rho`` with the GHZ density appended; ``rho`` None
-    evaluates the GHZ state alone, whose values stand for the grid's too."""
-    stack = _GHZ_DENSITY if rho is None else np.concatenate([rho, _GHZ_DENSITY])
+    branch state ``rho`` with the GHZ row appended; ``rho`` None evaluates
+    the GHZ state alone, whose values stand for the grid's too."""
+    stack = _GHZ_BRANCH if rho is None else rho + _GHZ_BRANCH
     table = entanglement.subset_entropies(stack, {mask for m in measures.values() for mask in m.subsets})
     read = {entanglement.Channel: entanglement.mi_from_table, EveSplit: entanglement.cmi_from_table}
     values = {name: read[type(m)](table, m) for name, m in measures.items()}
@@ -147,7 +146,7 @@ def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     """Header and dt-ascending rows of a delay sweep."""
     grid = spec.grid()
     amps = cascade.grid_amplitudes(spec.gamma_b, spec.gamma_x, grid)
-    rho = None if spec.ghz_reference else cascade.branch_densities(amps, spec.dephase)
+    rho = None if spec.ghz_reference else cascade.BranchState(amps, spec.dephase)
     split = {} if spec.split is None else {"cmi": spec.split}
     values, ghz = _grid_measures(rho, {**_CHANNEL_COLUMNS, **split})
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid, "alpha2": amps.alpha2, "beta2": amps.beta2,
@@ -180,7 +179,7 @@ def optimize_delay(
 ) -> tuple[float, float]:
     """Locate the delay maximizing the secret rate inside ``bracket``, two ``DecayParams`` delays.
 
-    Each round evaluates one grid as a stack of branch densities and narrows
+    Each round evaluates one grid as one branch state and narrows
     to the two cells around its best point: a 64-point first grid guards
     against non-unimodal objectives, then 16-point grids refine until the
     spacing is at most 1e-6 of the bracket width, or a round no longer
@@ -194,7 +193,7 @@ def optimize_delay(
     best_dt, best_cmi = lo, -math.inf
     while True:
         xs = np.linspace(a, b, points)
-        rho = cascade.branch_densities(cascade.grid_amplitudes(gamma_b, gamma_x, xs), dephase)
+        rho = cascade.BranchState(cascade.grid_amplitudes(gamma_b, gamma_x, xs), dephase)
         cmi = entanglement.conditional_mutual_information(rho, split)
         k = int(np.argmax(cmi))
         if cmi[k] > best_cmi:
@@ -209,7 +208,7 @@ def fig3_table() -> tuple[list[str], list[list[float]]]:
     """Per-channel mutual information and the channel average across the
     delay grid, with the flat GHZ reference."""
     grid = FIG_SPEC.grid()
-    rho = cascade.branch_densities(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
+    rho = cascade.BranchState(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
     mi, ghz = _grid_measures(rho, _CHANNEL_COLUMNS)
     columns = {"gx_dt": FIG_SPEC.gamma_x * grid, **mi, "mi_avg": sum(mi.values()) / len(mi), "mi_ghz": ghz["mi_ch1"]}
     return _table(columns, FIG_SPEC.points)
@@ -220,7 +219,7 @@ def fig4_table() -> tuple[list[str], list[list[float]]]:
     holds early-B, Eve takes one of Bob's three modes) and the balanced
     early|late channel (Eve takes either late mode), with GHZ baselines."""
     grid = FIG_SPEC.grid()
-    rho = cascade.branch_densities(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
+    rho = cascade.BranchState(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
     cmi, ghz = _grid_measures(rho, _FIG4_SPLITS)
     ch1, ch5 = [*_FIG4_SPLITS][:3], [*_FIG4_SPLITS][3:]  # each channel's GHZ baseline, of its first split, follows it
     columns = {"gx_dt": FIG_SPEC.gamma_x * grid, **{name: cmi[name] for name in ch1}, "ghz_ch1": ghz[ch1[0]],
@@ -239,7 +238,6 @@ class OracleReport:
     rate-equation integrator and the trajectory sampler."""
 
     expected: tuple[float, float, float]
-    rk4_populations: tuple[float, float, float]
     rk4_max_deviation: float
     pattern_counts: "oracle.PatternCounts"
     z_scores: dict[int, float]
@@ -301,7 +299,6 @@ def validate_oracles(
             z_scores[pattern] = (n - trials * prob) / spread
     return OracleReport(
         expected=expected,
-        rk4_populations=rk4,
         rk4_max_deviation=rk4_dev,
         pattern_counts=counts,
         z_scores=z_scores,

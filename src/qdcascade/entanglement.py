@@ -17,14 +17,14 @@ a fault in a reduction or a spectrum that breaks them fails loudly.
 
 Like ``qmath``, every measure takes a 16x16 density matrix or a stack of
 them, shape (..., 16, 16); one bad matrix fails the whole stack. The table,
-MI and CMI also take a branch density (..., 3, 3) of the delay grids'
-``cascade.branch_densities`` (not ``negativity``): a state's block on the
-branch kets ``cascade.BRANCH_KETS``. Tracing out modes merges the kets
-that agree on the kept modes, adding their populations, and keeps the
-coherence of the one pair of kets, if any, that agree on the traced modes:
-a 2x2 block with a closed-form spectrum. So a branch table makes one
-eigensolve, of the whole state's 3x3 stack under ``qmath.vn_entropy``'s
-guards and eigenvalue floor, which all its spectra share.
+MI and CMI also take a ``cascade.BranchState`` (not ``negativity``):
+amplitudes c (N, 3) on ``cascade.BRANCH_KETS`` and a dephasing factor d per
+row. Tracing out modes merges the kets that agree on the kept modes, adding
+their populations c^2, and keeps the coherence d c_i c_j of the one pair of
+kets, if any, that agree on the traced modes: a 2x2 block with a
+closed-form spectrum. A pure row (d = 1) has whole-state entropy 0 exactly,
+so a pure table makes no eigensolve; dephased rows take one real 3x3
+eigensolve under ``qmath``'s eigenvalue floor.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import FrozenSet, Iterable
 import numpy as np
 
 from . import qmath
-from .cascade import BRANCH_KETS, FOUR_MODE_DIMS, ModeLabel
+from .cascade import BRANCH_KETS, FOUR_MODE_DIMS, BranchState, ModeLabel
 
 ALL_MODES: FrozenSet[ModeLabel] = frozenset(ModeLabel)
 
@@ -149,27 +149,32 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     ``mode_mask`` (mode m is bit 3 - m, early-B the most significant); mask
     0 is the empty subset, whose entropy is that of the trace.
 
-    ``rho`` is a 16x16 density (stack) or a 3x3 branch density (stack). The
-    whole state, mask 0b1111, is always in the table and computed first, by
-    ``qmath.vn_entropy``: its entropy validates the stack. ``_table_plan``
-    holds all that the masks alone decide. On 16x16 densities every other
-    mask is one ``qmath.vn_entropy`` of a ``qmath.partial_trace``; on branch
-    densities one product sums the populations that each reduction merges,
-    the coherent pairs take ``_pair_spectrum``, and the spectra take one
-    Shannon sum under ``vn_entropy``'s floor. The table is then checked
-    against subadditivity and Araki-Lieb in one vectorized pass.
+    ``rho`` is a 16x16 density (stack) or a ``BranchState``. The whole state,
+    mask 0b1111, is always in the table, first; ``_table_plan`` holds all
+    that the masks alone decide. On 16x16 densities each mask is one
+    ``qmath.vn_entropy`` (of a ``qmath.partial_trace`` below the whole
+    state), whose checks validate the stack. On a branch state the whole
+    state's entropy is 0 on pure rows and a real 3x3 eigensolve on dephased
+    ones; one product sums the populations each other reduction merges, the
+    coherent pairs take ``_pair_spectrum``, and all spectra take one Shannon
+    sum under ``vn_entropy``'s floor. The table is then checked against
+    subadditivity and Araki-Lieb in one vectorized pass.
     """
-    branch = np.shape(rho)[-2:] == (3, 3)
-    m = np.asarray(rho) if branch else _four_mode_matrix(rho)
-    whole = qmath.vn_entropy(m)
     order, rows, groups, (r, i, j, gi, gj), triples = _table_plan(frozenset(subsets))
-    if branch and len(order) > 1:
-        spectra = (np.diagonal(m, axis1=-2, axis2=-1).real @ groups).reshape(m.shape[:-2] + (-1, 3))  # zero-padded
-        spectra[..., r, gi], spectra[..., r, gj] = _pair_spectrum(
-            spectra[..., r, gi], spectra[..., r, gj], m[..., i, j])
-        entries = np.concatenate([whole[None], np.moveaxis(qmath._spectrum_entropy(spectra), -1, 0)[rows]])
+    if isinstance(rho, BranchState):
+        c, d = rho.c, rho.d
+        whole, mixed = np.zeros(len(d)), d < 1.0
+        if mixed.any():
+            whole[mixed] = qmath._spectrum_entropy(np.linalg.eigvalsh(rho.density()[mixed]))
+        entries = whole[None]
+        if len(order) > 1:
+            spectra = ((c * c) @ groups).reshape(len(d), -1, 3)  # zero-padded
+            spectra[:, r, gi], spectra[:, r, gj] = _pair_spectrum(
+                spectra[:, r, gi], spectra[:, r, gj], c[:, i] * c[:, j] * d[:, None])
+            entries = np.concatenate([entries, qmath._spectrum_entropy(spectra).T[rows]])
     else:
-        entries = np.stack([whole] + [qmath.vn_entropy(qmath.partial_trace(m, FOUR_MODE_DIMS, [
+        m = _four_mode_matrix(rho)
+        entries = np.stack([qmath.vn_entropy(m)] + [qmath.vn_entropy(qmath.partial_trace(m, FOUR_MODE_DIMS, [
             mode for mode in ModeLabel if mask & (8 >> mode)])) for mask in order[1:]])
     _check_entropy_inequalities(entries, order, triples)
     return dict(zip(order, entries))
@@ -202,10 +207,9 @@ def _table_plan(masks: frozenset[int]) -> tuple:
 
 
 def _pair_spectrum(a, b, c) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (l+, l-) of the Hermitian blocks [[a, c], [c*, b]]:
-    l+ = (a+b)/2 + hypot((a-b)/2, |c|) and l- = (ab - |c|^2) / l+, which
-    does not cancel as (a+b)/2 - hypot(...) does; l- = 0 where l+ = 0."""
-    c = np.abs(c)
+    """Eigenvalues (l+, l-) of the real symmetric blocks [[a, c], [c, b]]:
+    l+ = (a+b)/2 + hypot((a-b)/2, c) and l- = (ab - c^2) / l+, which does
+    not cancel as (a+b)/2 - hypot(...) does; l- = 0 where l+ = 0."""
     upper = (a + b) / 2.0 + np.hypot((a - b) / 2.0, c)
     lower = np.divide(a * b - c * c, upper, out=np.zeros_like(upper), where=upper != 0.0)
     return upper, lower
@@ -213,7 +217,7 @@ def _pair_spectrum(a, b, c) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _reduction(mask: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """How tracing a branch density down to the modes of ``mask`` acts on
+    """How tracing a branch state down to the modes of ``mask`` acts on
     ``BRANCH_KETS``: ket i joins group ``groups[i]``, the index of its
     restriction to ``mask`` among the distinct ones in ascending order, and
     the populations of one group add; the coherence of kets i < j survives,

@@ -318,11 +318,11 @@ def test_dephased_density_rejects_bad_attenuation():
 
 
 @pytest.mark.parametrize("d", [-0.2, 1.000000001, math.nan])
-def test_branch_densities_rejects_dephasing_outside_the_unit_interval(d):
+def test_branch_state_rejects_dephasing_outside_the_unit_interval(d):
     # every dephased state is built here, so the range is checked here
     amps = cascade.grid_amplitudes(2.0, 1.0, np.geomspace(1e-2, 10.0, 200))
     with pytest.raises(ValueError, match="dephase"):
-        cascade.branch_densities(amps, d)
+        cascade.BranchState(amps, d)
 
 
 def test_mode_label_order_and_parsing():

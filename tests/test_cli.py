@@ -1,6 +1,7 @@
 """Sweep machinery, optimization, figure tables, validation, CLI surface."""
 
 import csv
+import decimal
 import hashlib
 import io
 import json
@@ -82,37 +83,42 @@ def test_sweep_ghz_reference_mode_is_flat():
 
 
 def test_cli_sweep_ghz_solves_one_slice(monkeypatch):
-    # digests of the output recorded when each of the 51 slices was solved
+    # digests of the output with the GHZ state's whole-state entropy an exact
+    # 0: every MI prints 2.0 and every CMI 1.0 in JSON (the CSV is as when
+    # each of the 51 slices was solved)
     digests = {
         "csv": "5a3e59d2256c9daf45cf1bd41d388d9c3cea3a4dcb5527a0e45fbc9df5dfd76e",
-        "json": "923ae64ddcc7a66d4afb898e9a53d8f5efcbb8be3e7ccf09d285d40b60eb4ddc",
+        "json": "cbde433586bc7b182f0916ad8440f2646a72bee5357b2a37daaeb180443e703f",
     }
-    shapes = []
-    vn_entropy = qmath.vn_entropy
-    monkeypatch.setattr(qmath, "vn_entropy", lambda rho: shapes.append(np.shape(rho)) or vn_entropy(rho))
+    rows, solves = [], []
+    subset_entropies, eigvalsh = entanglement.subset_entropies, np.linalg.eigvalsh
+    monkeypatch.setattr(entanglement, "subset_entropies", lambda rho, masks: rows.append(len(rho.d))
+                        or subset_entropies(rho, masks))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(np.shape(a)) or eigvalsh(a))
     for fmt, digest in digests.items():
         code, out = run_main(["sweep", "--ghz", "--points", "50", "--dt-min", "0.01", "--dt-max", "5",
                               "--dephase", "0.3", "--alice", "eb", "--eve", "lb", "--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert shapes and all(shape[0] == 1 for shape in shapes)
+    # one table per format, of the GHZ row alone, which is pure: no eigensolve
+    assert rows == [1, 1] and solves == []
 
 
 def test_sweep_rows_ascending_and_independent():
     # each row of the stacked evaluation equals, bit for bit, the evaluation
-    # of its own state as a single-state stack of branch densities
+    # of its own state as a single-row branch state
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.1, dt_max=1.5, points=7,
                      scale="log", split=EveSplit.from_alice_eve({EB}, {LB}))
     cols = sweep_columns(spec)
     assert cols["dt"] == sorted(cols["dt"])
     channels = entanglement.enumerate_channels()
     split = EveSplit.from_alice_eve({EB}, {LB})
-    ghz = branch_block(qmath.density_from_state(cascade.ghz_state(4)))
+    ghz = cli._GHZ_BRANCH
     for k, dt in enumerate(cols["dt"]):
         params = DecayParams(2.0, 1.0, dt)
-        rho = branch_block(qmath.density_from_state(cascade.final_state(params)))
-        assert rho.shape == (1, 3, 3)
         a = cascade.amplitudes(params)
+        rho = cascade.BranchState(a)
+        assert rho.c.shape == (1, 3)
         single = {
             "gx_dt": 1.0 * dt, "alpha2": a.alpha2, "beta2": a.beta2, "gamma2": a.gamma2,
             "fidelity": a.ghz_fidelity,
@@ -128,15 +134,16 @@ def test_sweep_rows_ascending_and_independent():
 
 @pytest.mark.parametrize("dephase", [0.0, 0.37, 1.0])
 def test_grid_densities_match_per_point_densities(dephase):
-    # the branch stack, with the grid evaluator's GHZ density appended, is,
-    # bit for bit, the block on the branch kets of each per-point 16x16
-    # density, which is real there and zero elsewhere; and dephased_density,
-    # built from the branch density, is the dense formula (at d = 1, the
-    # pure state's projector)
+    # the densities of a branch state, with the grid evaluator's GHZ row
+    # appended, are, bit for bit, the blocks on the branch kets of the
+    # per-point 16x16 densities, which are real there and zero elsewhere;
+    # and dephased_density, built from the branch state, is the dense
+    # formula (at d = 1, the pure state's projector)
     grid = np.geomspace(1e-3, 20.0, 25)
-    stack = np.concatenate([cascade.branch_densities(cascade.grid_amplitudes(3.0, 1.0, grid), dephase),
-                            cli._GHZ_DENSITY])
-    assert stack.shape == (26, 3, 3) and not cli._GHZ_DENSITY.flags.writeable
+    state = cascade.BranchState(cascade.grid_amplitudes(3.0, 1.0, grid), dephase) + cli._GHZ_BRANCH
+    stack = state.density()
+    assert stack.shape == (26, 3, 3) and state.d.tolist() == [dephase] * 25 + [1.0]
+    assert not (cli._GHZ_BRANCH.c.flags.writeable or cli._GHZ_BRANCH.d.flags.writeable)
     singles = []
     for dt in grid:
         params = DecayParams(3.0, 1.0, float(dt))
@@ -285,14 +292,15 @@ def test_sweep_and_optimize_dt_reject_a_bracket_alike(bracket, capsys):
 
 
 def test_each_branch_table_makes_one_eigensolve(monkeypatch):
-    # a branch table hands eigvalsh only the whole state, as one 3x3 stack
-    # of its grid points; every reduced spectrum is closed-form. The dense
-    # 16x16 path still solves one mask per call
+    # a branch table hands eigvalsh only the whole state of its dephased
+    # rows, as one real 3x3 stack; its pure rows, the GHZ row among them,
+    # and every reduced spectrum are closed-form, so a pure table makes no
+    # eigensolve. The dense 16x16 path still solves one mask per call
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
     def counted(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        shapes.append((np.shape(a), np.asarray(a).dtype))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
@@ -300,28 +308,30 @@ def test_each_branch_table_makes_one_eigensolve(monkeypatch):
                      split=EveSplit.from_alice_eve({EB, EX}, {LB}))
     empty_eve = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30,
                           split=EveSplit.from_alice_eve({EB}))
-    # the figures' 200 points and the sweeps' 30, each with the GHZ slice
-    for build, states in ((cli.fig3_table, 201), (cli.fig4_table, 201),
-                          (lambda: cli.sweep_table(spec), 31), (lambda: cli.sweep_table(empty_eve), 31)):
+    # the figures' 200 pure points and the pure sweep's 30 make none; the
+    # dephased sweep solves its 30 points, not the GHZ row
+    for build, solved in ((cli.fig3_table, []), (cli.fig4_table, []),
+                          (lambda: cli.sweep_table(spec), [((30, 3, 3), np.float64)]),
+                          (lambda: cli.sweep_table(empty_eve), [])):
         shapes.clear()
         build()
-        assert shapes == [(states, 3, 3)], build
+        assert shapes == solved, build
     shapes.clear()
     rounds = []
-    branch_densities = cascade.branch_densities
-    monkeypatch.setattr(cascade, "branch_densities", lambda *a, **k: rounds.append(a) or branch_densities(*a, **k))
+    grid_amplitudes = cascade.grid_amplitudes
+    monkeypatch.setattr(cascade, "grid_amplitudes", lambda *a: rounds.append(len(a[2])) or grid_amplitudes(*a))
     cli.optimize_delay(3.0, 1.0, EveSplit.from_alice_eve({EB}, {EX}), (0.01, 5.0), dephase=0.8)
-    assert rounds and shapes == [(len(amps.alpha), 3, 3) for amps, *_ in rounds]
+    assert rounds and shapes == [((n, 3, 3), np.float64) for n in rounds]
     shapes.clear()
     stack = np.stack([qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt)))
                       for dt in (0.1, 0.5)])
     entanglement.conditional_mutual_information(stack, EveSplit.from_alice_eve({EB}, {EX}))
-    assert len(shapes) == 5 and shapes[0] == (2, 16, 16)
+    assert len(shapes) == 5 and shapes[0] == ((2, 16, 16), np.complex128)
 
 
 # outputs with an empty Eve: the table's S(empty set) is the entropy of the
 # 1x1 trace, not an exact 0 (which changes the last bits here); sweep runs on
-# 3x3 branch densities, secure-rate on 16x16 ones
+# branch states, secure-rate on 16x16 densities
 EMPTY_EVE_OUTPUTS = {
     ("secure-rate", "--alice", "eb", "--dt", "10"): "dt,gx_dt,cmi,cmi_ghz\n10,10,1.24891870593e-07,2\n",
     ("secure-rate", "--alice", "eb", "--dt", "0.08", "--format", "json"): """[
@@ -349,10 +359,10 @@ EMPTY_EVE_OUTPUTS = {
     "beta2": 0.0197023208848255,
     "gamma2": 9.900580841924746e-05,
     "fidelity": 0.5000000000000027,
-    "mi_ch1": 0.28064718432657876,
-    "mi_avg": 0.1621275331086222,
-    "cmi": 0.28244571404456986,
-    "cmi_ghz": 1.9999999999999996
+    "mi_ch1": 0.28064718432657987,
+    "mi_avg": 0.16212753310862332,
+    "cmi": 0.282445714044571,
+    "cmi_ghz": 1.9999999999999998
   },
   {
     "dt": 0.11,
@@ -361,10 +371,10 @@ EMPTY_EVE_OUTPUTS = {
     "beta2": 0.18663067466809952,
     "gamma2": 0.01085052736942199,
     "fidelity": 0.5,
-    "mi_ch1": 1.4337236106214133,
-    "mi_avg": 0.9240295140080902,
-    "cmi": 1.5549932847213035,
-    "cmi_ghz": 1.9999999999999996
+    "mi_ch1": 1.433723610621414,
+    "mi_avg": 0.9240295140080909,
+    "cmi": 1.554993284721304,
+    "cmi_ghz": 1.9999999999999998
   }
 ]
 """,
@@ -425,7 +435,7 @@ def test_secure_rate_rejects_overlapping_subsets():
 
 def test_optimize_delay_on_constant_zero(monkeypatch):
     monkeypatch.setattr(entanglement, "conditional_mutual_information",
-                        lambda rho, split: np.zeros(len(rho)))
+                        lambda rho, split: np.zeros(len(rho.d)))
     split = EveSplit.from_alice_eve({EB}, {EX})
     dt_star, value = cli.optimize_delay(2.0, 1.0, split, (0.1, 2.0))
     assert 0.1 <= dt_star <= 2.0
@@ -479,7 +489,7 @@ def test_optimize_delay_ends_on_brackets_narrower_than_its_tolerance(monkeypatch
     cmi = entanglement.conditional_mutual_information
 
     def counted(rho, split):
-        calls.append(len(rho))
+        calls.append(len(rho.d))
         if len(calls) > 50:
             raise AssertionError("optimize_delay does not terminate")
         return cmi(rho, split)
@@ -488,7 +498,7 @@ def test_optimize_delay_ends_on_brackets_narrower_than_its_tolerance(monkeypatch
     split = EveSplit.from_alice_eve({EB}, {EX})
     dt_star, cmi_star = cli.optimize_delay(2.0, 1.0, split, bracket)
     assert bracket[0] <= dt_star <= bracket[1]
-    rho = branch_block(qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt_star))))
+    rho = cascade.BranchState(cascade.amplitudes(DecayParams(2.0, 1.0, dt_star)))
     assert cmi_star == cmi(rho, split)[0]
 
 
@@ -508,7 +518,7 @@ def test_optimize_delay_returns_the_best_evaluated_point(ratio, d, split, lo, wi
     hi = lo + width
     dt_star, cmi_star = cli.optimize_delay(ratio, 1.0, split, (lo, hi), dephase=d)
     assert lo <= dt_star <= hi
-    rho = branch_block(cascade.dephased_density(DecayParams(ratio, 1.0, dt_star), d))
+    rho = cascade.BranchState(cascade.amplitudes(DecayParams(ratio, 1.0, dt_star)), d)
     assert cmi_star == entanglement.conditional_mutual_information(rho, split)[0]
     # the coarse grid on dense 16x16 states: a cross-check of the branch path
     grid = np.linspace(lo, hi, 64)
@@ -569,6 +579,26 @@ def test_fig3_spot_values():
     for row in table:
         assert row["mi_avg"] < 2.0
         assert abs(row["mi_ghz"] - 2.0) < 1e-12
+
+
+def test_fig3_tail_is_relatively_accurate():
+    # the pure state's MI across a single-mode cut is twice the Shannon
+    # entropy of the one branch weight it splits off: alpha^2 for channels 1
+    # and 4, gamma^2 (so 1 - alpha^2 - beta^2) for channels 2 and 3. On the
+    # tail rows (CSV lines 183-201, gamma_x dt from 5.35) the MIs fall to
+    # 1e-7, where a round-off entropy of the pure whole state (5e-15 when
+    # its spectrum is solved) costs 5e-8 relative; its exact 0 leaves 1.6e-9
+    header, rows = cli.fig3_table()
+    worst = 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for row in rows[181:]:
+            alpha2, beta2, _ = (decimal.Decimal(p) for p in oracle_math.branch_populations(2.0, 1.0, row[0]))
+            for channels, w in (((1, 4), alpha2), ((2, 3), alpha2 + beta2)):
+                want = -2 * (w * w.ln() + (1 - w) * (1 - w).ln()) / decimal.Decimal(2).ln()
+                worst = max(worst, *(float(abs(decimal.Decimal(row[ch]) - want) / want) for ch in channels))
+    assert header[1:5] == ["mi_ch1", "mi_ch2", "mi_ch3", "mi_ch4"] and rows[181][0] > 5.35
+    assert worst <= 1e-8
 
 
 def test_fig4_spot_values():

@@ -447,7 +447,7 @@ def test_subset_entropies_of_pure_cascade_states():
     table = entanglement.subset_entropies(grid_stack(grid), range(16))
     # one plan per mask set: the masks in any iterable, order or multiplicity
     # give the same table, the whole state first, then ascending masks
-    branch = cascade.branch_densities(cascade.grid_amplitudes(2.0, 1.0, [p.delta_t for p in grid]))
+    branch = cascade.BranchState(cascade.grid_amplitudes(2.0, 1.0, [p.delta_t for p in grid]))
     masks = [0b0110, 0b1000, 0b0001, 0b1001]
     for rho, order in ((grid_stack(grid), [0b1111, 0b0001, 0b0110, 0b1000, 0b1001]),
                        (branch, [0b1111, 0b0001, 0b0110, 0b1000, 0b1001])):
@@ -466,11 +466,13 @@ def test_subset_entropies_of_pure_cascade_states():
 
 
 def test_subset_entropies_reject_bad_masks():
-    for rho in (ghz_density(), cli._GHZ_DENSITY) * 2:  # a plan that raised is not cached
+    for rho in (ghz_density(), cli._GHZ_BRANCH) * 2:  # a plan that raised is not cached
         with pytest.raises(ValueError, match="mode mask must lie in 0..15, got 16"):
             entanglement.subset_entropies(rho, [16])
-    with pytest.raises(ValueError, match="dimension"):
-        entanglement.subset_entropies(np.eye(8) / 8, [1])
+    # a branch state is the only branch input: a 3x3 density is refused too
+    for rho in (np.eye(8) / 8, np.eye(3) / 3):
+        with pytest.raises(ValueError, match="dimension"):
+            entanglement.subset_entropies(rho, [1])
 
 
 FIG4_SPLITS = [EveSplit.from_alice_eve(alice, eve)
@@ -486,14 +488,17 @@ FIG4_SPLITS = [EveSplit.from_alice_eve(alice, eve)
 @example(ratio=1.0, d=1.0, dts=[0.0, LN2, 800.0])  # equal rates
 @example(ratio=20.0, d=0.0, dts=[0.0, 1e-3, 40.0])
 def test_branch_table_matches_the_dense_table(ratio, d, dts):
-    # the grid commands' 3x3 branch path against the 16x16 path, with the
-    # grid evaluator's GHZ density as the last slice: all 16 masks, the 7
+    # the grid commands' branch-state path against the 16x16 path, with the
+    # grid evaluator's GHZ row as the last slice: all 16 masks, the 7
     # channels and the 5 fig4 splits
     grid = grid_params(dts, gamma_b=ratio)
-    branch = np.concatenate([cascade.branch_densities(cascade.grid_amplitudes(ratio, 1.0, dts), d), cli._GHZ_DENSITY])
+    branch = cascade.BranchState(cascade.grid_amplitudes(ratio, 1.0, dts), d) + cli._GHZ_BRANCH
     dense = np.concatenate([grid_stack(grid, d), ghz_density()[None]])
     got = entanglement.subset_entropies(branch, range(16))
     want = entanglement.subset_entropies(dense, range(16))
+    # a pure row, the GHZ row among them, has whole-state entropy 0.0 exactly
+    pure = branch.d == 1.0
+    assert pure[-1] and got[0b1111][pure].tolist() == [0.0] * pure.sum()
     for mask in range(16):
         np.testing.assert_allclose(got[mask], want[mask], rtol=0.0, atol=1e-12, err_msg=f"mask {mask:04b}")
         # spectra stacked for one Shannon sum give, bit for bit, each mask's entropy asked for alone
@@ -518,12 +523,11 @@ def pairwise_excesses(table):
 def test_table_check_flags_one_entry_past_its_tolerance(point):
     # fig3's table of 200 grid points and the GHZ state, one entry changed at
     # one point; the pairwise loop names the pair the check must name
-    rho = np.concatenate([cascade.branch_densities(cascade.grid_amplitudes(2.0, 1.0, cli.FIG_SPEC.grid())),
-                          cli._GHZ_DENSITY])
+    rho = cascade.BranchState(cascade.grid_amplitudes(2.0, 1.0, cli.FIG_SPEC.grid())) + cli._GHZ_BRANCH
     masks = frozenset(mask for ch in entanglement.enumerate_channels() for mask in ch.subsets)
     table = entanglement.subset_entropies(rho, masks)
     order, *_, triples = entanglement._table_plan(masks)
-    assert len(rho) == 201 and list(table) == list(order)
+    assert len(rho.d) == 201 and list(table) == list(order)
     atol = entanglement.ENTROPY_INEQUALITY_ATOL
     # S(1111) enters only |S(X) - S(~X)| - S(1111), Araki-Lieb of the
     # complementary pairs: at D - atol, D the largest |S(X) - S(~X)| at the
@@ -571,8 +575,6 @@ def test_pair_spectrum_matches_a_60_digit_reference():
     bad = np.flatnonzero((np.abs(got - want) > bound).any(axis=1))
     assert not bad.size, [(a[k], b[k], c[k]) for k in bad[:5]]
     assert (upper[-1], lower[-1]) == (0.0, 0.0)
-    # complex coherences enter through |c| only
-    np.testing.assert_array_equal(entanglement._pair_spectrum(a, b, 1j * c)[1], lower)
 
 
 def test_table_check_catches_a_reduction_of_the_wrong_modes(monkeypatch):
@@ -598,7 +600,7 @@ def patch_folds(monkeypatch, reduction):
 def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
     # the same fault on the branch path: keep only the last mode of each
     # subset, in the reduction the tables merge populations by
-    rho = cascade.branch_densities(cascade.amplitudes(POINT))
+    rho = cascade.BranchState(cascade.amplitudes(POINT))
     split = EveSplit.from_alice_eve({EB}, {EX})
     before = entanglement.subset_entropies(rho, split.subsets)
     reduction = entanglement._reduction
@@ -615,7 +617,7 @@ def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
 def test_branch_table_rejects_a_fold_with_two_coherent_pairs(monkeypatch):
     # no reduction below the whole state couples more than one pair of
     # branches; the whole state's own, which couples all three, stands in
-    rho = cascade.branch_densities(cascade.amplitudes(POINT))
+    rho = cascade.BranchState(cascade.amplitudes(POINT))
     before = entanglement.subset_entropies(rho, [0b1000])
     reduction = entanglement._reduction
     with monkeypatch.context() as patched:
