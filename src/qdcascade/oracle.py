@@ -87,6 +87,8 @@ def rate_equation_populations(p: DecayParams, step: float) -> Populations:
         return Populations(1.0, 0.0, 0.0)
     if step > p.delta_t / 10.0:
         raise ValueError(f"step {step} too coarse for delta_t {p.delta_t}; need step <= delta_t/10")
+    if not math.isfinite(p.delta_t / step):
+        raise ValueError(f"step must be coarse enough for a finite delta_t / step, got {step} for delta_t {p.delta_t}")
 
     gb, gx = p.gamma_b, p.gamma_x
     n_steps = math.ceil(p.delta_t / step)
@@ -120,17 +122,20 @@ def _tally_blocks(p: DecayParams, trials: int, seed: int, first: int, stride: in
     size = min(TRIALS_PER_BLOCK, trials)
     t_b, t_x = np.empty(size), np.empty(size)
     survived = late = 0
-    for k in range(first, math.ceil(trials / TRIALS_PER_BLOCK), stride):
-        n = min(TRIALS_PER_BLOCK, trials - k * TRIALS_PER_BLOCK)
-        b, x = t_b[:n], t_x[:n]
-        rng = _block_rng(seed, k)
-        for u, rate in ((b, p.gamma_b), (x, p.gamma_x)):
-            # inverse CDF: u = k 2^-53 in [0, 1) makes 1 - u exact and never 0, so log(1 - u) / -rate is finite
-            np.subtract(1.0, rng.random(n, out=u), out=u)
-            np.log(u, out=u)
-            np.divide(u, -rate, out=u)
-        survived += int(np.count_nonzero(b >= p.delta_t))
-        late += int(np.count_nonzero(np.add(b, x, out=x) >= p.delta_t))
+    # a tiny rate (1e-320) overflows log(1 - u) / -rate to inf: the right waiting
+    # time, as that decay never comes before the delay, so the overflow is no fault
+    with np.errstate(over="ignore"):
+        for k in range(first, math.ceil(trials / TRIALS_PER_BLOCK), stride):
+            n = min(TRIALS_PER_BLOCK, trials - k * TRIALS_PER_BLOCK)
+            b, x = t_b[:n], t_x[:n]
+            rng = _block_rng(seed, k)
+            for u, rate in ((b, p.gamma_b), (x, p.gamma_x)):
+                # inverse CDF: u = k 2^-53 in [0, 1) makes 1 - u exact and never 0, so log(1 - u) is finite
+                np.subtract(1.0, rng.random(n, out=u), out=u)
+                np.log(u, out=u)
+                np.divide(u, -rate, out=u)
+            survived += int(np.count_nonzero(b >= p.delta_t))
+            late += int(np.count_nonzero(np.add(b, x, out=x) >= p.delta_t))
     return survived, late
 
 

@@ -502,6 +502,14 @@ def test_optimize_delay_ends_on_brackets_narrower_than_its_tolerance(monkeypatch
     assert cmi_star == cmi(rho, split)[0]
 
 
+def test_optimize_delay_stays_inside_a_subnormal_bracket():
+    # a refine grid linspace(9.8e-321, 1e-320, 16) has a subnormal step, and
+    # its points used to round above the bracket's top
+    lo, hi = 0.0, 1e-320
+    dt_star, _ = cli.optimize_delay(2.0, 1.0, EveSplit.from_alice_eve({EB}, set()), (lo, hi))
+    assert lo <= dt_star <= hi
+
+
 FIG4_SPLITS = [({EB}, {EX}), ({EB}, {LB}), ({EB}, {LX}), ({EB, EX}, {LB}), ({EB, EX}, {LX})]
 
 
@@ -622,23 +630,36 @@ def test_fig4_spot_values():
 # oracle validation report
 # --------------------------------------------------------------------------
 
+def report_fields(lines):
+    """(RK4 deviation, support verdict, z-scores) read back from ``validate_oracles``'s lines."""
+    rk4 = float(next(line for line in lines if line.startswith("rate-equation")).split()[3])
+    support = next(line for line in lines if line.startswith("trajectory support"))
+    z_scores = [float(line.split("z = ")[1].split()[0]) for line in lines if line.startswith("pattern ")]
+    return rk4, support.endswith("(ok)"), z_scores
+
+
 def test_validate_oracles_passes_at_defaults():
-    report = cli.validate_oracles(DecayParams(2.0, 1.0, LN2 / 2), 200_000, 42)
-    assert report.rk4_max_deviation < 1e-6
-    assert report.support_ok
-    assert all(abs(z) < 5.0 for z in report.z_scores.values())
-    assert report.passed
-    assert "PASS" in report.format_report()
+    lines, passed = cli.validate_oracles(DecayParams(2.0, 1.0, LN2 / 2), 200_000, 42)
+    rk4, support_ok, z_scores = report_fields(lines)
+    assert rk4 < 1e-6
+    assert support_ok
+    assert len(z_scores) == 3 and all(abs(z) < 5.0 for z in z_scores)
+    assert passed
+    assert lines[-1] == "result: PASS"
 
 
 def test_validate_oracles_negative_control(monkeypatch):
     # corrupted closed-form weights must throw the z-scores far out
     corrupted = cascade.Amplitudes(*(math.sqrt(w) for w in (0.52, math.sqrt(2) - 1.02, 1.5 - math.sqrt(2))))
     monkeypatch.setattr(cascade, "amplitudes", lambda params: corrupted)
-    report = cli.validate_oracles(DecayParams(2.0, 1.0, LN2 / 2), 200_000, 42)
-    assert not report.passed
-    assert any(abs(z) > 5.0 for z in report.z_scores.values())
-    assert "FAIL" in report.format_report()
+    lines, passed = cli.validate_oracles(DecayParams(2.0, 1.0, LN2 / 2), 200_000, 42)
+    _, _, z_scores = report_fields(lines)
+    assert not passed
+    assert any(abs(z) > 5.0 for z in z_scores)
+    assert lines[-1] == "result: FAIL"
+    # each pattern line is marked by its own z-score, and only those over the limit
+    for line, z in zip(lines[3:6], z_scores):
+        assert line.endswith("(FAIL)") == (abs(z) > 5.0), line
 
 
 # --------------------------------------------------------------------------
@@ -731,6 +752,11 @@ def test_cli_bad_arguments_exit_code(capsys):
         ("validate", "--trials", "0"): "trials must be at least 1, got 0",
         # a step so unstable that the populations overflow to NaN
         ("validate", "--gamma-b", "1e200", "--dt", "1", "--step", "0.1"): "p_b outside [0, 1]: nan",
+        # a step count delta_t / step that overflows, which used to exit 4
+        ("validate", "--step", "5e-324"):
+            f"step must be coarse enough for a finite delta_t / step, got 5e-324 for delta_t {LN2 / 2!r}",
+        ("validate", "--dt", "1.7e308"):
+            "step must be coarse enough for a finite delta_t / step, got 0.0001 for delta_t 1.7e+308",
     }
     capsys.readouterr()
     for argv in (

@@ -79,13 +79,14 @@ def test_rk4_populations_pinned(gamma_b, expected):
 
 def test_rk4_a_billion_steps_run_in_bounded_time():
     # ceil(1 / 1e-9) = 1e9 steps: about 30 squarings of the step map, where a
-    # loop of steps would run for minutes
+    # loop of steps would run for minutes; 1e300 steps take about 1000 squarings
     params = DecayParams(2.0, 1.0, 1.0)
     a = cascade.amplitudes(params)
-    start = time.perf_counter()
-    pops = oracle.rate_equation_populations(params, 1e-9)
-    assert time.perf_counter() - start < 0.1
-    assert max(abs(pops.p_b - a.alpha2), abs(pops.p_x - a.beta2), abs(pops.p_g - a.gamma2)) < 1e-13
+    for step in (1e-9, 1e-300):
+        start = time.perf_counter()
+        pops = oracle.rate_equation_populations(params, step)
+        assert time.perf_counter() - start < 0.1
+        assert max(abs(pops.p_b - a.alpha2), abs(pops.p_x - a.beta2), abs(pops.p_g - a.gamma2)) < 1e-13
 
 
 def test_rk4_degenerate_rates_value():
@@ -118,6 +119,10 @@ def test_rk4_step_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="step"):
             oracle.rate_equation_populations(DecayParams(2.0, 1.0, 1.0), bad)
+    # a step count delta_t / step of inf, whose ceil used to raise OverflowError
+    for delta_t, step in ((LN2 / 2, 5e-324), (1.7e308, 1e-4)):
+        with pytest.raises(ValueError, match="step must be coarse enough for a finite delta_t / step"):
+            oracle.rate_equation_populations(DecayParams(2.0, 1.0, delta_t), step)
 
 
 def test_populations_validation():
@@ -178,6 +183,14 @@ def test_mc_frequencies_match_branch_probabilities(gamma_b, delta_t):
 def test_mc_counts_pinned_with_a_one_trial_last_block(workers):
     counts = oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, LN2 / 2), TRIALS_PER_BLOCK + 1, 3, workers)
     assert counts.counts == pattern_tuple({0b0000: 32805, 0b1001: 27019, 0b1111: 5713})
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_a_tiny_rate_waits_forever_without_a_warning(workers):
+    # log(1 - u) / -1e-320 overflows to inf, the right waiting time: the
+    # biexciton never decays before the delay; the suite turns a warning into an error
+    counts = oracle.monte_carlo_patterns(DecayParams(1e-320, 1.0, LN2 / 2), TRIALS_PER_BLOCK + 10, 3, workers)
+    assert counts.counts == pattern_tuple({0b0000: TRIALS_PER_BLOCK + 10})
 
 
 def test_mc_z_scores_over_many_seeds_are_standard_normal():
