@@ -7,12 +7,13 @@ Two routes that never touch the closed-form amplitude expressions:
   RK4 step is the matrix I + D with D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
   and its n steps are (I + D)^n, taken by binary powering with I kept apart
   (each squaring is D -> 2D + D^2) in O(log n) 3x3 products, and
-* a quantum-jump Monte Carlo sampler of the full two-pulse protocol that
-  draws exponential waiting times for both emissions as log(1 - u) / -rate
-  from uniforms u, applies the g<->B swap at the pulse, and tallies each
-  trajectory's four-bit emission pattern (early-B, early-X, late-B, late-X)
-  by comparing its waiting times with the delay, in two buffers each worker
-  reuses across blocks.
+* a quantum-jump Monte Carlo sampler of the full two-pulse protocol: both
+  emissions wait exponential times t = log(1 - u) / -rate for uniforms u,
+  the pulse applies the g<->B swap, and each trajectory's four-bit emission
+  pattern (early-B, early-X, late-B, late-X) follows from its waiting times
+  and the delay. The sampler tallies the patterns by comparing the logs
+  log(1 - u) with rate-scaled thresholds, with no quotient, in two buffers
+  each worker reuses across blocks.
 
 Both are deterministic: block k of the sampler draws from SFC64 seeded by
 ``SeedSequence(seed, spawn_key=(k,))``, numpy's k-th spawned child of the
@@ -33,6 +34,7 @@ from .cascade import DecayParams
 
 POPULATION_SUM_ATOL = 1e-9
 TRIALS_PER_BLOCK = 1 << 16
+MAX_TRIALS = 10**10  # about two minutes of one worker's blocks
 
 PATTERN_SURVIVED = 0b0000   # swapped B -> g at the pulse, no photons at all
 PATTERN_SPLIT = 0b1001      # early B photon, late X photon
@@ -69,9 +71,6 @@ class PatternCounts:
             raise ValueError("need one counter per four-bit pattern")
         if sum(self.counts) != self.trials:
             raise ValueError("pattern counts do not sum to the number of trials")
-
-    def frequency(self, pattern: int) -> float:
-        return self.counts[pattern] / self.trials
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.counts) if c > 0)
@@ -118,24 +117,26 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 def _tally_blocks(p: DecayParams, trials: int, seed: int, first: int, stride: int) -> tuple[int, int]:
     """(survived, late) over the blocks first, first + stride, ... of ``trials``:
-    the trajectories with t_b >= delta_t and those with t_b + t_x >= delta_t."""
-    size = min(TRIALS_PER_BLOCK, trials)
-    t_b, t_x = np.empty(size), np.empty(size)
+    the trajectories with t_b >= delta_t and those with t_b + t_x >= delta_t,
+    where t = log(1 - u) / -rate. Both events are counted on the logs L, with
+    no quotient: L_b <= -gamma_b delta_t, and, scaled by the slower rate,
+    L_fast (slow / fast) + L_slow <= -slow delta_t."""
+    log_b, log_x = np.empty((2, min(TRIALS_PER_BLOCK, trials)))
+    # slow / fast <= 1 and slow delta_t <= gamma_x delta_t (finite by DecayParams)
+    # cannot overflow; a gamma_b delta_t that does makes its threshold -inf: no survivors
+    slow, fast = sorted((p.gamma_b, p.gamma_x))
     survived = late = 0
-    # a tiny rate (1e-320) overflows log(1 - u) / -rate to inf: the right waiting
-    # time, as that decay never comes before the delay, so the overflow is no fault
-    with np.errstate(over="ignore"):
-        for k in range(first, math.ceil(trials / TRIALS_PER_BLOCK), stride):
-            n = min(TRIALS_PER_BLOCK, trials - k * TRIALS_PER_BLOCK)
-            b, x = t_b[:n], t_x[:n]
-            rng = _block_rng(seed, k)
-            for u, rate in ((b, p.gamma_b), (x, p.gamma_x)):
-                # inverse CDF: u = k 2^-53 in [0, 1) makes 1 - u exact and never 0, so log(1 - u) is finite
-                np.subtract(1.0, rng.random(n, out=u), out=u)
-                np.log(u, out=u)
-                np.divide(u, -rate, out=u)
-            survived += int(np.count_nonzero(b >= p.delta_t))
-            late += int(np.count_nonzero(np.add(b, x, out=x) >= p.delta_t))
+    for k in range(first, math.ceil(trials / TRIALS_PER_BLOCK), stride):
+        n = min(TRIALS_PER_BLOCK, trials - k * TRIALS_PER_BLOCK)
+        b, x, rng = log_b[:n], log_x[:n], _block_rng(seed, k)
+        for u in (b, x):
+            # inverse CDF: u = k 2^-53 in [0, 1) makes 1 - u exact and never 0, so log(1 - u) is finite
+            np.subtract(1.0, rng.random(n, out=u), out=u)
+            np.log(u, out=u)
+        survived += int(np.count_nonzero(b <= -p.gamma_b * p.delta_t))
+        faster, slower = (b, x) if p.gamma_b >= p.gamma_x else (x, b)
+        np.multiply(faster, slow / fast, out=faster)
+        late += int(np.count_nonzero(np.add(faster, slower, out=faster) <= -slow * p.delta_t))
     return survived, late
 
 
@@ -168,6 +169,8 @@ def monte_carlo_patterns(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     workers = _worker_count(workers, math.ceil(trials / TRIALS_PER_BLOCK))

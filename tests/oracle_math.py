@@ -2,9 +2,9 @@
 Kronecker products, Shannon entropies of explicit probability vectors, the
 branch populations and the eigenvalues of a 2x2 Hermitian block in
 high-precision decimal arithmetic, dense dephasing, classical RK4 on the
-rate equations one step at a time, and the two-pulse protocol step by step
-(early window, pulse, late cascade), which must reproduce
-``cascade.final_state``."""
+rate equations one step at a time, the trajectory sampler's tally with each
+waiting time as a quotient, and the two-pulse protocol step by step (early
+window, pulse, late cascade), which must reproduce ``cascade.final_state``."""
 
 import decimal
 import math
@@ -12,6 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
+from qdcascade import oracle
 from qdcascade.cascade import DecayParams, amplitudes
 
 
@@ -91,6 +92,23 @@ def rk4_step_loop(gamma_b: float, gamma_x: float, delta_t: float, step: float) -
         px += sixth_h * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
         pg += sixth_h * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
     return pb, px, pg
+
+
+def divide_tally(p: DecayParams, trials: int, seed: int) -> tuple[int, int]:
+    """(survived, late) over the blocks of ``oracle.monte_carlo_patterns``,
+    each drawn from ``oracle._block_rng(seed, k)`` as the sampler draws it
+    (all of t_b's uniforms, then all of t_x's), with each waiting time taken
+    as the quotient t = log(1 - u) / -rate: the trajectories with
+    t_b >= delta_t and those with t_b + t_x >= delta_t."""
+    survived = late = 0
+    for k in range(math.ceil(trials / oracle.TRIALS_PER_BLOCK)):
+        n = min(oracle.TRIALS_PER_BLOCK, trials - k * oracle.TRIALS_PER_BLOCK)
+        rng = oracle._block_rng(seed, k)
+        with np.errstate(over="ignore"):  # a tiny rate's quotient is inf, the right waiting time
+            t_b, t_x = (np.log(1.0 - rng.random(n)) / -rate for rate in (p.gamma_b, p.gamma_x))
+        survived += int(np.count_nonzero(t_b >= p.delta_t))
+        late += int(np.count_nonzero(t_b + t_x >= p.delta_t))
+    return survived, late
 
 
 def dephase(rho, d: float) -> np.ndarray:

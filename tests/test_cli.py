@@ -750,6 +750,7 @@ def test_cli_bad_arguments_exit_code(capsys):
         ("sweep", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt-min", "1e9", "--dt-max", "1e10", "--points", "2"):
             "gamma_x * dt_max must be finite, got 1e+300 * 10000000000.0",
         ("validate", "--trials", "0"): "trials must be at least 1, got 0",
+        ("validate", "--trials", "10000000001"): "trials must be at most 10000000000, got 10000000001",
         # a step so unstable that the populations overflow to NaN
         ("validate", "--gamma-b", "1e200", "--dt", "1", "--step", "0.1"): "p_b outside [0, 1]: nan",
         # a step count delta_t / step that overflows, which used to exit 4

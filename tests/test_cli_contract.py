@@ -39,9 +39,11 @@ FLOATS = mix(*[IN_DOMAIN] * 3,
              st.floats(allow_nan=True, allow_infinity=True))
 INTS = mix(st.integers(0, 10), st.integers(-3, 10), st.sampled_from([0, -1, -(10**20), 10**20]))
 CHANNELS = mix(st.integers(1, 7), st.integers(1, 7), INTS)
-# sizes that would run long are drawn up to a bound: points at most 64, trials at most 1000
+# sizes that would run long are drawn up to a bound: points at most 64; trials
+# at most 1000, or above oracle.MAX_TRIALS = 10**10, which is refused before any block
 POINTS = mix(st.integers(2, 64), st.integers(2, 64), st.sampled_from([0, -1, 1, 2, 64]))
-TRIALS = mix(st.integers(1, 1000), st.integers(1, 1000), st.sampled_from([0, -1, -(10**20), 1, 1000]))
+TRIALS = mix(st.integers(1, 1000), st.integers(1, 1000),
+             st.sampled_from([0, -1, -(10**20), 1, 1000, 10**10 + 1, 10**20]))
 # mode lists: valid ones, and any list of tokens (empty, repeated or unknown)
 TOKENS = st.sampled_from(["eb", "ex", "lb", "lx", "early-b", "Late_X", "zz", "", " "])
 MODES = mix(st.sampled_from(["eb", "eb,ex", "lx", "ex,lb"]), st.lists(TOKENS, max_size=5).map(",".join))

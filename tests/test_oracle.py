@@ -7,6 +7,8 @@ import statistics
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdcascade import cascade, cli, oracle
 from qdcascade.cascade import DecayParams
@@ -185,10 +187,40 @@ def test_mc_counts_pinned_with_a_one_trial_last_block(workers):
     assert counts.counts == pattern_tuple({0b0000: 32805, 0b1001: 27019, 0b1111: 5713})
 
 
+RATES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    gamma_b=RATES,
+    gamma_x=RATES,
+    delta_t=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**64),
+    # up to three blocks, the last one cut short at any length
+    trials=st.builds(lambda full, last: full * TRIALS_PER_BLOCK + last, st.integers(0, 2), st.integers(1, TRIALS_PER_BLOCK)),
+)
+# each rate so tiny in turn that its quotient overflows to inf, a gamma_b
+# delta_t that overflows, equal rates (scaled by 1), and no delay
+@example(gamma_b=1e-320, gamma_x=1.0, delta_t=LN2 / 2, seed=3, trials=TRIALS_PER_BLOCK + 10)
+@example(gamma_b=1.0, gamma_x=1e-320, delta_t=LN2 / 2, seed=3, trials=TRIALS_PER_BLOCK + 10)
+@example(gamma_b=1e300, gamma_x=1.0, delta_t=1e10, seed=3, trials=TRIALS_PER_BLOCK + 10)
+@example(gamma_b=2.0, gamma_x=2.0, delta_t=0.5, seed=3, trials=TRIALS_PER_BLOCK + 10)
+@example(gamma_b=2.0, gamma_x=1.0, delta_t=0.0, seed=3, trials=TRIALS_PER_BLOCK + 10)
+def test_mc_counts_equal_the_quotient_tally(gamma_b, gamma_x, delta_t, seed, trials):
+    # the sampler counts both events on log(1 - u) against rate-scaled
+    # thresholds; the waiting times as quotients must give the same counts
+    params = DecayParams(gamma_b, gamma_x, delta_t)
+    survived, late = oracle_math.divide_tally(params, trials, seed)
+    expected = pattern_tuple({PATTERN_SURVIVED: survived, PATTERN_SPLIT: late - survived, PATTERN_FULL_EARLY: trials - late})
+    for workers in (1, 2):
+        assert oracle.monte_carlo_patterns(params, trials, seed, workers).counts == expected, workers
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_a_tiny_rate_waits_forever_without_a_warning(workers):
-    # log(1 - u) / -1e-320 overflows to inf, the right waiting time: the
-    # biexciton never decays before the delay; the suite turns a warning into an error
+    # at gamma_b = 1e-320 the survivor threshold -gamma_b delta_t is a tiny
+    # negative number that every log(1 - u) < 0 lies below: the biexciton
+    # never decays before the delay; the suite turns a warning into an error
     counts = oracle.monte_carlo_patterns(DecayParams(1e-320, 1.0, LN2 / 2), TRIALS_PER_BLOCK + 10, 3, workers)
     assert counts.counts == pattern_tuple({0b0000: TRIALS_PER_BLOCK + 10})
 
@@ -299,11 +331,20 @@ def test_mc_rejects_zero_trials():
         oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, 1.0), 0, 1)
 
 
+def test_mc_refuses_trials_above_the_bound_before_any_block(monkeypatch):
+    def no_block(seed, block_index):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(oracle, "_block_rng", no_block)
+    for trials in (oracle.MAX_TRIALS + 1, 10**20):
+        with pytest.raises(ValueError, match=f"trials must be at most {oracle.MAX_TRIALS}, got {trials}"):
+            oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, 1.0), trials, 1)
+
+
 def test_pattern_counts_validation():
     with pytest.raises(ValueError):
         PatternCounts(counts=(1,) * 15, trials=15)
     with pytest.raises(ValueError):
         PatternCounts(counts=(1,) * 16, trials=15)
     counts = PatternCounts(counts=tuple([10] + [0] * 14 + [30]), trials=40)
-    assert counts.frequency(0) == 0.25
     assert counts.support() == (0, 15)
