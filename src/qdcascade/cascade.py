@@ -189,27 +189,20 @@ def check_dephase(dephase: float) -> None:
 class BranchState:
     """Final states on ``BRANCH_KETS``, one per row: the amplitudes
     c = (alpha, beta, gamma) of a checked ``Amplitudes`` (one point or a
-    grid), shape (N, 3), and a dephasing factor d, shape (N,), that
-    ``check_dephase`` accepted; both read-only. Row k is the density
-    d c c^T + (1 - d) diag(c^2), pure at d = 1 (no dephasing). ``a + b``
-    stacks the rows of a, then those of b."""
+    grid), shape (N, 3) and read-only, and one dephasing factor d for all
+    rows that ``check_dephase`` accepted. Row k is the density
+    d c c^T + (1 - d) diag(c^2), pure at d = 1 (no dephasing)."""
 
     def __init__(self, amps: Amplitudes, dephase: float = 1.0):
         check_dephase(dephase)
         self.c = np.column_stack([amps.alpha, amps.beta, amps.gamma])
-        self.d = np.full(len(self.c), float(dephase))
-        self.c.flags.writeable = self.d.flags.writeable = False
-
-    def __add__(self, other: "BranchState") -> "BranchState":
-        joined = object.__new__(BranchState)
-        joined.c, joined.d = np.concatenate([self.c, other.c]), np.concatenate([self.d, other.d])
-        joined.c.flags.writeable = joined.d.flags.writeable = False
-        return joined
+        self.d = float(dephase)
+        self.c.flags.writeable = False
 
     def density(self) -> np.ndarray:
-        """The densities as one real stack, shape (N, 3, 3): c c^T where d = 1."""
-        rho = self.c[:, :, None] * self.c[:, None, :] * self.d[:, None, None]
-        rho[:, [0, 1, 2], [0, 1, 2]] += (1.0 - self.d[:, None]) * (self.c * self.c)
+        """The densities as one real stack, shape (N, 3, 3): c c^T at d = 1."""
+        rho = self.c[:, :, None] * self.c[:, None, :] * self.d
+        rho[:, [0, 1, 2], [0, 1, 2]] += (1.0 - self.d) * (self.c * self.c)
         return rho
 
 

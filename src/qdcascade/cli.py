@@ -17,7 +17,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -116,8 +117,6 @@ def _table(columns: dict, n: int) -> tuple[list[str], list[list[float]]]:
     return list(columns), np.column_stack([np.broadcast_to(c, (n,)) for c in columns.values()]).tolist()
 
 
-# the GHZ reference on the branch kets: appended, never dephased, to every grid's branch state
-_GHZ_BRANCH = cascade.BranchState(cascade.Amplitudes(*cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real))
 _CHANNEL_COLUMNS = {f"mi_ch{ch.id}": ch for ch in entanglement.enumerate_channels()}
 # fig4's columns: (Alice, Eve) of each split, built once so that each split's masks are too
 _FIG4_SPLITS = {name: EveSplit.from_alice_eve(*split) for name, split in {
@@ -129,32 +128,41 @@ _FIG4_SPLITS = {name: EveSplit.from_alice_eve(*split) for name, split in {
 }.items()}
 
 
-def _grid_measures(rho: cascade.BranchState | None, measures: dict) -> tuple[dict, dict]:
-    """(grid values, GHZ values) of ``measures`` (column name: a ``Channel``
-    for its MI or an ``EveSplit`` for its CMI) from one entropy table of the
-    branch state ``rho`` with the GHZ row appended; ``rho`` None evaluates
-    the GHZ state alone, whose values stand for the grid's too."""
-    stack = _GHZ_BRANCH if rho is None else rho + _GHZ_BRANCH
-    table = entanglement.subset_entropies(stack, {mask for m in measures.values() for mask in m.subsets})
+def _measures(table: Mapping, measures: dict) -> dict:
+    """The value of each of ``measures`` (column name: a ``Channel`` for its
+    MI or an ``EveSplit`` for its CMI) in an entropy table holding their masks."""
     read = {entanglement.Channel: entanglement.mi_from_table, EveSplit: entanglement.cmi_from_table}
-    values = {name: read[type(m)](table, m) for name, m in measures.items()}
-    grid = {name: v if rho is None else v[:-1] for name, v in values.items()}
-    return grid, {name: v[-1] for name, v in values.items()}
+    return {name: read[type(m)](table, m) for name, m in measures.items()}
+
+
+def _grid_measures(rho: cascade.BranchState, measures: dict) -> dict:
+    """``measures`` of the branch state ``rho``, from one entropy table over their masks."""
+    return _measures(entanglement.subset_entropies(rho, {mask for m in measures.values() for mask in m.subsets}),
+                     measures)
+
+
+@functools.cache
+def _ghz_table() -> Mapping[int, float]:
+    """The GHZ state's entropy table over all 16 masks, one float each, built
+    on the branch kets, never dephased, once per process and read-only, as
+    every caller shares it: every grid command's GHZ baseline."""
+    ghz = cascade.BranchState(cascade.Amplitudes(*cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real))
+    return MappingProxyType({mask: s[0] for mask, s in entanglement.subset_entropies(ghz, range(16)).items()})
 
 
 def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
     """Header and dt-ascending rows of a delay sweep."""
     grid = spec.grid()
     amps = cascade.grid_amplitudes(spec.gamma_b, spec.gamma_x, grid)
-    rho = None if spec.ghz_reference else cascade.BranchState(amps, spec.dephase)
-    split = {} if spec.split is None else {"cmi": spec.split}
-    values, ghz = _grid_measures(rho, {**_CHANNEL_COLUMNS, **split})
+    measures = {**_CHANNEL_COLUMNS, **({} if spec.split is None else {"cmi": spec.split})}
+    values = (_measures(_ghz_table(), measures) if spec.ghz_reference
+              else _grid_measures(cascade.BranchState(amps, spec.dephase), measures))
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid, "alpha2": amps.alpha2, "beta2": amps.beta2,
                "gamma2": amps.gamma2, "fidelity": amps.ghz_fidelity}
     columns.update((f"mi_ch{c}", values[f"mi_ch{c}"]) for c in spec.channels)
     columns["mi_avg"] = sum(values[name] for name in _CHANNEL_COLUMNS) / len(_CHANNEL_COLUMNS)
-    if split:
-        columns["cmi"], columns["cmi_ghz"] = values["cmi"], ghz["cmi"]
+    if spec.split is not None:
+        columns["cmi"], columns["cmi_ghz"] = values["cmi"], entanglement.cmi_from_table(_ghz_table(), spec.split)
     return _table(columns, spec.points)
 
 
@@ -210,8 +218,9 @@ def fig3_table() -> tuple[list[str], list[list[float]]]:
     delay grid, with the flat GHZ reference."""
     grid = FIG_SPEC.grid()
     rho = cascade.BranchState(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
-    mi, ghz = _grid_measures(rho, _CHANNEL_COLUMNS)
-    columns = {"gx_dt": FIG_SPEC.gamma_x * grid, **mi, "mi_avg": sum(mi.values()) / len(mi), "mi_ghz": ghz["mi_ch1"]}
+    mi = _grid_measures(rho, _CHANNEL_COLUMNS)
+    mi_ghz = entanglement.mi_from_table(_ghz_table(), _CHANNEL_COLUMNS["mi_ch1"])
+    columns = {"gx_dt": FIG_SPEC.gamma_x * grid, **mi, "mi_avg": sum(mi.values()) / len(mi), "mi_ghz": mi_ghz}
     return _table(columns, FIG_SPEC.points)
 
 
@@ -221,7 +230,8 @@ def fig4_table() -> tuple[list[str], list[list[float]]]:
     early|late channel (Eve takes either late mode), with GHZ baselines."""
     grid = FIG_SPEC.grid()
     rho = cascade.BranchState(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
-    cmi, ghz = _grid_measures(rho, _FIG4_SPLITS)
+    cmi = _grid_measures(rho, _FIG4_SPLITS)
+    ghz = _measures(_ghz_table(), _FIG4_SPLITS)
     ch1, ch5 = [*_FIG4_SPLITS][:3], [*_FIG4_SPLITS][3:]  # each channel's GHZ baseline, of its first split, follows it
     columns = {"gx_dt": FIG_SPEC.gamma_x * grid, **{name: cmi[name] for name in ch1}, "ghz_ch1": ghz[ch1[0]],
                **{name: cmi[name] for name in ch5}, "ghz_ch5": ghz[ch5[0]]}
@@ -399,7 +409,7 @@ def _cmd_optimize_dt(args: argparse.Namespace) -> int:
     )
     if dt_star in (args.dt_min, args.dt_max):
         print(f"note: the optimum lies at the bracket edge dt = {_fmt(dt_star)}", file=sys.stderr)
-    ghz_cmi = _grid_measures(None, {"cmi_ghz": split})[1]["cmi_ghz"]
+    ghz_cmi = entanglement.cmi_from_table(_ghz_table(), split)
     header = ["dt_star", "gx_dt_star", "cmi_star", "cmi_ghz"]
     _emit(args, header, [[dt_star, gamma_x * dt_star, cmi_star, ghz_cmi]])
     return EXIT_OK

@@ -18,13 +18,13 @@ a fault in a reduction or a spectrum that breaks them fails loudly.
 Like ``qmath``, every measure takes a 16x16 density matrix or a stack of
 them, shape (..., 16, 16); one bad matrix fails the whole stack. The table,
 MI and CMI also take a ``cascade.BranchState`` (not ``negativity``):
-amplitudes c (N, 3) on ``cascade.BRANCH_KETS`` and a dephasing factor d per
-row. Tracing out modes merges the kets that agree on the kept modes, adding
+amplitudes c (N, 3) on ``cascade.BRANCH_KETS`` and one dephasing factor d.
+Tracing out modes merges the kets that agree on the kept modes, adding
 their populations c^2, and keeps the coherence d c_i c_j of the one pair of
 kets, if any, that agree on the traced modes: a 2x2 block with a
-closed-form spectrum. A pure row (d = 1) has whole-state entropy 0 exactly,
-so a pure table makes no eigensolve; dephased rows take one real 3x3
-eigensolve under ``qmath``'s eigenvalue floor.
+closed-form spectrum. A pure state (d = 1) has whole-state entropy 0
+exactly, so a pure table makes no eigensolve; each row of a dephased one
+takes a real 3x3 eigensolve under ``qmath``'s eigenvalue floor.
 """
 
 from __future__ import annotations
@@ -154,23 +154,21 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     that the masks alone decide. On 16x16 densities each mask is one
     ``qmath.vn_entropy`` (of a ``qmath.partial_trace`` below the whole
     state), whose checks validate the stack. On a branch state the whole
-    state's entropy is 0 on pure rows and a real 3x3 eigensolve on dephased
-    ones; one product sums the populations each other reduction merges, the
-    coherent pairs take ``_pair_spectrum``, and all spectra take one Shannon
-    sum under ``vn_entropy``'s floor. The table is then checked against
+    state's entropy is 0 if it is pure and a real 3x3 eigensolve per row if
+    it is dephased; one product sums the populations each other reduction
+    merges, the coherent pairs take ``_pair_spectrum``, and all spectra take
+    one Shannon sum under ``vn_entropy``'s floor. The table is then checked against
     subadditivity and Araki-Lieb in one vectorized pass.
     """
     order, rows, groups, (r, i, j, gi, gj), triples = _table_plan(frozenset(subsets))
     if isinstance(rho, BranchState):
         c, d = rho.c, rho.d
-        whole, mixed = np.zeros(len(d)), d < 1.0
-        if mixed.any():
-            whole[mixed] = qmath._spectrum_entropy(np.linalg.eigvalsh(rho.density()[mixed]))
+        whole = np.zeros(len(c)) if d == 1.0 else qmath._spectrum_entropy(np.linalg.eigvalsh(rho.density()))
         entries = whole[None]
         if len(order) > 1:
-            spectra = ((c * c) @ groups).reshape(len(d), -1, 3)  # zero-padded
+            spectra = ((c * c) @ groups).reshape(len(c), -1, 3)  # zero-padded
             spectra[:, r, gi], spectra[:, r, gj] = _pair_spectrum(
-                spectra[:, r, gi], spectra[:, r, gj], c[:, i] * c[:, j] * d[:, None])
+                spectra[:, r, gi], spectra[:, r, gj], c[:, i] * c[:, j] * d)
             entries = np.concatenate([entries, qmath._spectrum_entropy(spectra).T[rows]])
     else:
         m = _four_mode_matrix(rho)

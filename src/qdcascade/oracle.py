@@ -91,13 +91,14 @@ def rate_equation_populations(p: DecayParams, step: float) -> Populations:
 
     gb, gx = p.gamma_b, p.gamma_x
     n_steps = math.ceil(p.delta_t / step)
-    a = (p.delta_t / n_steps) * np.array([[-gb, 0.0, 0.0], [gb, -gx, 0.0], [0.0, gx, 0.0]])  # h A
     eye = np.eye(3)
     # one RK4 step is I + d with d = a + a^2/2 + a^3/6 + a^4/24. Binary powering
     # keeps I apart so the small d is never rounded into it: total is
     # (I + d)^k - I over the bits taken so far, and squaring maps d to 2d + d^2
     total = np.zeros((3, 3))
-    with np.errstate(over="ignore", invalid="ignore"):  # an unstable step gives inf or NaN, which Populations refuses
+    # an overflowing h A or an unstable step gives inf or NaN, which Populations refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (p.delta_t / n_steps) * np.array([[-gb, 0.0, 0.0], [gb, -gx, 0.0], [0.0, gx, 0.0]])  # h A
         d = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
         while n_steps:
             if n_steps & 1:

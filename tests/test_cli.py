@@ -27,6 +27,7 @@ LN2 = math.log(2.0)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EB, EX, LB, LX = ModeLabel
 KETS = cascade.BRANCH_KETS
+GHZ_BRANCH = cascade.BranchState(cascade.Amplitudes(*cascade.ghz_state(4)[list(KETS)].real))
 
 
 def run_main(args):
@@ -90,18 +91,20 @@ def test_cli_sweep_ghz_solves_one_slice(monkeypatch):
         "csv": "5a3e59d2256c9daf45cf1bd41d388d9c3cea3a4dcb5527a0e45fbc9df5dfd76e",
         "json": "cbde433586bc7b182f0916ad8440f2646a72bee5357b2a37daaeb180443e703f",
     }
-    rows, solves = [], []
+    tables, solves = [], []
     subset_entropies, eigvalsh = entanglement.subset_entropies, np.linalg.eigvalsh
-    monkeypatch.setattr(entanglement, "subset_entropies", lambda rho, masks: rows.append(len(rho.d))
+    monkeypatch.setattr(entanglement, "subset_entropies", lambda rho, masks: tables.append((len(rho.c), len(masks)))
                         or subset_entropies(rho, masks))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(np.shape(a)) or eigvalsh(a))
+    cli._ghz_table.cache_clear()
     for fmt, digest in digests.items():
         code, out = run_main(["sweep", "--ghz", "--points", "50", "--dt-min", "0.01", "--dt-max", "5",
                               "--dephase", "0.3", "--alice", "eb", "--eve", "lb", "--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-    # one table per format, of the GHZ row alone, which is pure: no eigensolve
-    assert rows == [1, 1] and solves == []
+    # one table for both formats: the GHZ state's, one row over all 16
+    # masks, built once per process; it is pure, so no eigensolve
+    assert tables == [(1, 16)] and solves == []
 
 
 def test_sweep_rows_ascending_and_independent():
@@ -113,7 +116,6 @@ def test_sweep_rows_ascending_and_independent():
     assert cols["dt"] == sorted(cols["dt"])
     channels = entanglement.enumerate_channels()
     split = EveSplit.from_alice_eve({EB}, {LB})
-    ghz = cli._GHZ_BRANCH
     for k, dt in enumerate(cols["dt"]):
         params = DecayParams(2.0, 1.0, dt)
         a = cascade.amplitudes(params)
@@ -123,7 +125,7 @@ def test_sweep_rows_ascending_and_independent():
             "gx_dt": 1.0 * dt, "alpha2": a.alpha2, "beta2": a.beta2, "gamma2": a.gamma2,
             "fidelity": a.ghz_fidelity,
             "cmi": entanglement.conditional_mutual_information(rho, split)[0],
-            "cmi_ghz": entanglement.conditional_mutual_information(ghz, split)[0],
+            "cmi_ghz": entanglement.conditional_mutual_information(GHZ_BRANCH, split)[0],
         }
         mi = [entanglement.mutual_information(rho, ch)[0] for ch in channels]
         single.update({f"mi_ch{ch.id}": v for ch, v in zip(channels, mi)})
@@ -134,16 +136,16 @@ def test_sweep_rows_ascending_and_independent():
 
 @pytest.mark.parametrize("dephase", [0.0, 0.37, 1.0])
 def test_grid_densities_match_per_point_densities(dephase):
-    # the densities of a branch state, with the grid evaluator's GHZ row
-    # appended, are, bit for bit, the blocks on the branch kets of the
-    # per-point 16x16 densities, which are real there and zero elsewhere;
-    # and dephased_density, built from the branch state, is the dense
-    # formula (at d = 1, the pure state's projector)
+    # the densities of a grid's branch state, and of the GHZ state's that
+    # the GHZ table is built from, are, bit for bit, the blocks on the
+    # branch kets of the per-point 16x16 densities, which are real there and
+    # zero elsewhere; and dephased_density, built from the branch state, is
+    # the dense formula (at d = 1, the pure state's projector)
     grid = np.geomspace(1e-3, 20.0, 25)
-    state = cascade.BranchState(cascade.grid_amplitudes(3.0, 1.0, grid), dephase) + cli._GHZ_BRANCH
-    stack = state.density()
-    assert stack.shape == (26, 3, 3) and state.d.tolist() == [dephase] * 25 + [1.0]
-    assert not (cli._GHZ_BRANCH.c.flags.writeable or cli._GHZ_BRANCH.d.flags.writeable)
+    state = cascade.BranchState(cascade.grid_amplitudes(3.0, 1.0, grid), dephase)
+    stack = np.concatenate([state.density(), GHZ_BRANCH.density()])
+    assert stack.shape == (26, 3, 3) and type(state.d) is float and state.d == dephase and GHZ_BRANCH.d == 1.0
+    assert not (state.c.flags.writeable or GHZ_BRANCH.c.flags.writeable)
     singles = []
     for dt in grid:
         params = DecayParams(3.0, 1.0, float(dt))
@@ -292,10 +294,10 @@ def test_sweep_and_optimize_dt_reject_a_bracket_alike(bracket, capsys):
 
 
 def test_each_branch_table_makes_one_eigensolve(monkeypatch):
-    # a branch table hands eigvalsh only the whole state of its dephased
-    # rows, as one real 3x3 stack; its pure rows, the GHZ row among them,
-    # and every reduced spectrum are closed-form, so a pure table makes no
-    # eigensolve. The dense 16x16 path still solves one mask per call
+    # a branch table hands eigvalsh only the whole state of a dephased
+    # branch state, as one real 3x3 stack; a pure one, the GHZ table's among
+    # them, and every reduced spectrum are closed-form, so a pure table makes
+    # no eigensolve. The dense 16x16 path still solves one mask per call
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -309,7 +311,7 @@ def test_each_branch_table_makes_one_eigensolve(monkeypatch):
     empty_eve = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30,
                           split=EveSplit.from_alice_eve({EB}))
     # the figures' 200 pure points and the pure sweep's 30 make none; the
-    # dephased sweep solves its 30 points, not the GHZ row
+    # dephased sweep solves its 30 points, not the GHZ state
     for build, solved in ((cli.fig3_table, []), (cli.fig4_table, []),
                           (lambda: cli.sweep_table(spec), [((30, 3, 3), np.float64)]),
                           (lambda: cli.sweep_table(empty_eve), [])):
@@ -435,7 +437,7 @@ def test_secure_rate_rejects_overlapping_subsets():
 
 def test_optimize_delay_on_constant_zero(monkeypatch):
     monkeypatch.setattr(entanglement, "conditional_mutual_information",
-                        lambda rho, split: np.zeros(len(rho.d)))
+                        lambda rho, split: np.zeros(len(rho.c)))
     split = EveSplit.from_alice_eve({EB}, {EX})
     dt_star, value = cli.optimize_delay(2.0, 1.0, split, (0.1, 2.0))
     assert 0.1 <= dt_star <= 2.0
@@ -489,7 +491,7 @@ def test_optimize_delay_ends_on_brackets_narrower_than_its_tolerance(monkeypatch
     cmi = entanglement.conditional_mutual_information
 
     def counted(rho, split):
-        calls.append(len(rho.d))
+        calls.append(len(rho.c))
         if len(calls) > 50:
             raise AssertionError("optimize_delay does not terminate")
         return cmi(rho, split)

@@ -95,11 +95,15 @@ ARGV = mix(
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
 @given(argv=ARGV)
-# inputs that broke the contract: step counts that overflowed (exit 4), and a
-# waiting time that overflowed with a numpy warning
+# inputs that broke the contract: step counts that overflowed (exit 4), a
+# waiting time that overflowed with a numpy warning, and huge rates with a
+# coarse step, whose step map h A overflowed with a numpy warning
 @example(argv=["validate", "--step=5e-324", "--trials=10"])
 @example(argv=["validate", "--dt=1.7e308", "--trials=10"])
 @example(argv=["validate", "--ratio=1e-320", "--trials=10"])
+@example(argv=["validate", "--gamma-b=1e300", "--gamma-x=1.0", "--dt=1e10", "--step=1e9", "--trials=10"])
+@example(argv=["validate", "--gamma-b=1e308", "--dt=20.0", "--step=2.0", "--trials=10"])
+@example(argv=["validate", "--ratio=1e300", "--gamma-x=1e5", "--dt=1e5", "--step=1e4", "--trials=10"])
 def test_every_command_keeps_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -18,6 +18,7 @@ import oracle_math
 LN2 = math.log(2.0)
 POINT = DecayParams(2.0, 1.0, LN2 / 2)  # alpha^2 = 1/2
 EB, EX, LB, LX = ModeLabel
+GHZ_BRANCH = cascade.BranchState(cascade.Amplitudes(*cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real))
 
 
 def final_density(params):
@@ -466,7 +467,7 @@ def test_subset_entropies_of_pure_cascade_states():
 
 
 def test_subset_entropies_reject_bad_masks():
-    for rho in (ghz_density(), cli._GHZ_BRANCH) * 2:  # a plan that raised is not cached
+    for rho in (ghz_density(), GHZ_BRANCH) * 2:  # a plan that raised is not cached
         with pytest.raises(ValueError, match="mode mask must lie in 0..15, got 16"):
             entanglement.subset_entropies(rho, [16])
     # a branch state is the only branch input: a 3x3 density is refused too
@@ -488,17 +489,16 @@ FIG4_SPLITS = [EveSplit.from_alice_eve(alice, eve)
 @example(ratio=1.0, d=1.0, dts=[0.0, LN2, 800.0])  # equal rates
 @example(ratio=20.0, d=0.0, dts=[0.0, 1e-3, 40.0])
 def test_branch_table_matches_the_dense_table(ratio, d, dts):
-    # the grid commands' branch-state path against the 16x16 path, with the
-    # grid evaluator's GHZ row as the last slice: all 16 masks, the 7
-    # channels and the 5 fig4 splits
+    # the grid commands' branch-state path against the 16x16 path: all 16
+    # masks, the 7 channels and the 5 fig4 splits (the GHZ table's are
+    # test_ghz_table_matches_the_dense_ghz_state's)
     grid = grid_params(dts, gamma_b=ratio)
-    branch = cascade.BranchState(cascade.grid_amplitudes(ratio, 1.0, dts), d) + cli._GHZ_BRANCH
-    dense = np.concatenate([grid_stack(grid, d), ghz_density()[None]])
+    branch = cascade.BranchState(cascade.grid_amplitudes(ratio, 1.0, dts), d)
     got = entanglement.subset_entropies(branch, range(16))
-    want = entanglement.subset_entropies(dense, range(16))
-    # a pure row, the GHZ row among them, has whole-state entropy 0.0 exactly
-    pure = branch.d == 1.0
-    assert pure[-1] and got[0b1111][pure].tolist() == [0.0] * pure.sum()
+    want = entanglement.subset_entropies(grid_stack(grid, d), range(16))
+    # a pure state has whole-state entropy 0.0 exactly
+    if d == 1.0:
+        assert got[0b1111].tolist() == [0.0] * len(dts)
     for mask in range(16):
         np.testing.assert_allclose(got[mask], want[mask], rtol=0.0, atol=1e-12, err_msg=f"mask {mask:04b}")
         # spectra stacked for one Shannon sum give, bit for bit, each mask's entropy asked for alone
@@ -512,6 +512,31 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
                                    rtol=0.0, atol=1e-12, err_msg=str(split))
 
 
+ALL_SPLITS = [EveSplit.from_alice_eve({m for m, who in zip(ModeLabel, roles) if who == "a"},
+                                     {m for m, who in zip(ModeLabel, roles) if who == "e"})
+              for roles in itertools.product("abe", repeat=4) if "a" in roles and "b" in roles]
+
+
+def test_ghz_table_matches_the_dense_ghz_state():
+    # every grid command's GHZ baseline: the table, built once, against the
+    # 16x16 GHZ state for all 16 masks, the 7 channels and all 50 splits
+    table = cli._ghz_table()
+    assert cli._ghz_table() is table and list(table) == [0b1111, *range(15)]
+    assert table[0b1111] == 0.0  # pure: whole-state entropy 0.0 exactly
+    dense = ghz_density()
+    want = entanglement.subset_entropies(dense, range(16))
+    for mask in range(16):
+        np.testing.assert_allclose(table[mask], want[mask], rtol=0.0, atol=1e-12, err_msg=f"mask {mask:04b}")
+    for ch in entanglement.enumerate_channels():
+        np.testing.assert_allclose(entanglement.mi_from_table(table, ch), entanglement.mutual_information(dense, ch),
+                                   rtol=0.0, atol=1e-12, err_msg=f"channel {ch.id}")
+    assert len(set(ALL_SPLITS)) == 50
+    for split in ALL_SPLITS:
+        np.testing.assert_allclose(entanglement.cmi_from_table(table, split),
+                                   entanglement.conditional_mutual_information(dense, split),
+                                   rtol=0.0, atol=1e-12, err_msg=str(split))
+
+
 def pairwise_excesses(table):
     """(X, Y, worst excess) of each pair the table check covers, in its
     order: the pairwise loop it replaced."""
@@ -521,13 +546,15 @@ def pairwise_excesses(table):
 
 @pytest.mark.parametrize("point", [0, 100, 200])
 def test_table_check_flags_one_entry_past_its_tolerance(point):
-    # fig3's table of 200 grid points and the GHZ state, one entry changed at
-    # one point; the pairwise loop names the pair the check must name
-    rho = cascade.BranchState(cascade.grid_amplitudes(2.0, 1.0, cli.FIG_SPEC.grid())) + cli._GHZ_BRANCH
+    # fig3's table of 200 grid points with the GHZ table's entries as point
+    # 200, one entry changed at one point; the pairwise loop names the pair
+    # the check must name
+    rho = cascade.BranchState(cascade.grid_amplitudes(2.0, 1.0, cli.FIG_SPEC.grid()))
     masks = frozenset(mask for ch in entanglement.enumerate_channels() for mask in ch.subsets)
-    table = entanglement.subset_entropies(rho, masks)
+    grid_table = entanglement.subset_entropies(rho, masks)
+    table = {mask: np.append(s, cli._ghz_table()[mask]) for mask, s in grid_table.items()}
     order, *_, triples = entanglement._table_plan(masks)
-    assert len(rho.d) == 201 and list(table) == list(order)
+    assert len(table[0b1111]) == 201 and list(table) == list(order)
     atol = entanglement.ENTROPY_INEQUALITY_ATOL
     # S(1111) enters only |S(X) - S(~X)| - S(1111), Araki-Lieb of the
     # complementary pairs: at D - atol, D the largest |S(X) - S(~X)| at the
