@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -278,82 +278,32 @@ def validate_oracles(params: DecayParams, trials: int, seed: int, step: float = 
 # command-line surface
 # --------------------------------------------------------------------------
 
-def _has_json_type(option_type, value) -> bool:
-    json_types = {float: (int, float), int: (int,)}.get(option_type, (str,))
-    return isinstance(value, json_types) and not isinstance(value, bool)
-
-
-def _config_value(action: argparse.Action, value):
-    """``value`` as the option's type if it has the option's JSON type: a
-    number that is not a bool for a numeric option, a string for a string
-    option, a bool for a switch, a list of such items for a repeatable one."""
-    if isinstance(action, argparse._StoreTrueAction):
-        ok = isinstance(value, bool)
-    elif isinstance(action, argparse._AppendAction):
-        ok = isinstance(value, list) and all(_has_json_type(action.type, v) for v in value)
-    else:
-        ok = _has_json_type(action.type, value)
-    if not ok:
-        raise ValueError(f"config {action.dest} has the wrong type: {value!r}")
-    return float(value) if action.type is float else value
-
-
-def _with_config(argv: Sequence[str] | None, args: argparse.Namespace) -> argparse.Namespace:
-    """Re-parse with the JSON object in ``--config`` as defaults of the chosen
-    subcommand, so flags given on the command line still win; a repeatable
-    flag replaces the file's list. The defaults go on a parser of its own,
-    never on the one ``main`` shares."""
-    with open(args.config) as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"config file {args.config} must hold a JSON object")
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    command = subparsers.choices[args.command]
-    options = {a.dest: a for a in command._actions if a.option_strings}
-    config = {key.replace("-", "_"): value for key, value in config.items()}
-    unknown = sorted(set(config) - set(options))
-    if unknown:
-        raise ValueError(f"unknown config keys for {args.command}: {unknown}")
-    for key, value in config.items():
-        config[key] = _config_value(options[key], value)
-        if options[key].choices is not None and value not in options[key].choices:
-            raise ValueError(f"config {key} must be one of {list(options[key].choices)}, got {value!r}")
-        # a repeatable flag would extend the file's list; given, it replaces it
-        if isinstance(options[key], argparse._AppendAction) and getattr(args, key) is not None:
-            config[key] = None
-    command.set_defaults(**config)
-    return parser.parse_args(argv)
-
-
 def _resolve_rates(args: argparse.Namespace) -> tuple[float, float]:
-    gamma_x = args.gamma_x if args.gamma_x is not None else DEFAULT_GAMMA_X
     if args.ratio is not None:
         if args.gamma_b is not None:
             raise ValueError("--ratio conflicts with an explicit --gamma-b")
-        return args.ratio * gamma_x, gamma_x
-    gamma_b = args.gamma_b if args.gamma_b is not None else DEFAULT_RATIO * gamma_x
-    return gamma_b, gamma_x
+        return args.ratio * args.gamma_x, args.gamma_x
+    gamma_b = args.gamma_b if args.gamma_b is not None else DEFAULT_RATIO * args.gamma_x
+    return gamma_b, args.gamma_x
 
 
 def _resolve_params(args: argparse.Namespace) -> DecayParams:
     gamma_b, gamma_x = _resolve_rates(args)
-    dt = args.dt if args.dt is not None else DEFAULT_DT
-    return DecayParams(gamma_b=gamma_b, gamma_x=gamma_x, delta_t=dt)
+    return DecayParams(gamma_b=gamma_b, gamma_x=gamma_x, delta_t=args.dt)
 
 
 def _resolve_split(args: argparse.Namespace) -> EveSplit:
     return EveSplit.from_alice_eve(parse_mode_list(args.alice), parse_mode_list(args.eve or ""))
 
 
-def _emit(args: argparse.Namespace, header: list[str], rows: list[list[float]]) -> None:
-    if args.format == "json":
+def _emit(fmt: str, out: str | None, header: list[str], rows: list[list[float]]) -> None:
+    if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = _csv_lines(header, rows)
-    if args.out:
-        _write_text(args.out, text)
+    if out:
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -365,7 +315,7 @@ def _cmd_amplitudes(args: argparse.Namespace) -> int:
     row = [params.delta_t, params.gamma_x * params.delta_t,
            amps.alpha, amps.beta, amps.gamma,
            amps.alpha2, amps.beta2, amps.gamma2, amps.ghz_fidelity]
-    _emit(args, header, [row])
+    _emit(args.format, args.out, header, [row])
     return EXIT_OK
 
 
@@ -374,22 +324,21 @@ def _cmd_state(args: argparse.Namespace) -> int:
     v = cascade.final_state(params)
     header = ["basis_index", "pattern", "amplitude"]
     rows = [[i, int(f"{i:04b}"), float(v[i].real)] for i in range(16) if abs(v[i]) > 0.0]
-    _emit(args, header, rows)
+    _emit(args.format, args.out, header, rows)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     gamma_b, gamma_x = _resolve_rates(args)
-    channels = tuple(args.channel) if args.channel else (1, 2, 3, 4, 5, 6, 7)
     if args.alice is None and args.eve:
         raise ValueError("--eve needs --alice")
     spec = SweepSpec(
         gamma_b=gamma_b, gamma_x=gamma_x,
         dt_min=args.dt_min, dt_max=args.dt_max, points=args.points, scale=args.scale,
-        channels=channels, dephase=args.dephase, ghz_reference=args.ghz,
+        channels=tuple(args.channel or SweepSpec.channels), dephase=args.dephase, ghz_reference=args.ghz,
         split=None if args.alice is None else _resolve_split(args),
     )
-    _emit(args, *sweep_table(spec))
+    _emit(args.format, args.out, *sweep_table(spec))
     return EXIT_OK
 
 
@@ -397,7 +346,7 @@ def _cmd_secure_rate(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
     split = _resolve_split(args)
     result = secure_rate(params, split, args.dephase)
-    _emit(args, list(result), [list(result.values())])
+    _emit(args.format, args.out, list(result), [list(result.values())])
     return EXIT_OK
 
 
@@ -407,16 +356,17 @@ def _cmd_optimize_dt(args: argparse.Namespace) -> int:
     dt_star, cmi_star = optimize_delay(
         gamma_b, gamma_x, split, (args.dt_min, args.dt_max), dephase=args.dephase
     )
-    if dt_star in (args.dt_min, args.dt_max):
-        print(f"note: the optimum lies at the bracket edge dt = {_fmt(dt_star)}", file=sys.stderr)
     ghz_cmi = entanglement.cmi_from_table(_ghz_table(), split)
     header = ["dt_star", "gx_dt_star", "cmi_star", "cmi_ghz"]
-    _emit(args, header, [[dt_star, gamma_x * dt_star, cmi_star, ghz_cmi]])
+    _emit(args.format, args.out, header, [[dt_star, gamma_x * dt_star, cmi_star, ghz_cmi]])
+    # after the table, so that a failed write prints its error alone
+    if dt_star in (args.dt_min, args.dt_max):
+        print(f"note: the optimum lies at the bracket edge dt = {_fmt(dt_star)}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    _emit(args, *{"fig3": fig3_table, "fig4": fig4_table}[args.command]())
+    _emit("csv", args.out, *{"fig3": fig3_table, "fig4": fig4_table}[args.command]())
     return EXIT_OK
 
 
@@ -427,109 +377,163 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_VALIDATION_FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
+class Command(NamedTuple):
+    """A subcommand: the function that runs it, its help line and its flags
+    in ``--help`` order, each a name and its ``add_argument`` keywords."""
+
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple[tuple[str, dict], ...]
+
+
+_RATES = (
+    ("--gamma-b", dict(type=float, help="biexciton decay rate")),
+    ("--gamma-x", dict(type=float, default=DEFAULT_GAMMA_X, help="exciton decay rate (default 1)")),
+    ("--ratio", dict(type=float, help="gamma_b / gamma_x; sets gamma_b = ratio * gamma_x")),
+    ("--config", dict(help="JSON file with defaults for any flag (flags override)")),
+)
+_POINT = (*_RATES, ("--dt", dict(type=float, default=DEFAULT_DT, help="pulse delay")))
+_OUTPUT = (("--format", dict(choices=("csv", "json"), default="csv")), ("--out", {}))
+
+# the command line, stated once: build_parser, the --config check and the
+# contract test all read it
+COMMANDS = {
+    "amplitudes": Command(
+        _cmd_amplitudes,
+        "branch amplitudes alpha = exp(-gamma_b dt/2), "
+        "beta = sqrt(gamma_b (exp(-gamma_b dt) - exp(-gamma_x dt)) / (gamma_x - gamma_b)), "
+        "gamma = sqrt(1 - alpha^2 - beta^2)",
+        (*_POINT, *_OUTPUT)),
+    "state": Command(
+        _cmd_state,
+        "four-mode state alpha|0000> + beta|1001> + gamma|1111> "
+        "over (early-B, early-X, late-B, late-X)",
+        (*_POINT, *_OUTPUT)),
+    "sweep": Command(
+        _cmd_sweep,
+        "mutual information I(p1:p2) = S(p1) + S(p2) - S(p1,p2) per channel "
+        "over a delay grid, with the 7-channel average",
+        (*_RATES, *_OUTPUT,
+         ("--dt-min", dict(type=float, required=True)),
+         ("--dt-max", dict(type=float, required=True)),
+         ("--points", dict(type=int, required=True)),
+         ("--scale", dict(choices=("linear", "log"), default="linear")),
+         ("--channel", dict(type=int, action="append",
+                            help="channel id 1..7; repeat to select several (default: all)")),
+         ("--dephase", dict(type=float, default=1.0,
+                            help="attenuate all coherences by this factor in [0, 1] (default 1: no dephasing)")),
+         ("--ghz", dict(action="store_true",
+                        help="evaluate the GHZ reference state instead of the cascade state")),
+         ("--alice", dict(help="comma-separated modes for an extra secret-rate column")),
+         ("--eve", {}))),
+    "secure-rate": Command(
+        _cmd_secure_rate,
+        "secret rate I(Alice:Bob|Eve) = I(A:BE) - I(A:E), with GHZ baseline",
+        (*_POINT, *_OUTPUT,
+         ("--alice", dict(required=True, help="e.g. 'early-b' or 'eb,ex'")),
+         ("--eve", dict(help="modes Eve grabs from Bob's side")),
+         ("--dephase", dict(type=float, default=1.0)))),
+    "optimize-dt": Command(
+        _cmd_optimize_dt,
+        "maximize I(Alice:Bob|Eve) over the pulse delay "
+        "(coarse scan + repeated grid refinement)",
+        (*_RATES, *_OUTPUT,
+         ("--alice", dict(required=True)),
+         ("--eve", {}),
+         ("--dt-min", dict(type=float, default=1e-3)),
+         ("--dt-max", dict(type=float, default=10.0)),
+         ("--dephase", dict(type=float, default=1.0)))),
+    "fig3": Command(
+        _cmd_figure,
+        "CSV of per-channel mutual information vs gamma_x dt "
+        "(200 log points, rates 2:1) plus average and GHZ reference",
+        (("--out", dict(required=True)),)),
+    "fig4": Command(
+        _cmd_figure,
+        "CSV of secret rates I(Alice:Bob|Eve) vs gamma_x dt for the "
+        "single-mode and balanced channels with GHZ baselines",
+        (("--out", dict(required=True)),)),
+    "validate": Command(
+        _cmd_validate,
+        "check the closed-form branch probabilities against the "
+        "rate-equation integrator and the trajectory sampler",
+        (*_POINT,
+         ("--trials", dict(type=int, default=1_000_000)),
+         ("--seed", dict(type=int, default=42)),
+         ("--step", dict(type=float, default=1e-4)))),
+}
+
+
+def build_parser(defaults: Mapping[str, Mapping] = MappingProxyType({})) -> argparse.ArgumentParser:
+    """The parser of ``COMMANDS``; ``defaults`` maps a subcommand to flag
+    values, by dest, that replace the table's defaults."""
     parser = argparse.ArgumentParser(
         prog="qdcascade",
         description="Photon-number entanglement from a two-pulse biexciton-exciton cascade.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # shared flags, built per parser: a parent shares its actions, and the defaults --config sets, with its children
-    rates = argparse.ArgumentParser(add_help=False)
-    rates.add_argument("--gamma-b", type=float, default=None, help="biexciton decay rate")
-    rates.add_argument("--gamma-x", type=float, default=None, help="exciton decay rate (default 1)")
-    rates.add_argument("--ratio", type=float, default=None,
-                       help="gamma_b / gamma_x; sets gamma_b = ratio * gamma_x")
-    rates.add_argument("--config", type=str, default=None,
-                       help="JSON file with defaults for any flag (flags override)")
-    point = argparse.ArgumentParser(add_help=False, parents=[rates])
-    point.add_argument("--dt", type=float, default=None, help="pulse delay")
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("csv", "json"), default="csv")
-    output.add_argument("--out", type=str, default=None)
-
-    p = sub.add_parser(
-        "amplitudes",
-        help="branch amplitudes alpha = exp(-gamma_b dt/2), "
-             "beta = sqrt(gamma_b (exp(-gamma_b dt) - exp(-gamma_x dt)) / (gamma_x - gamma_b)), "
-             "gamma = sqrt(1 - alpha^2 - beta^2)",
-        parents=[point, output],
-    )
-    p.set_defaults(handler=_cmd_amplitudes)
-
-    p = sub.add_parser(
-        "state",
-        help="four-mode state alpha|0000> + beta|1001> + gamma|1111> "
-             "over (early-B, early-X, late-B, late-X)",
-        parents=[point, output],
-    )
-    p.set_defaults(handler=_cmd_state)
-
-    p = sub.add_parser(
-        "sweep",
-        help="mutual information I(p1:p2) = S(p1) + S(p2) - S(p1,p2) per channel "
-             "over a delay grid, with the 7-channel average",
-        parents=[rates, output],
-    )
-    p.add_argument("--dt-min", type=float, required=True)
-    p.add_argument("--dt-max", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--scale", choices=("linear", "log"), default="linear")
-    p.add_argument("--channel", type=int, action="append",
-                   help="channel id 1..7; repeat to select several (default: all)")
-    p.add_argument("--dephase", type=float, default=1.0,
-                   help="attenuate all coherences by this factor in [0, 1] (default 1: no dephasing)")
-    p.add_argument("--ghz", action="store_true",
-                   help="evaluate the GHZ reference state instead of the cascade state")
-    p.add_argument("--alice", type=str, default=None,
-                   help="comma-separated modes for an extra secret-rate column")
-    p.add_argument("--eve", type=str, default=None)
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser(
-        "secure-rate",
-        help="secret rate I(Alice:Bob|Eve) = I(A:BE) - I(A:E), with GHZ baseline",
-        parents=[point, output],
-    )
-    p.add_argument("--alice", type=str, required=True, help="e.g. 'early-b' or 'eb,ex'")
-    p.add_argument("--eve", type=str, default=None, help="modes Eve grabs from Bob's side")
-    p.add_argument("--dephase", type=float, default=1.0)
-    p.set_defaults(handler=_cmd_secure_rate)
-
-    p = sub.add_parser(
-        "optimize-dt",
-        help="maximize I(Alice:Bob|Eve) over the pulse delay "
-             "(coarse scan + repeated grid refinement)",
-        parents=[rates, output],
-    )
-    p.add_argument("--alice", type=str, required=True)
-    p.add_argument("--eve", type=str, default=None)
-    p.add_argument("--dt-min", type=float, default=1e-3)
-    p.add_argument("--dt-max", type=float, default=10.0)
-    p.add_argument("--dephase", type=float, default=1.0)
-    p.set_defaults(handler=_cmd_optimize_dt)
-
-    for name, help_text in (
-        ("fig3", "CSV of per-channel mutual information vs gamma_x dt "
-                 "(200 log points, rates 2:1) plus average and GHZ reference"),
-        ("fig4", "CSV of secret rates I(Alice:Bob|Eve) vs gamma_x dt for the "
-                 "single-mode and balanced channels with GHZ baselines"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", type=str, required=True)
-        p.set_defaults(handler=_cmd_figure, format="csv")
-
-    p = sub.add_parser(
-        "validate",
-        help="check the closed-form branch probabilities against the "
-             "rate-equation integrator and the trajectory sampler",
-        parents=[point],
-    )
-    p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--step", type=float, default=1e-4)
-    p.set_defaults(handler=_cmd_validate)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=command.handler, **defaults.get(name, {}))
     return parser
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _has_json_type(value, flag: Mapping) -> bool:
+    """Whether ``value`` has ``flag``'s JSON type: a bool for a switch, a list
+    of values for a repeatable flag, else one value, which is a number that
+    is not a bool for a numeric flag and a string for any other."""
+    if flag.get("action") == "store_true":
+        return isinstance(value, bool)
+    if flag.get("action") == "append":
+        return isinstance(value, list) and all(_has_json_type(v, {"type": flag["type"]}) for v in value)
+    kinds = {float: (int, float), int: (int,)}.get(flag.get("type"), (str,))
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The JSON object in the file ``args.config`` as defaults of the flags of
+    ``args.command``. Each key names one of its flags (``-`` or ``_``), and
+    each value has the flag's JSON type and lies within its choices. A
+    repeatable flag given on the command line replaces the file's list."""
+    with open(args.config) as fh:
+        try:
+            config = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep to decode
+            raise ValueError(f"config file {args.config} is not JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    flags = {_dest(name): kwargs for name, kwargs in COMMANDS[args.command].flags}
+    config = {key.replace("-", "_"): value for key, value in config.items()}
+    unknown = sorted(set(config) - set(flags))
+    if unknown:
+        raise ValueError(f"unknown config keys for {args.command}: {unknown}")
+    for key, value in config.items():
+        flag = flags[key]
+        if not _has_json_type(value, flag):
+            raise ValueError(f"config {key} has the wrong type: {value!r}")
+        if "choices" in flag and value not in flag["choices"]:
+            raise ValueError(f"config {key} must be one of {list(flag['choices'])}, got {value!r}")
+        if flag.get("action") == "append" and getattr(args, key) is not None:
+            config[key] = None  # a default list would be extended; given, the flag replaces it
+        elif flag.get("type") is float:
+            config[key] = float(value)
+    return config
+
+
+def _refuse_dropped_values(args: argparse.Namespace) -> None:
+    """Refuse a flag given as ``--flag=--``. argparse drops the ``--`` and
+    stores an empty list, to which it applies no type; every other value it
+    stores, or that ``--config`` sets, has its flag's JSON type."""
+    for name, flag in COMMANDS[args.command].flags:
+        value = getattr(args, _dest(name))
+        if value is not None and not _has_json_type(value, flag):
+            raise ValueError(f"{_dest(name)} must be given a value, got '--'")
 
 
 @functools.cache
@@ -542,7 +546,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if getattr(args, "config", None):
-            args = _with_config(argv, args)
+            args = build_parser({args.command: _config_defaults(args)}).parse_args(argv)
+        _refuse_dropped_values(args)
         return args.handler(args)
     # LinAlgError subclasses ValueError, so it is caught before bad arguments
     except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:

@@ -888,6 +888,22 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert out == run_main(["amplitudes", "--dt", "1", "--format", "json"])[1]
 
 
+@pytest.mark.parametrize("text,error", [
+    # -h is not a flag of the table, so "help" is an unknown key, whatever its value
+    ('{"help": "x"}', "unknown config keys for amplitudes: ['help']"),
+    ('{"help": true}', "unknown config keys for amplitudes: ['help']"),
+    ("", "config file {path} is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("{'dt': 1}", "config file {path} is not JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+])
+def test_cli_config_errors_name_the_key_or_the_file(tmp_path, capsys, text, error):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code, out = run_main(["amplitudes", "--config", str(config)])
+    assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
+    assert capsys.readouterr().err == f"error: {error.format(path=config)}\n"
+
+
 def test_csv_formatting_is_stable():
     assert cli._fmt(2.0) == "2"
     assert cli._fmt(1.9083982468759764) == "1.90839824688"
@@ -924,7 +940,7 @@ def test_a_ragged_row_exits_without_a_traceback(monkeypatch, tmp_path, rows):
 def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):
     builds = []
     build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    monkeypatch.setattr(cli, "build_parser", lambda *args, **kwargs: builds.append(1) or build_parser(*args, **kwargs))
     cli._parser.cache_clear()
     default_row = run_main(["amplitudes"])
     assert run_main(["amplitudes"]) == default_row
