@@ -112,11 +112,6 @@ class SweepSpec:
 FIG_SPEC = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=1e-2, dt_max=10.0, points=200, scale="log")
 
 
-def _table(columns: dict, n: int) -> tuple[list[str], list[list[float]]]:
-    """Header and rows of named columns, each n values or one value for all rows."""
-    return list(columns), np.column_stack([np.broadcast_to(c, (n,)) for c in columns.values()]).tolist()
-
-
 _CHANNEL_COLUMNS = {f"mi_ch{ch.id}": ch for ch in entanglement.enumerate_channels()}
 # fig4's columns: (Alice, Eve) of each split, built once so that each split's masks are too
 _FIG4_SPLITS = {name: EveSplit.from_alice_eve(*split) for name, split in {
@@ -128,19 +123,6 @@ _FIG4_SPLITS = {name: EveSplit.from_alice_eve(*split) for name, split in {
 }.items()}
 
 
-def _measures(table: Mapping, measures: dict) -> dict:
-    """The value of each of ``measures`` (column name: a ``Channel`` for its
-    MI or an ``EveSplit`` for its CMI) in an entropy table holding their masks."""
-    read = {entanglement.Channel: entanglement.mi_from_table, EveSplit: entanglement.cmi_from_table}
-    return {name: read[type(m)](table, m) for name, m in measures.items()}
-
-
-def _grid_measures(rho: cascade.BranchState, measures: dict) -> dict:
-    """``measures`` of the branch state ``rho``, from one entropy table over their masks."""
-    return _measures(entanglement.subset_entropies(rho, {mask for m in measures.values() for mask in m.subsets}),
-                     measures)
-
-
 @functools.cache
 def _ghz_table() -> Mapping[int, float]:
     """The GHZ state's entropy table over all 16 masks, one float each, built
@@ -150,20 +132,37 @@ def _ghz_table() -> Mapping[int, float]:
     return MappingProxyType({mask: s[0] for mask, s in entanglement.subset_entropies(ghz, range(16)).items()})
 
 
-def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
-    """Header and dt-ascending rows of a delay sweep."""
+def _grid_table(spec: SweepSpec, header: Iterable[str], measures: Mapping,
+                ghz: Mapping) -> tuple[list[str], list[list[float]]]:
+    """Header and dt-ascending rows of the columns ``header`` over the grid of
+    ``spec``, a repeated name kept at its first place. A column is a grid
+    quantity (``dt``, ``gx_dt``, ``alpha2``, ``beta2``, ``gamma2``,
+    ``fidelity``), a name of ``measures``, ``mi_avg`` (the mean of the seven
+    channels, all in ``measures``) or a name of ``ghz``, that measure's GHZ
+    baseline. A measure is a ``Channel`` for its MI or an ``EveSplit`` for
+    its CMI; ``measures`` are read from one entropy table over their masks,
+    of the branch state, or of the GHZ state for ``spec.ghz_reference``."""
     grid = spec.grid()
     amps = cascade.grid_amplitudes(spec.gamma_b, spec.gamma_x, grid)
-    measures = {**_CHANNEL_COLUMNS, **({} if spec.split is None else {"cmi": spec.split})}
-    values = (_measures(_ghz_table(), measures) if spec.ghz_reference
-              else _grid_measures(cascade.BranchState(amps, spec.dephase), measures))
+    table = _ghz_table() if spec.ghz_reference else entanglement.subset_entropies(
+        cascade.BranchState(amps, spec.dephase), {mask for m in measures.values() for mask in m.subsets})
+    read = {entanglement.Channel: entanglement.mi_from_table, EveSplit: entanglement.cmi_from_table}
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid, "alpha2": amps.alpha2, "beta2": amps.beta2,
-               "gamma2": amps.gamma2, "fidelity": amps.ghz_fidelity}
-    columns.update((f"mi_ch{c}", values[f"mi_ch{c}"]) for c in spec.channels)
-    columns["mi_avg"] = sum(values[name] for name in _CHANNEL_COLUMNS) / len(_CHANNEL_COLUMNS)
-    if spec.split is not None:
-        columns["cmi"], columns["cmi_ghz"] = values["cmi"], entanglement.cmi_from_table(_ghz_table(), spec.split)
-    return _table(columns, spec.points)
+               "gamma2": amps.gamma2, "fidelity": amps.ghz_fidelity,
+               **{name: read[type(m)](table, m) for name, m in measures.items()},
+               **{name: read[type(m)](_ghz_table(), m) for name, m in ghz.items()}}
+    header = list(dict.fromkeys(header))
+    if "mi_avg" in header:
+        columns["mi_avg"] = sum(columns[name] for name in _CHANNEL_COLUMNS) / len(_CHANNEL_COLUMNS)
+    return header, np.column_stack([np.broadcast_to(columns[name], (spec.points,)) for name in header]).tolist()
+
+
+def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:
+    """Header and dt-ascending rows of a delay sweep."""
+    cmi, ghz = ({}, {}) if spec.split is None else ({"cmi": spec.split}, {"cmi_ghz": spec.split})
+    return _grid_table(spec, ["dt", "gx_dt", "alpha2", "beta2", "gamma2", "fidelity",
+                              *(f"mi_ch{c}" for c in spec.channels), "mi_avg", *cmi, *ghz],
+                       {**_CHANNEL_COLUMNS, **cmi}, ghz)
 
 
 def secure_rate(params: DecayParams, split: EveSplit, dephase: float = 1.0) -> dict[str, float]:
@@ -216,31 +215,17 @@ def optimize_delay(
 def fig3_table() -> tuple[list[str], list[list[float]]]:
     """Per-channel mutual information and the channel average across the
     delay grid, with the flat GHZ reference."""
-    grid = FIG_SPEC.grid()
-    rho = cascade.BranchState(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
-    mi = _grid_measures(rho, _CHANNEL_COLUMNS)
-    mi_ghz = entanglement.mi_from_table(_ghz_table(), _CHANNEL_COLUMNS["mi_ch1"])
-    columns = {"gx_dt": FIG_SPEC.gamma_x * grid, **mi, "mi_avg": sum(mi.values()) / len(mi), "mi_ghz": mi_ghz}
-    return _table(columns, FIG_SPEC.points)
+    return _grid_table(FIG_SPEC, ["gx_dt", *_CHANNEL_COLUMNS, "mi_avg", "mi_ghz"], _CHANNEL_COLUMNS,
+                       {"mi_ghz": _CHANNEL_COLUMNS["mi_ch1"]})
 
 
 def fig4_table() -> tuple[list[str], list[list[float]]]:
     """Secret rates across the delay grid for the single-mode channel (Alice
     holds early-B, Eve takes one of Bob's three modes) and the balanced
     early|late channel (Eve takes either late mode), with GHZ baselines."""
-    grid = FIG_SPEC.grid()
-    rho = cascade.BranchState(cascade.grid_amplitudes(FIG_SPEC.gamma_b, FIG_SPEC.gamma_x, grid))
-    cmi = _grid_measures(rho, _FIG4_SPLITS)
-    ghz = _measures(_ghz_table(), _FIG4_SPLITS)
     ch1, ch5 = [*_FIG4_SPLITS][:3], [*_FIG4_SPLITS][3:]  # each channel's GHZ baseline, of its first split, follows it
-    columns = {"gx_dt": FIG_SPEC.gamma_x * grid, **{name: cmi[name] for name in ch1}, "ghz_ch1": ghz[ch1[0]],
-               **{name: cmi[name] for name in ch5}, "ghz_ch5": ghz[ch5[0]]}
-    return _table(columns, len(grid))
-
-
-def _write_text(path: str, data: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(data)
+    return _grid_table(FIG_SPEC, ["gx_dt", *ch1, "ghz_ch1", *ch5, "ghz_ch5"], _FIG4_SPLITS,
+                       {"ghz_ch1": _FIG4_SPLITS[ch1[0]], "ghz_ch5": _FIG4_SPLITS[ch5[0]]})
 
 
 def validate_oracles(params: DecayParams, trials: int, seed: int, step: float = 1e-4) -> tuple[list[str], bool]:
@@ -289,6 +274,7 @@ def _resolve_rates(args: argparse.Namespace) -> tuple[float, float]:
 
 def _resolve_params(args: argparse.Namespace) -> DecayParams:
     gamma_b, gamma_x = _resolve_rates(args)
+    DecayParams.check(gamma_b, gamma_x, args.dt, "dt")  # named by its flag, as _check_bracket names the bracket
     return DecayParams(gamma_b=gamma_b, gamma_x=gamma_x, delta_t=args.dt)
 
 
@@ -297,13 +283,11 @@ def _resolve_split(args: argparse.Namespace) -> EveSplit:
 
 
 def _emit(fmt: str, out: str | None, header: list[str], rows: list[list[float]]) -> None:
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = _csv_lines(header, rows)
+    text = (json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n" if fmt == "json"
+            else _csv_lines(header, rows))
     if out:
-        _write_text(out, text)
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -522,7 +506,10 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         if flag.get("action") == "append" and getattr(args, key) is not None:
             config[key] = None  # a default list would be extended; given, the flag replaces it
         elif flag.get("type") is float:
-            config[key] = float(value)
+            try:
+                config[key] = float(value)
+            except OverflowError:  # an integer beyond the float range
+                raise ValueError(f"config {key} is too large for a float: {len(str(abs(value)))} digits") from None
     return config
 
 

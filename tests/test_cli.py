@@ -628,6 +628,50 @@ def test_fig4_spot_values():
         assert row["cmi_ch1_eve_late_x"] <= 1.0 + 1e-9
 
 
+def csv_columns(text):
+    """Each column of CSV ``text`` as the list of its cells, as written."""
+    rows = list(csv.DictReader(io.StringIO(text)))
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+def test_figures_agree_with_the_sweep_of_their_grid(tmp_path):
+    # fig3 and fig4 are delay sweeps of one grid: each measured column, and
+    # each GHZ baseline, is written to the same digits as the sweep's
+    sweep = ["sweep", "--ratio", "2", "--dt-min", "0.01", "--dt-max", "10", "--points", "200", "--scale", "log"]
+    figs = {}
+    for fig in ("fig3", "fig4"):
+        assert cli.main([fig, "--out", str(tmp_path / fig)]) == 0
+        figs[fig] = csv_columns((tmp_path / fig).read_text())
+    code, out = run_main(sweep)
+    assert code == 0
+    columns = csv_columns(out)
+    for name in ("gx_dt", *(f"mi_ch{c}" for c in range(1, 8)), "mi_avg"):
+        assert figs["fig3"][name] == columns[name], name
+    code, out = run_main(sweep + ["--ghz"])
+    assert code == 0 and figs["fig3"]["mi_ghz"] == csv_columns(out)["mi_ch1"]
+    for name, (alice, eve, ghz) in {
+        "cmi_ch1_eve_early_x": ("eb", "ex", "ghz_ch1"),
+        "cmi_ch1_eve_late_b": ("eb", "lb", None),
+        "cmi_ch1_eve_late_x": ("eb", "lx", None),
+        "cmi_ch5_eve_late_b": ("eb,ex", "lb", "ghz_ch5"),
+        "cmi_ch5_eve_late_x": ("eb,ex", "lx", None),
+    }.items():
+        code, out = run_main(sweep + ["--alice", alice, "--eve", eve])
+        assert code == 0
+        columns = csv_columns(out)
+        assert figs["fig4"]["gx_dt"] == columns["gx_dt"] and figs["fig4"][name] == columns["cmi"], name
+        if ghz is not None:
+            assert figs["fig4"][ghz] == columns["cmi_ghz"], ghz
+
+
+def test_sweep_repeated_channel_prints_one_column():
+    sweep = ["sweep", "--dt-min", "0.1", "--dt-max", "1", "--points", "3"]
+    code, out = run_main(sweep + ["--channel", "3", "--channel", "3", "--channel", "1"])
+    assert code == 0
+    assert out.splitlines()[0] == "dt,gx_dt,alpha2,beta2,gamma2,fidelity,mi_ch3,mi_ch1,mi_avg"
+    assert out == run_main(sweep + ["--channel", "3", "--channel", "1"])[1]
+
+
 # --------------------------------------------------------------------------
 # oracle validation report
 # --------------------------------------------------------------------------
@@ -792,6 +836,21 @@ def test_cli_bad_arguments_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["amplitudes", "--dt", "-1"], "dt must be non-negative and finite, got -1.0"),
+    (["state", "--dt", "inf"], "dt must be non-negative and finite, got inf"),
+    (["secure-rate", "--alice", "eb", "--dt", "inf"], "dt must be non-negative and finite, got inf"),
+    (["validate", "--dt", "nan"], "dt must be non-negative and finite, got nan"),
+    (["amplitudes", "--gamma-b", "1e300", "--gamma-x", "1e300", "--dt", "1e10"],
+     "gamma_x * dt must be finite, got 1e+300 * 10000000000.0"),
+])
+def test_cli_dt_errors_name_the_flag(argv, error, capsys):
+    # --dt is named by its flag, as --dt-min and --dt-max are, not as DecayParams.delta_t
+    code, out = run_main(argv)
+    assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("split,alice,eve", [
     (["--eve", "lb"], None, frozenset({LB})),
     (["--alice", ""], frozenset(), frozenset()),
@@ -895,6 +954,10 @@ def test_cli_config_file_with_flag_override(tmp_path):
     ("", "config file {path} is not JSON: Expecting value: line 1 column 1 (char 0)"),
     ("{'dt': 1}", "config file {path} is not JSON: Expecting property name enclosed in double quotes: "
                   "line 1 column 2 (char 1)"),
+    # an integer beyond the float range is a bad value, not a numerical error
+    pytest.param('{"dt": 1' + "0" * 400 + "}", "config dt is too large for a float: 401 digits", id="dt-1e400"),
+    pytest.param('{"gamma-x": -1' + "0" * 400 + "}", "config gamma_x is too large for a float: 401 digits",
+                 id="gamma-x--1e400"),
 ])
 def test_cli_config_errors_name_the_key_or_the_file(tmp_path, capsys, text, error):
     config = tmp_path / "config.json"
