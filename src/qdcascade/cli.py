@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import cascade, entanglement, oracle, qmath
+from . import cascade, entanglement, qmath
 from .cascade import DecayParams, ModeLabel
 from .entanglement import EveSplit
 
@@ -93,7 +92,9 @@ class SweepSpec:
     def __post_init__(self):
         _check_bracket(self.gamma_b, self.gamma_x, self.dt_min, self.dt_max)
         if self.points < 2:
-            raise ValueError("points: need at least 2")
+            raise ValueError(f"points must be at least 2, got {self.points}")
+        if self.points > np.iinfo(np.intp).max:
+            raise ValueError(f"points must be at most {np.iinfo(np.intp).max}, got {self.points}")
         if self.scale not in ("linear", "log"):
             raise ValueError("scale: must be 'linear' or 'log'")
         if self.scale == "log" and self.dt_min <= 0.0:
@@ -232,6 +233,8 @@ def validate_oracles(params: DecayParams, trials: int, seed: int, step: float = 
     """The report lines and verdict of checking the closed-form branch
     probabilities against the rate-equation integrator and the trajectory
     sampler; each check's verdict is taken once, for the line that prints it."""
+    from . import oracle  # only validate runs the oracles
+
     amps = cascade.amplitudes(params)
     expected = (amps.alpha2, amps.beta2, amps.gamma2)
     pops = oracle.rate_equation_populations(params, step)
@@ -283,8 +286,12 @@ def _resolve_split(args: argparse.Namespace) -> EveSplit:
 
 
 def _emit(fmt: str, out: str | None, header: list[str], rows: list[list[float]]) -> None:
-    text = (json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n" if fmt == "json"
-            else _csv_lines(header, rows))
+    if fmt == "json":
+        import json  # only JSON output and --config load it
+
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    else:
+        text = _csv_lines(header, rows)
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
@@ -485,6 +492,8 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     ``args.command``. Each key names one of its flags (``-`` or ``_``), and
     each value has the flag's JSON type and lies within its choices. A
     repeatable flag given on the command line replaces the file's list."""
+    import json
+
     with open(args.config) as fh:
         try:
             config = json.load(fh)

@@ -69,6 +69,8 @@ class PatternCounts:
     def __post_init__(self):
         if len(self.counts) != 16:
             raise ValueError("need one counter per four-bit pattern")
+        if min(self.counts) < 0:
+            raise ValueError(f"pattern counts must be non-negative, got {min(self.counts)}")
         if sum(self.counts) != self.trials:
             raise ValueError("pattern counts do not sum to the number of trials")
 
@@ -85,9 +87,9 @@ def rate_equation_populations(p: DecayParams, step: float) -> Populations:
     if p.delta_t == 0.0:
         return Populations(1.0, 0.0, 0.0)
     if step > p.delta_t / 10.0:
-        raise ValueError(f"step {step} too coarse for delta_t {p.delta_t}; need step <= delta_t/10")
+        raise ValueError(f"step must be at most dt / 10, got {step} for dt {p.delta_t}")
     if not math.isfinite(p.delta_t / step):
-        raise ValueError(f"step must be coarse enough for a finite delta_t / step, got {step} for delta_t {p.delta_t}")
+        raise ValueError(f"step must be coarse enough for a finite dt / step, got {step} for dt {p.delta_t}")
 
     gb, gx = p.gamma_b, p.gamma_x
     n_steps = math.ceil(p.delta_t / step)

@@ -799,11 +799,16 @@ def test_cli_bad_arguments_exit_code(capsys):
         ("validate", "--trials", "10000000001"): "trials must be at most 10000000000, got 10000000001",
         # a step so unstable that the populations overflow to NaN
         ("validate", "--gamma-b", "1e200", "--dt", "1", "--step", "0.1"): "p_b outside [0, 1]: nan",
-        # a step count delta_t / step that overflows, which used to exit 4
+        # a step count dt / step that overflows, which used to exit 4
         ("validate", "--step", "5e-324"):
-            f"step must be coarse enough for a finite delta_t / step, got 5e-324 for delta_t {LN2 / 2!r}",
+            f"step must be coarse enough for a finite dt / step, got 5e-324 for dt {LN2 / 2!r}",
         ("validate", "--dt", "1.7e308"):
-            "step must be coarse enough for a finite delta_t / step, got 0.0001 for delta_t 1.7e+308",
+            "step must be coarse enough for a finite dt / step, got 0.0001 for dt 1.7e+308",
+        ("validate", "--step", "0.1"): f"step must be at most dt / 10, got 0.1 for dt {LN2 / 2!r}",
+        ("sweep", "--dt-min", "0", "--dt-max", "1", "--points", "1"): "points must be at least 2, got 1",
+        # a grid numpy cannot size, which used to print numpy's own message
+        ("sweep", "--dt-min", "0", "--dt-max", "1", "--points", "100000000000000000000"):
+            f"points must be at most {np.iinfo(np.intp).max}, got 100000000000000000000",
     }
     capsys.readouterr()
     for argv in (

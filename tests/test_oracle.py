@@ -116,15 +116,17 @@ def test_rk4_step_validation():
         oracle.rate_equation_populations(DecayParams(2.0, 1.0, 1.0), 0.0)
     with pytest.raises(ValueError):
         oracle.rate_equation_populations(DecayParams(2.0, 1.0, 1.0), -1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         oracle.rate_equation_populations(DecayParams(2.0, 1.0, 1.0), 0.5)
+    assert str(exc.value) == "step must be at most dt / 10, got 0.5 for dt 1.0"
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="step"):
             oracle.rate_equation_populations(DecayParams(2.0, 1.0, 1.0), bad)
     # a step count delta_t / step of inf, whose ceil used to raise OverflowError
     for delta_t, step in ((LN2 / 2, 5e-324), (1.7e308, 1e-4)):
-        with pytest.raises(ValueError, match="step must be coarse enough for a finite delta_t / step"):
+        with pytest.raises(ValueError) as exc:
             oracle.rate_equation_populations(DecayParams(2.0, 1.0, delta_t), step)
+        assert str(exc.value) == f"step must be coarse enough for a finite dt / step, got {step!r} for dt {delta_t!r}"
 
 
 @pytest.mark.parametrize("gamma_b, delta_t, step", [(1e300, 1e10, 1e9), (1e308, 20.0, 2.0)])
@@ -354,5 +356,11 @@ def test_pattern_counts_validation():
         PatternCounts(counts=(1,) * 15, trials=15)
     with pytest.raises(ValueError):
         PatternCounts(counts=(1,) * 16, trials=15)
+    # a tally fault with late < survived makes SPLIT negative; the sum still
+    # matches the trials and support() would hide the entry
+    negative_split = [0] * 16
+    negative_split[PATTERN_SURVIVED], negative_split[PATTERN_SPLIT], negative_split[PATTERN_FULL_EARLY] = 8, -5, 7
+    with pytest.raises(ValueError, match="pattern counts must be non-negative, got -5"):
+        PatternCounts(counts=tuple(negative_split), trials=10)
     counts = PatternCounts(counts=tuple([10] + [0] * 14 + [30]), trials=40)
     assert counts.support() == (0, 15)
