@@ -22,6 +22,16 @@ from enum import IntEnum
 import numpy as np
 
 NORM_ATOL = 1e-12
+MAX_ECHOED_DIGITS = 30
+
+
+def _int_text(n: int) -> str:
+    """An integer for a one-line error: its digits, or beyond
+    ``MAX_ECHOED_DIGITS`` of them their count, so the line stays short."""
+    digits = len(str(abs(n)))
+    if digits <= MAX_ECHOED_DIGITS:
+        return str(n)
+    return f"a {digits}-digit {'negative ' if n < 0 else ''}integer"
 
 
 class ModeLabel(IntEnum):
@@ -87,12 +97,16 @@ class Amplitudes:
     gamma: float | np.ndarray
 
     def __post_init__(self):
-        # every point checked at once; the first bad point raises its own error
+        # every point checked at once; only a grid that fails looks for its
+        # first bad point, which raises its own error
         rows = np.column_stack([self.alpha, self.beta, self.gamma])
         in_range = (rows >= 0.0) & (rows <= 1.0 + NORM_ATOL)
         norm = (rows * rows).sum(axis=1)
         normalized = np.abs(norm - 1.0) <= NORM_ATOL
-        k = (in_range.all(axis=1) & normalized).argmin()
+        good = in_range.all(axis=1) & normalized
+        if good.all():
+            return
+        k = good.argmin()
         for name, value, ok in zip(("alpha", "beta", "gamma"), rows[k].tolist(), in_range[k]):
             if not ok:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -140,17 +154,22 @@ def _branch_amplitudes(gamma_b: float, gamma_x: float, dts) -> tuple[np.ndarray,
     with y = |gamma_x - gamma_b| dt. It has no cancellation near equal rates,
     where it tends to gamma_b dt exp(-gamma_b dt), and no overflow at long
     delays. Where gamma_b dt itself overflows, the product would be inf * 0;
-    there dt / y is cancelled to 1 / |gamma_x - gamma_b| instead."""
+    there, and only there, dt / y is cancelled to 1 / |gamma_x - gamma_b|
+    instead."""
     dts = np.asarray(dts, dtype=float).reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf marks a bad point, a NaN takes the fallback
         good = (dts >= 0.0) & np.isfinite(gamma_x * dts)
-        DecayParams(gamma_b, gamma_x, float(dts[good.argmin()]))  # the rates, and the first bad delay if any
+        DecayParams.check(gamma_b, gamma_x, float(dts[good.argmin()]))  # the rates, and the first bad delay if any
         alpha2 = np.exp(-gamma_b * dts)
         decay = np.exp(-min(gamma_b, gamma_x) * dts)
         y = abs(gamma_x - gamma_b) * dts
         beta2 = gamma_b * dts * decay * np.where(y > 0.0, -np.expm1(-y) / y, 1.0)
-        fallback = gamma_b * decay * (-np.expm1(-y) / abs(gamma_x - gamma_b) if gamma_x != gamma_b else dts)
-    beta2 = np.minimum(np.where(np.isnan(beta2), fallback, beta2), 1.0)
+        overflowed = np.isnan(beta2)
+        if overflowed.any():
+            y, decay = y[overflowed], decay[overflowed]
+            beta2[overflowed] = gamma_b * decay * (
+                -np.expm1(-y) / abs(gamma_x - gamma_b) if gamma_x != gamma_b else dts[overflowed])
+    beta2 = np.minimum(beta2, 1.0)
     gamma2 = np.maximum(1.0 - alpha2 - beta2, 0.0)
     return np.sqrt(alpha2), np.sqrt(beta2), np.sqrt(gamma2)
 
@@ -202,7 +221,7 @@ class BranchState:
     def density(self) -> np.ndarray:
         """The densities as one real stack, shape (N, 3, 3): c c^T at d = 1."""
         rho = self.c[:, :, None] * self.c[:, None, :] * self.d
-        rho[:, [0, 1, 2], [0, 1, 2]] += (1.0 - self.d) * (self.c * self.c)
+        rho.reshape(-1, 9)[:, ::4] += (1.0 - self.d) * (self.c * self.c)  # the diagonals, as a strided view
         return rho
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import cascade, entanglement, qmath
-from .cascade import DecayParams, ModeLabel
+from .cascade import DecayParams, ModeLabel, _int_text
 from .entanglement import EveSplit
 
 DEFAULT_GAMMA_X = 1.0
@@ -92,13 +92,13 @@ class SweepSpec:
     def __post_init__(self):
         _check_bracket(self.gamma_b, self.gamma_x, self.dt_min, self.dt_max)
         if self.points < 2:
-            raise ValueError(f"points must be at least 2, got {self.points}")
+            raise ValueError(f"points must be at least 2, got {_int_text(self.points)}")
         if self.points > np.iinfo(np.intp).max:
-            raise ValueError(f"points must be at most {np.iinfo(np.intp).max}, got {self.points}")
+            raise ValueError(f"points must be at most {np.iinfo(np.intp).max}, got {_int_text(self.points)}")
         if self.scale not in ("linear", "log"):
             raise ValueError("scale: must be 'linear' or 'log'")
         if self.scale == "log" and self.dt_min <= 0.0:
-            raise ValueError("dt_min: log scale requires dt_min > 0")
+            raise ValueError(f"dt_min must be positive on a log scale, got {self.dt_min}")
         for c in self.channels:
             entanglement.channel_by_id(c)
         cascade.check_dephase(self.dephase)
@@ -155,7 +155,10 @@ def _grid_table(spec: SweepSpec, header: Iterable[str], measures: Mapping,
     header = list(dict.fromkeys(header))
     if "mi_avg" in header:
         columns["mi_avg"] = sum(columns[name] for name in _CHANNEL_COLUMNS) / len(_CHANNEL_COLUMNS)
-    return header, np.column_stack([np.broadcast_to(columns[name], (spec.points,)) for name in header]).tolist()
+    rows = np.empty((spec.points, len(header)))
+    for k, name in enumerate(header):
+        rows[:, k] = columns[name]  # a GHZ baseline, one number, fills its column
+    return header, rows.tolist()
 
 
 def sweep_table(spec: SweepSpec) -> tuple[list[str], list[list[float]]]:

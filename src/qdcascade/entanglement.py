@@ -22,9 +22,11 @@ amplitudes c (N, 3) on ``cascade.BRANCH_KETS`` and one dephasing factor d.
 Tracing out modes merges the kets that agree on the kept modes, adding
 their populations c^2, and keeps the coherence d c_i c_j of the one pair of
 kets, if any, that agree on the traced modes: a 2x2 block with a
-closed-form spectrum. A pure state (d = 1) has whole-state entropy 0
-exactly, so a pure table makes no eigensolve; each row of a dephased one
-takes a real 3x3 eigensolve under ``qmath``'s eigenvalue floor.
+closed-form spectrum. A pure state (d = 1) has the whole-state spectrum
+(1, 0, 0) and entropy 0 exactly, so a pure table makes no eigensolve; each
+row of a dephased one takes a real 3x3 eigensolve. The whole state's
+spectrum leads the reduced ones in one stack, which takes one check against
+``qmath``'s eigenvalue floor and one Shannon sum.
 """
 
 from __future__ import annotations
@@ -37,13 +39,15 @@ from typing import FrozenSet, Iterable
 import numpy as np
 
 from . import qmath
-from .cascade import BRANCH_KETS, FOUR_MODE_DIMS, BranchState, ModeLabel
+from .cascade import BRANCH_KETS, FOUR_MODE_DIMS, BranchState, ModeLabel, _int_text
 
 ALL_MODES: FrozenSet[ModeLabel] = frozenset(ModeLabel)
 
 NEGATIVE_ROUNDOFF_TOL = 1e-9
 ENTROPY_INEQUALITY_ATOL = 1e-10
 ALL_MODES_MASK = 0b1111
+_PURE_SPECTRUM = np.array([1.0, 0.0, 0.0])  # of a pure state, whose entropy is 0 exactly
+_PURE_SPECTRUM.flags.writeable = False
 
 
 def _mode_set(modes: Iterable[ModeLabel]) -> frozenset[ModeLabel]:
@@ -97,7 +101,7 @@ def enumerate_channels() -> list[Channel]:
 
 def channel_by_id(n: int) -> Channel:
     if not 1 <= n <= 7:
-        raise ValueError(f"channel id must be in 1..7, got {n}")
+        raise ValueError(f"channel id must be in 1..7, got {_int_text(n)}")
     return _CHANNELS[n - 1]
 
 
@@ -153,23 +157,22 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     mask 0b1111, is always in the table, first; ``_table_plan`` holds all
     that the masks alone decide. On 16x16 densities each mask is one
     ``qmath.vn_entropy`` (of a ``qmath.partial_trace`` below the whole
-    state), whose checks validate the stack. On a branch state the whole
-    state's entropy is 0 if it is pure and a real 3x3 eigensolve per row if
-    it is dephased; one product sums the populations each other reduction
-    merges, the coherent pairs take ``_pair_spectrum``, and all spectra take
-    one Shannon sum under ``vn_entropy``'s floor. The table is then checked against
-    subadditivity and Araki-Lieb in one vectorized pass.
+    state), whose checks validate the stack. On a branch state one product
+    sums the populations each reduction merges and the coherent pairs take
+    ``_pair_spectrum``; the whole state's spectrum, (1, 0, 0) if it is pure
+    and a real 3x3 eigensolve per row if it is dephased, leads them in one
+    stack, and all spectra take one check against ``vn_entropy``'s floor and
+    one Shannon sum. The table is then checked against subadditivity and
+    Araki-Lieb in one vectorized pass.
     """
     order, rows, groups, (r, i, j, gi, gj), triples = _table_plan(frozenset(subsets))
     if isinstance(rho, BranchState):
         c, d = rho.c, rho.d
-        whole = np.zeros(len(c)) if d == 1.0 else qmath._spectrum_entropy(np.linalg.eigvalsh(rho.density()))
-        entries = whole[None]
-        if len(order) > 1:
-            spectra = ((c * c) @ groups).reshape(len(c), -1, 3)  # zero-padded
-            spectra[:, r, gi], spectra[:, r, gj] = _pair_spectrum(
-                spectra[:, r, gi], spectra[:, r, gj], c[:, i] * c[:, j] * d)
-            entries = np.concatenate([entries, qmath._spectrum_entropy(spectra).T[rows]])
+        spectra = ((c * c) @ groups).reshape(len(c), -1, 3)  # zero-padded
+        spectra[:, r, gi], spectra[:, r, gj] = _pair_spectrum(
+            spectra[:, r, gi], spectra[:, r, gj], c[:, i] * c[:, j] * d)
+        whole = np.linalg.eigvalsh(rho.density()) if d != 1.0 else np.broadcast_to(_PURE_SPECTRUM, (len(c), 3))
+        entries = qmath._spectrum_entropy(np.concatenate([whole[:, None], spectra], axis=1)).T[rows]
     else:
         m = _four_mode_matrix(rho)
         entries = np.stack([qmath.vn_entropy(m)] + [qmath.vn_entropy(qmath.partial_trace(m, FOUR_MODE_DIMS, [
@@ -181,12 +184,13 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
 @functools.lru_cache(maxsize=32)
 def _table_plan(masks: frozenset[int]) -> tuple:
     """A table's keys in row order (the whole state, then ascending masks);
-    the spectrum of each later row, one per distinct ``_reduction``; their
-    groups as one read-only (3, 3k) 0/1 matrix, column 3s + g summing the
-    populations of spectrum s's group g; the coherent pairs as index arrays
-    (spectrum, ket i, ket j, group of i, group of j); and the rows of each
-    checked X, Y, XY. Not cached when it raises: a bad mask, or a reduction
-    coupling two pairs."""
+    the spectrum of each row in a stack of the whole state's, 0, then one
+    per distinct ``_reduction``, s + 1 for the reduction s; the groups of
+    the reductions as one read-only (3, 3k) 0/1 matrix, column 3s + g
+    summing the populations of reduction s's group g; the coherent pairs as
+    index arrays (reduction, ket i, ket j, group of i, group of j); and the
+    rows of each checked X, Y, XY. Not cached when it raises: a bad mask, or
+    a reduction coupling two pairs."""
     if not masks <= set(range(16)):
         raise ValueError(f"mode mask must lie in 0..15, got {min(masks - set(range(16)))}")
     order = (ALL_MODES_MASK, *sorted(masks - {ALL_MODES_MASK}))
@@ -194,7 +198,8 @@ def _table_plan(masks: frozenset[int]) -> tuple:
         if len(pairs := _reduction(mask)[1]) > 1:
             raise ArithmeticError(f"the reduction to modes {mask:04b} couples {len(pairs)} branch pairs")
     distinct: dict[tuple, int] = {}  # masks that reduce alike share one spectrum
-    rows = np.array([distinct.setdefault(_reduction(mask), len(distinct)) for mask in order[1:]], dtype=np.intp)
+    rows = np.array([0] + [1 + distinct.setdefault(_reduction(mask), len(distinct)) for mask in order[1:]],
+                    dtype=np.intp)
     kets = range(len(BRANCH_KETS))
     groups = np.array([[g[i] == c for g, _ in distinct for c in kets] for i in kets], dtype=float)
     groups.flags.writeable = False
@@ -285,7 +290,12 @@ def conditional_mutual_information(rho, split: EveSplit) -> float | np.ndarray:
 
 
 def negativity(rho, ch: Channel) -> float | np.ndarray:
-    """Entanglement negativity (||rho^(T_p1)||_1 - 1) / 2 across a channel."""
+    """Entanglement negativity (||rho^(T_p1)||_1 - 1) / 2 across a channel.
+
+    A partial transpose permutes the off-diagonal entries and keeps the
+    diagonal, so its Hermiticity defect and its trace are those of ``rho``,
+    bit for bit: ``rho`` is checked once, and its transpose is solved
+    unchecked."""
     m = qmath.require_density_matrix(_four_mode_matrix(rho))
     transposed = qmath.partial_transpose(m, FOUR_MODE_DIMS, ch.p1)
-    return (qmath.trace_norm(transposed) - 1.0) / 2.0
+    return (np.sum(np.abs(np.linalg.eigvalsh(transposed)), axis=-1)[()] - 1.0) / 2.0

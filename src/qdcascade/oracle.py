@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import DecayParams
+from .cascade import DecayParams, _int_text
 
 POPULATION_SUM_ATOL = 1e-9
 TRIALS_PER_BLOCK = 1 << 16
@@ -171,11 +171,11 @@ def monte_carlo_patterns(
     is late - survived.
     """
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+        raise ValueError(f"trials must be at least 1, got {_int_text(trials)}")
     if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {_int_text(trials)}")
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ValueError(f"seed must be non-negative, got {_int_text(seed)}")
     workers = _worker_count(workers, math.ceil(trials / TRIALS_PER_BLOCK))
     if workers == 1:
         tallies = [_tally_blocks(p, trials, seed, 0, 1)]

@@ -107,6 +107,28 @@ def test_cli_sweep_ghz_solves_one_slice(monkeypatch):
     assert tables == [(1, 16)] and solves == []
 
 
+def test_dephased_outputs_keep_their_bytes():
+    # digests of a dephased log sweep with a secret-rate column and of a
+    # dephased optimum, and the exact values of the seven negativities of a
+    # dephased state: a faster path must keep every digit
+    sweep = ["sweep", "--ratio", "2.3", "--dt-min", "1e-3", "--dt-max", "10", "--points", "50", "--scale", "log",
+             "--dephase", "0.8", "--alice", "eb,ex", "--eve", "lb"]
+    digests = {
+        (*sweep, "--format", "csv"): "6ae922f8d982679140342052ac407d3971fa5c762dbb7a369ea1364cc7bb4faa",
+        (*sweep, "--format", "json"): "aea2a94715b2b3c35c7e19ca743a19cbe4601f1750cdc75e3974439c1343690a",
+        ("optimize-dt", "--alice", "eb", "--eve", "ex", "--dephase", "0.9"):
+            "cd5555a400cdefdd130751805c56e5a9d4e45b259dbc73fb498898e6c2c9b15a",
+    }
+    for argv, digest in digests.items():
+        code, out = run_main(list(argv))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    rho = cascade.dephased_density(DecayParams(2.3, 1.0, 0.4), 0.8)
+    values = [float(entanglement.negativity(rho, ch)).hex() for ch in entanglement.enumerate_channels()]
+    assert values == ["0x1.9113290078220p-2", "0x1.0ac8ca9d6f7dcp-2", "0x1.0ac8ca9d6f7dcp-2", "0x1.9113290078220p-2",
+                      "0x1.6fbf26e2e4398p-1", "0x1.6fbf26e2e4398p-1", "0x1.0d677e73b4f70p-3"]
+
+
 def test_sweep_rows_ascending_and_independent():
     # each row of the stacked evaluation equals, bit for bit, the evaluation
     # of its own state as a single-row branch state
@@ -809,6 +831,8 @@ def test_cli_bad_arguments_exit_code(capsys):
         # a grid numpy cannot size, which used to print numpy's own message
         ("sweep", "--dt-min", "0", "--dt-max", "1", "--points", "100000000000000000000"):
             f"points must be at most {np.iinfo(np.intp).max}, got 100000000000000000000",
+        ("sweep", "--scale", "log", "--dt-min", "0", "--dt-max", "1", "--points", "3"):
+            "dt_min must be positive on a log scale, got 0.0",
     }
     capsys.readouterr()
     for argv in (
@@ -970,6 +994,27 @@ def test_cli_config_errors_name_the_key_or_the_file(tmp_path, capsys, text, erro
     code, out = run_main(["amplitudes", "--config", str(config)])
     assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
     assert capsys.readouterr().err == f"error: {error.format(path=config)}\n"
+
+
+@pytest.mark.parametrize("argv,config,error", [
+    (["sweep", "--dt-min", "0", "--dt-max", "1", "--points", "1" + "0" * 400], None,
+     f"points must be at most {np.iinfo(np.intp).max}, got a 401-digit integer"),
+    (["sweep", "--dt-min", "0", "--dt-max", "1", "--points=-1" + "0" * 400], None,
+     "points must be at least 2, got a 401-digit negative integer"),
+    (["validate"], '{"trials": 1' + "0" * 400 + "}", "trials must be at most 10000000000, got a 401-digit integer"),
+    (["validate"], '{"seed": -1' + "0" * 400 + "}", "seed must be non-negative, got a 401-digit negative integer"),
+    (["sweep", "--dt-min", "0", "--dt-max", "1", "--points", "3", "--channel", "1" + "0" * 400], None,
+     "channel id must be in 1..7, got a 401-digit integer"),
+], ids=["points", "negative-points", "trials", "negative-seed", "channel"])
+def test_cli_huge_integers_fit_one_short_line(tmp_path, capsys, argv, config, error):
+    # an integer of more than 30 digits is named by its digit count, so the
+    # one error line names its flag and stays short
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "config.json")]
+    assert run_main(argv) == (cli.EXIT_BAD_ARGUMENTS, "")
+    err = capsys.readouterr().err
+    assert err == f"error: {error}\n" and len(err) <= 120
 
 
 def test_csv_formatting_is_stable():

@@ -352,15 +352,20 @@ def test_trace_norm_rejects_non_hermitian():
         qmath.trace_norm(np.array([[0, 2], [0, 0]], dtype=complex))
 
 
-GUARDED = pytest.mark.parametrize(
+def _negativity(m):
+    return entanglement.negativity(m, entanglement.channel_by_id(1))
+
+
+GUARDED =pytest.mark.parametrize(
     "measure,dim",
     [
         (qmath.vn_entropy, 2),
         (qmath.eig_hermitian, 2),
         (qmath.trace_norm, 2),
         (lambda m: entanglement.mutual_information(m, entanglement.channel_by_id(1)), 16),
+        (_negativity, 16),
     ],
-    ids=["vn_entropy", "eig_hermitian", "trace_norm", "mutual_information"],
+    ids=["vn_entropy", "eig_hermitian", "trace_norm", "mutual_information", "negativity"],
 )
 
 
@@ -395,11 +400,19 @@ def test_guards_reject_bad_last_slice_of_stack(measure, dim, spoil):
     measure(stack)  # the valid stack passes
     spoil(stack[-1])
     # eig_hermitian and trace_norm check only Hermiticity (and NaN): a
-    # partial transpose is neither positive nor, in general, of unit trace
-    guards_density = measure not in (qmath.eig_hermitian, qmath.trace_norm)
-    if guards_density or spoil in (_nan_entry, _non_hermitian):
+    # partial transpose is neither positive nor, in general, of unit trace.
+    # negativity checks its input's Hermiticity and trace, not its
+    # positivity, as it takes the spectrum of a partial transpose
+    rejected = {_nan_entry, _non_hermitian}
+    if measure not in (qmath.eig_hermitian, qmath.trace_norm):
+        rejected.add(_trace_over_one)
+    if measure not in (qmath.eig_hermitian, qmath.trace_norm, _negativity):
+        rejected.add(_negative_eigenvalue)
+    if spoil in rejected:
         with pytest.raises(ValueError):
             measure(stack)
+    else:
+        measure(stack)
 
 
 def test_entropy_helpers():
