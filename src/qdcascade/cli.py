@@ -416,7 +416,7 @@ COMMANDS = {
                             help="channel id 1..7; repeat to select several (default: all)")),
          ("--dephase", dict(type=float, default=1.0,
                             help="attenuate all coherences by this factor in [0, 1] (default 1: no dephasing)")),
-         ("--ghz", dict(action="store_true",
+         ("--ghz", dict(action="store_true", default=False,
                         help="evaluate the GHZ reference state instead of the cascade state")),
          ("--alice", dict(help="comma-separated modes for an extra secret-rate column")),
          ("--eve", {}))),
@@ -458,19 +458,19 @@ COMMANDS = {
 }
 
 
-def build_parser(defaults: Mapping[str, Mapping] = MappingProxyType({})) -> argparse.ArgumentParser:
-    """The parser of ``COMMANDS``; ``defaults`` maps a subcommand to flag
-    values, by dest, that replace the table's defaults."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``COMMANDS``. It holds no flag defaults, so a parse
+    returns the command, its handler and only the flags that were given."""
     parser = argparse.ArgumentParser(
         prog="qdcascade",
         description="Photon-number entanglement from a two-pulse biexciton-exciton cascade.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
         for flag, kwargs in command.flags:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(handler=command.handler, **defaults.get(name, {}))
+            p.add_argument(flag, **{key: value for key, value in kwargs.items() if key != "default"})
+        p.set_defaults(handler=command.handler)
     return parser
 
 
@@ -490,49 +490,35 @@ def _has_json_type(value, flag: Mapping) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """The JSON object in the file ``args.config`` as defaults of the flags of
-    ``args.command``. Each key names one of its flags (``-`` or ``_``), and
-    each value has the flag's JSON type and lies within its choices. A
-    repeatable flag given on the command line replaces the file's list."""
+def _config_values(path: str, command: str, flags: Mapping[str, Mapping]) -> dict:
+    """The JSON object in the file ``path`` as values of ``flags``, the flags
+    of ``command`` by dest. Each key names one of them (``-`` or ``_``), and
+    each value has the flag's JSON type and lies within its choices."""
     import json
 
-    with open(args.config) as fh:
+    with open(path) as fh:
         try:
             config = json.load(fh)
         except (ValueError, RecursionError) as exc:  # not JSON, not text, or nested too deep to decode
-            raise ValueError(f"config file {args.config} is not JSON: {exc}") from None
+            raise ValueError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise ValueError(f"config file {args.config} must hold a JSON object")
-    flags = {_dest(name): kwargs for name, kwargs in COMMANDS[args.command].flags}
+        raise ValueError(f"config file {path} must hold a JSON object")
     config = {key.replace("-", "_"): value for key, value in config.items()}
     unknown = sorted(set(config) - set(flags))
     if unknown:
-        raise ValueError(f"unknown config keys for {args.command}: {unknown}")
+        raise ValueError(f"unknown config keys for {command}: {unknown}")
     for key, value in config.items():
         flag = flags[key]
         if not _has_json_type(value, flag):
             raise ValueError(f"config {key} has the wrong type: {value!r}")
         if "choices" in flag and value not in flag["choices"]:
             raise ValueError(f"config {key} must be one of {list(flag['choices'])}, got {value!r}")
-        if flag.get("action") == "append" and getattr(args, key) is not None:
-            config[key] = None  # a default list would be extended; given, the flag replaces it
-        elif flag.get("type") is float:
+        if flag.get("type") is float:
             try:
                 config[key] = float(value)
             except OverflowError:  # an integer beyond the float range
                 raise ValueError(f"config {key} is too large for a float: {len(str(abs(value)))} digits") from None
     return config
-
-
-def _refuse_dropped_values(args: argparse.Namespace) -> None:
-    """Refuse a flag given as ``--flag=--``. argparse drops the ``--`` and
-    stores an empty list, to which it applies no type; every other value it
-    stores, or that ``--config`` sets, has its flag's JSON type."""
-    for name, flag in COMMANDS[args.command].flags:
-        value = getattr(args, _dest(name))
-        if value is not None and not _has_json_type(value, flag):
-            raise ValueError(f"{_dest(name)} must be given a value, got '--'")
 
 
 @functools.cache
@@ -542,12 +528,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    given = vars(_parser().parse_args(argv))
+    flags = {_dest(name): kwargs for name, kwargs in COMMANDS[given["command"]].flags}
     try:
-        if getattr(args, "config", None):
-            args = build_parser({args.command: _config_defaults(args)}).parse_args(argv)
-        _refuse_dropped_values(args)
-        return args.handler(args)
+        # each flag's value: the table's default, then the --config file's, then the command line's;
+        # --config= and --config=-- (refused below) read no file
+        config = _config_values(given["config"], given["command"], flags) if given.get("config") else {}
+        for key, flag in flags.items():
+            # argparse drops the -- of --flag=-- and stores an empty list, to which it applies no type
+            if key in given and not _has_json_type(given[key], flag):
+                raise ValueError(f"{key} must be given a value, got '--'")
+        defaults = {key: flag.get("default") for key, flag in flags.items()}
+        return given["handler"](argparse.Namespace(**{**defaults, **config, **given}))
     # LinAlgError subclasses ValueError, so it is caught before bad arguments
     except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

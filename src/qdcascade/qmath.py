@@ -145,8 +145,3 @@ def _spectrum_entropy(evals: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"eigenvalue {lowest:.3e} below {EIG_CLAMP_FLOOR:.0e}; not a density matrix")
     pos = np.where(evals > 0.0, evals, 1.0)  # 1 log2 1 = 0 stands in for the dropped ones
     return np.maximum(-np.sum(pos * np.log2(pos), axis=-1), 0.0)[()]  # (x, 0.0) maps -0.0 to 0.0
-
-
-def trace_norm(a) -> float | np.ndarray:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return np.sum(np.abs(eig_hermitian(a)), axis=-1)[()]

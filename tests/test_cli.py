@@ -1,5 +1,6 @@
 """Sweep machinery, optimization, figure tables, validation, CLI surface."""
 
+import argparse
 import csv
 import decimal
 import hashlib
@@ -1053,16 +1054,44 @@ def test_a_ragged_row_exits_without_a_traceback(monkeypatch, tmp_path, rows):
 def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):
     builds = []
     build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda *args, **kwargs: builds.append(1) or build_parser(*args, **kwargs))
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
     cli._parser.cache_clear()
     default_row = run_main(["amplitudes"])
     assert run_main(["amplitudes"]) == default_row
     assert run_main(["amplitudes", "--gamma-b", "4"])[0] == 0 and run_main(["state"])[0] == 0
     assert len(builds) == 1
-    # --config sets its defaults on a parser of its own, which the next call does not see
+    # --config parses with the same parser and leaves it as it was for the next call
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"gamma-b": 4}))
     code, out = run_main(["amplitudes", "--config", str(config)])
-    assert code == 0 and out != default_row[1] and len(builds) == 2
-    assert run_main(["amplitudes"]) == default_row and len(builds) == 2
+    assert code == 0 and out != default_row[1] and len(builds) == 1
+    assert run_main(["amplitudes"]) == default_row and len(builds) == 1
     assert read_csv_text(default_row[1])[0]["alpha2"] == pytest.approx(0.5)  # gamma_b dt = ln 2
+
+
+def reference_parser():
+    """A parser built straight from ``cli.COMMANDS``, each flag added with all
+    its keywords, defaults included."""
+    parser = argparse.ArgumentParser(
+        prog="qdcascade", description="Photon-number entanglement from a two-pulse biexciton-exciton cascade.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+@pytest.mark.parametrize("command", [[], *([name] for name in cli.COMMANDS)], ids=["qdcascade", *cli.COMMANDS])
+def test_help_matches_a_parser_with_the_table_defaults(monkeypatch, capsys, command):
+    # the shared parser holds no defaults: a help string that printed %(default)s would differ
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for parse in (cli.main, reference_parser().parse_args):
+        with pytest.raises(SystemExit) as exit_info:
+            parse([*command, "--help"])
+        assert exit_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        texts.append(out)
+    assert texts[0] == texts[1] and texts[0].startswith(f"usage: {' '.join(['qdcascade', *command])} [-h]")

@@ -512,11 +512,6 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
                                    rtol=0.0, atol=1e-12, err_msg=str(split))
 
 
-ALL_SPLITS = [EveSplit.from_alice_eve({m for m, who in zip(ModeLabel, roles) if who == "a"},
-                                     {m for m, who in zip(ModeLabel, roles) if who == "e"})
-              for roles in itertools.product("abe", repeat=4) if "a" in roles and "b" in roles]
-
-
 def test_ghz_table_matches_the_dense_ghz_state():
     # every grid command's GHZ baseline: the table, built once, against the
     # 16x16 GHZ state for all 16 masks, the 7 channels and all 50 splits

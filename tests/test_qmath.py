@@ -331,27 +331,6 @@ def test_schmidt_symmetry_for_pure_states():
     assert abs(s1 - s2) < 1e-10
 
 
-def test_trace_norm_of_density_is_one():
-    rng = np.random.default_rng(53)
-    assert abs(qmath.trace_norm(random_density(rng, 8)) - 1.0) < 1e-12
-
-
-def test_trace_norm_mixed_signs():
-    assert abs(qmath.trace_norm(np.diag([0.5, -0.5]).astype(complex)) - 1.0) < 1e-14
-
-
-def test_trace_norm_of_bell_partial_transpose():
-    rho = np.outer(BELL, BELL.conj())
-    transposed = qmath.partial_transpose(rho, (2, 2), (1,))
-    assert abs(qmath.trace_norm(transposed) - 2.0) < 1e-13
-    assert abs((qmath.trace_norm(transposed) - 1.0) / 2.0 - 0.5) < 1e-13
-
-
-def test_trace_norm_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        qmath.trace_norm(np.array([[0, 2], [0, 0]], dtype=complex))
-
-
 def _negativity(m):
     return entanglement.negativity(m, entanglement.channel_by_id(1))
 
@@ -361,11 +340,10 @@ GUARDED =pytest.mark.parametrize(
     [
         (qmath.vn_entropy, 2),
         (qmath.eig_hermitian, 2),
-        (qmath.trace_norm, 2),
         (lambda m: entanglement.mutual_information(m, entanglement.channel_by_id(1)), 16),
         (_negativity, 16),
     ],
-    ids=["vn_entropy", "eig_hermitian", "trace_norm", "mutual_information", "negativity"],
+    ids=["vn_entropy", "eig_hermitian", "mutual_information", "negativity"],
 )
 
 
@@ -399,14 +377,14 @@ def test_guards_reject_bad_last_slice_of_stack(measure, dim, spoil):
     stack = np.stack([random_density(rng, dim) for _ in range(4)])
     measure(stack)  # the valid stack passes
     spoil(stack[-1])
-    # eig_hermitian and trace_norm check only Hermiticity (and NaN): a
+    # eig_hermitian checks only Hermiticity (and NaN): a
     # partial transpose is neither positive nor, in general, of unit trace.
     # negativity checks its input's Hermiticity and trace, not its
     # positivity, as it takes the spectrum of a partial transpose
     rejected = {_nan_entry, _non_hermitian}
-    if measure not in (qmath.eig_hermitian, qmath.trace_norm):
+    if measure is not qmath.eig_hermitian:
         rejected.add(_trace_over_one)
-    if measure not in (qmath.eig_hermitian, qmath.trace_norm, _negativity):
+    if measure not in (qmath.eig_hermitian, _negativity):
         rejected.add(_negative_eigenvalue)
     if spoil in rejected:
         with pytest.raises(ValueError):
