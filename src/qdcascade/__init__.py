@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # each public name, by the module that defines it
 _MODULE_OF = {name: module for module, names in {
-    "cascade": "Amplitudes DecayParams ModeLabel amplitudes dephased_density final_state ghz_state",
+    "cascade": "BranchState DecayParams ModeLabel amplitudes dephased_density final_state ghz_state",
     "entanglement": "Channel EveSplit channel_by_id conditional_mutual_information enumerate_channels "
                     "mutual_information negativity subset_entropies",
     "oracle": "PatternCounts Populations monte_carlo_patterns rate_equation_populations",

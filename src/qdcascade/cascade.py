@@ -81,73 +81,95 @@ class DecayParams:
             raise ValueError(f"gamma_x * {name} must be finite, got {gamma_x} * {delta_t}")
 
 
-@dataclass(frozen=True)
-class Amplitudes:
-    """Branch amplitudes (alpha, beta, gamma) of the early-window superposition:
-    floats for one delay, or arrays with one entry per delay of a grid
-    (``grid_amplitudes``), for which every property is an array too.
+FOUR_MODE_DIMS = (2, 2, 2, 2)
+BRANCH_KETS = (0b0000, 0b1001, 0b1111)  # basis indices of the alpha, beta, gamma branches
+
+
+def check_dephase(dephase: float) -> None:
+    """Raise ValueError unless the dephasing factor lies in [0, 1]; a NaN does not."""
+    if not 0.0 <= dephase <= 1.0:
+        raise ValueError(f"dephase must lie in [0, 1], got {dephase}")
+
+
+class BranchState:
+    """Final states on ``BRANCH_KETS``: the amplitudes c = (alpha, beta,
+    gamma), a read-only copy of shape (3,) for one delay or (N, 3), one row
+    per delay, and one dephasing factor d, checked by ``check_dephase``.
+    Row k is the density d c c^T + (1 - d) diag(c^2), pure at d = 1 (no
+    dephasing). Each amplitude must lie in [0, 1] and each row be normalized
+    within NORM_ATOL; a grid that breaks a rule raises the error of its
+    first bad point. Each property is a numpy float for one delay, an array
+    for a grid.
 
     alpha: still in |B>, no photon emitted;
     beta:  one early B photon emitted, waiting in |X>;
     gamma: full cascade completed early, back in |g>.
     """
 
-    alpha: float | np.ndarray
-    beta: float | np.ndarray
-    gamma: float | np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, c, dephase: float = 1.0):
+        self.c = np.array(c, dtype=float)
+        self.c.flags.writeable = False
+        if self.c.ndim not in (1, 2) or self.c.shape[-1] != 3:
+            raise ValueError(f"amplitudes must have shape (3,) or (N, 3), got {self.c.shape}")
+        check_dephase(dephase)
+        self.d = float(dephase)
         # every point checked at once; only a grid that fails looks for its
         # first bad point, which raises its own error
-        rows = np.column_stack([self.alpha, self.beta, self.gamma])
+        rows = self.c.reshape(-1, 3)
         in_range = (rows >= 0.0) & (rows <= 1.0 + NORM_ATOL)
         norm = (rows * rows).sum(axis=1)
-        normalized = np.abs(norm - 1.0) <= NORM_ATOL
-        good = in_range.all(axis=1) & normalized
+        good = in_range.all(axis=1) & (np.abs(norm - 1.0) <= NORM_ATOL)
         if good.all():
             return
         k = good.argmin()
         for name, value, ok in zip(("alpha", "beta", "gamma"), rows[k].tolist(), in_range[k]):
             if not ok:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if not normalized[k]:
-            raise ValueError(f"amplitudes are not normalized: sum of squares is {norm[k]:.15g}")
+        raise ValueError(f"amplitudes are not normalized: sum of squares is {norm[k]:.15g}")
 
     @property
     def alpha2(self) -> float | np.ndarray:
-        return self.alpha * self.alpha
+        return self.c.T[0] * self.c.T[0]
 
     @property
     def beta2(self) -> float | np.ndarray:
-        return self.beta * self.beta
+        return self.c.T[1] * self.c.T[1]
 
     @property
     def gamma2(self) -> float | np.ndarray:
-        return self.gamma * self.gamma
+        return self.c.T[2] * self.c.T[2]
 
     @property
     def ghz_fidelity(self) -> float | np.ndarray:
         """Overlap |<GHZ|psi>|^2 of the four-mode state with GHZ_4: (alpha+gamma)^2 / 2."""
-        return (self.alpha + self.gamma) * (self.alpha + self.gamma) / 2.0
+        alpha_gamma = self.c.T[0] + self.c.T[2]
+        return alpha_gamma * alpha_gamma / 2.0
+
+    def density(self) -> np.ndarray:
+        """The densities as one real stack, shape (N, 3, 3): c c^T at d = 1."""
+        c = self.c.reshape(-1, 3)
+        rho = c[:, :, None] * c[:, None, :] * self.d
+        rho.reshape(-1, 9)[:, ::4] += (1.0 - self.d) * (c * c)  # the diagonals, as a strided view
+        return rho
 
 
-def amplitudes(p: DecayParams) -> Amplitudes:
-    """Branch amplitudes of the delay ``p.delta_t``, as floats: one point of ``grid_amplitudes``."""
-    return Amplitudes(*(float(x[0]) for x in _branch_amplitudes(p.gamma_b, p.gamma_x, [p.delta_t])))
+def amplitudes(p: DecayParams) -> BranchState:
+    """The state of the delay ``p.delta_t``: one point of ``grid_amplitudes``, c of shape (3,)."""
+    return BranchState(_branch_amplitudes(p.gamma_b, p.gamma_x, [p.delta_t])[0])
 
 
-def grid_amplitudes(gamma_b: float, gamma_x: float, dts) -> Amplitudes:
-    """Branch amplitudes of each delay in ``dts``, as one ``Amplitudes`` of
-    arrays. The rates and delays are checked once by the rules of
-    ``DecayParams``, the amplitudes once by those of ``Amplitudes``; a grid
+def grid_amplitudes(gamma_b: float, gamma_x: float, dts, dephase: float = 1.0) -> BranchState:
+    """The state of each delay in ``dts``, one ``BranchState`` of shape
+    (N, 3). The rates and delays are checked once by the rules of
+    ``DecayParams``, the amplitudes once by those of ``BranchState``; a grid
     that breaks one raises the error of its first bad point."""
-    return Amplitudes(*_branch_amplitudes(gamma_b, gamma_x, dts))
+    return BranchState(_branch_amplitudes(gamma_b, gamma_x, dts), dephase)
 
 
-def _branch_amplitudes(gamma_b: float, gamma_x: float, dts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(alpha, beta, gamma) arrays of the delays ``dts``, checked by the
-    rules of ``DecayParams`` only. alpha^2 = exp(-gamma_b dt) is the
-    surviving biexciton population and
+def _branch_amplitudes(gamma_b: float, gamma_x: float, dts) -> np.ndarray:
+    """The amplitudes (alpha, beta, gamma) of the delays ``dts``, one row
+    each, checked by the rules of ``DecayParams`` only. alpha^2 =
+    exp(-gamma_b dt) is the surviving biexciton population and
     beta^2 = gamma_b (exp(-gamma_b dt) - exp(-gamma_x dt)) / (gamma_x - gamma_b)
     the exciton population fed by it, evaluated in the form symmetric in the
     two rates, gamma_b dt exp(-min(gamma_b, gamma_x) dt) (1 - exp(-y)) / y
@@ -171,11 +193,7 @@ def _branch_amplitudes(gamma_b: float, gamma_x: float, dts) -> tuple[np.ndarray,
                 -np.expm1(-y) / abs(gamma_x - gamma_b) if gamma_x != gamma_b else dts[overflowed])
     beta2 = np.minimum(beta2, 1.0)
     gamma2 = np.maximum(1.0 - alpha2 - beta2, 0.0)
-    return np.sqrt(alpha2), np.sqrt(beta2), np.sqrt(gamma2)
-
-
-FOUR_MODE_DIMS = (2, 2, 2, 2)
-BRANCH_KETS = (0b0000, 0b1001, 0b1111)  # basis indices of the alpha, beta, gamma branches
+    return np.sqrt(np.stack([alpha2, beta2, gamma2], axis=1))
 
 
 def final_state(p: DecayParams) -> np.ndarray:
@@ -184,9 +202,8 @@ def final_state(p: DecayParams) -> np.ndarray:
     alpha |0000> + beta |1001> + gamma |1111>, basis index big-endian over
     (early-B, early-X, late-B, late-X).
     """
-    a = amplitudes(p)
     v = np.zeros(16, dtype=np.complex128)
-    v[list(BRANCH_KETS)] = a.alpha, a.beta, a.gamma
+    v[list(BRANCH_KETS)] = amplitudes(p).c
     return v
 
 
@@ -199,32 +216,6 @@ def ghz_state(n: int) -> np.ndarray:
     return v
 
 
-def check_dephase(dephase: float) -> None:
-    """Raise ValueError unless the dephasing factor lies in [0, 1]; a NaN does not."""
-    if not 0.0 <= dephase <= 1.0:
-        raise ValueError(f"dephase must lie in [0, 1], got {dephase}")
-
-
-class BranchState:
-    """Final states on ``BRANCH_KETS``, one per row: the amplitudes
-    c = (alpha, beta, gamma) of a checked ``Amplitudes`` (one point or a
-    grid), shape (N, 3) and read-only, and one dephasing factor d for all
-    rows that ``check_dephase`` accepted. Row k is the density
-    d c c^T + (1 - d) diag(c^2), pure at d = 1 (no dephasing)."""
-
-    def __init__(self, amps: Amplitudes, dephase: float = 1.0):
-        check_dephase(dephase)
-        self.c = np.column_stack([amps.alpha, amps.beta, amps.gamma])
-        self.d = float(dephase)
-        self.c.flags.writeable = False
-
-    def density(self) -> np.ndarray:
-        """The densities as one real stack, shape (N, 3, 3): c c^T at d = 1."""
-        rho = self.c[:, :, None] * self.c[:, None, :] * self.d
-        rho.reshape(-1, 9)[:, ::4] += (1.0 - self.d) * (self.c * self.c)  # the diagonals, as a strided view
-        return rho
-
-
 def dephased_density(p: DecayParams, d: float) -> np.ndarray:
     """Density matrix of the final state with all coherences attenuated by d:
     the 16x16 embedding of its ``BranchState`` block on ``BRANCH_KETS``.
@@ -233,5 +224,5 @@ def dephased_density(p: DecayParams, d: float) -> np.ndarray:
     populations. ``BranchState`` rejects a d outside [0, 1].
     """
     rho = np.zeros((16, 16), dtype=np.complex128)
-    rho[np.ix_(BRANCH_KETS, BRANCH_KETS)] = BranchState(amplitudes(p), d).density()[0]
+    rho[np.ix_(BRANCH_KETS, BRANCH_KETS)] = grid_amplitudes(p.gamma_b, p.gamma_x, [p.delta_t], d).density()[0]
     return rho

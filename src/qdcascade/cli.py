@@ -129,7 +129,7 @@ def _ghz_table() -> Mapping[int, float]:
     """The GHZ state's entropy table over all 16 masks, one float each, built
     on the branch kets, never dephased, once per process and read-only, as
     every caller shares it: every grid command's GHZ baseline."""
-    ghz = cascade.BranchState(cascade.Amplitudes(*cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real))
+    ghz = cascade.BranchState(cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real)
     return MappingProxyType({mask: s[0] for mask, s in entanglement.subset_entropies(ghz, range(16)).items()})
 
 
@@ -144,12 +144,12 @@ def _grid_table(spec: SweepSpec, header: Iterable[str], measures: Mapping,
     its CMI; ``measures`` are read from one entropy table over their masks,
     of the branch state, or of the GHZ state for ``spec.ghz_reference``."""
     grid = spec.grid()
-    amps = cascade.grid_amplitudes(spec.gamma_b, spec.gamma_x, grid)
+    state = cascade.grid_amplitudes(spec.gamma_b, spec.gamma_x, grid, spec.dephase)
     table = _ghz_table() if spec.ghz_reference else entanglement.subset_entropies(
-        cascade.BranchState(amps, spec.dephase), {mask for m in measures.values() for mask in m.subsets})
+        state, {mask for m in measures.values() for mask in m.subsets})
     read = {entanglement.Channel: entanglement.mi_from_table, EveSplit: entanglement.cmi_from_table}
-    columns = {"dt": grid, "gx_dt": spec.gamma_x * grid, "alpha2": amps.alpha2, "beta2": amps.beta2,
-               "gamma2": amps.gamma2, "fidelity": amps.ghz_fidelity,
+    columns = {"dt": grid, "gx_dt": spec.gamma_x * grid, "alpha2": state.alpha2, "beta2": state.beta2,
+               "gamma2": state.gamma2, "fidelity": state.ghz_fidelity,
                **{name: read[type(m)](table, m) for name, m in measures.items()},
                **{name: read[type(m)](_ghz_table(), m) for name, m in ghz.items()}}
     header = list(dict.fromkeys(header))
@@ -205,7 +205,7 @@ def optimize_delay(
     while True:
         # linspace's points are a + k step >= a, but a subnormal step can round them above b
         xs = np.minimum(np.linspace(a, b, points), b)
-        rho = cascade.BranchState(cascade.grid_amplitudes(gamma_b, gamma_x, xs), dephase)
+        rho = cascade.grid_amplitudes(gamma_b, gamma_x, xs, dephase)
         cmi = entanglement.conditional_mutual_information(rho, split)
         k = int(np.argmax(cmi))
         if cmi[k] > best_cmi:
@@ -238,8 +238,8 @@ def validate_oracles(params: DecayParams, trials: int, seed: int, step: float = 
     sampler; each check's verdict is taken once, for the line that prints it."""
     from . import oracle  # only validate runs the oracles
 
-    amps = cascade.amplitudes(params)
-    expected = (amps.alpha2, amps.beta2, amps.gamma2)
+    state = cascade.amplitudes(params)
+    expected = (state.alpha2, state.beta2, state.gamma2)
     pops = oracle.rate_equation_populations(params, step)
     rk4_dev = max(abs(a - b) for a, b in zip((pops.p_b, pops.p_x, pops.p_g), expected))
     counts = oracle.monte_carlo_patterns(params, trials, seed)
@@ -304,11 +304,10 @@ def _emit(fmt: str, out: str | None, header: list[str], rows: list[list[float]])
 
 def _cmd_amplitudes(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    amps = cascade.amplitudes(params)
+    state = cascade.amplitudes(params)
     header = ["dt", "gx_dt", "alpha", "beta", "gamma", "alpha2", "beta2", "gamma2", "fidelity"]
-    row = [params.delta_t, params.gamma_x * params.delta_t,
-           amps.alpha, amps.beta, amps.gamma,
-           amps.alpha2, amps.beta2, amps.gamma2, amps.ghz_fidelity]
+    row = [params.delta_t, params.gamma_x * params.delta_t, *state.c,
+           state.alpha2, state.beta2, state.gamma2, state.ghz_fidelity]
     _emit(args.format, args.out, header, [row])
     return EXIT_OK
 
@@ -492,8 +491,8 @@ def _has_json_type(value, flag: Mapping) -> bool:
 
 def _config_values(path: str, command: str, flags: Mapping[str, Mapping]) -> dict:
     """The JSON object in the file ``path`` as values of ``flags``, the flags
-    of ``command`` by dest. Each key names one of them (``-`` or ``_``), and
-    each value has the flag's JSON type and lies within its choices."""
+    of ``command`` by dest. Each key names one of them but ``config`` (``-``
+    or ``_``), and each value has the flag's JSON type and lies within its choices."""
     import json
 
     with open(path) as fh:
@@ -507,6 +506,8 @@ def _config_values(path: str, command: str, flags: Mapping[str, Mapping]) -> dic
     unknown = sorted(set(config) - set(flags))
     if unknown:
         raise ValueError(f"unknown config keys for {command}: {unknown}")
+    if "config" in config:  # only the command line's --config is read, and it wins the merge
+        raise ValueError(f"config file {path} cannot name another config file")
     for key, value in config.items():
         flag = flags[key]
         if not _has_json_type(value, flag):

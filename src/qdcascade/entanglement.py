@@ -18,7 +18,8 @@ a fault in a reduction or a spectrum that breaks them fails loudly.
 Like ``qmath``, every measure takes a 16x16 density matrix or a stack of
 them, shape (..., 16, 16); one bad matrix fails the whole stack. The table,
 MI and CMI also take a ``cascade.BranchState`` (not ``negativity``):
-amplitudes c (N, 3) on ``cascade.BRANCH_KETS`` and one dephasing factor d.
+amplitudes c, (N, 3) or one point's (3,), read as (1, 3), on
+``cascade.BRANCH_KETS`` and one dephasing factor d.
 Tracing out modes merges the kets that agree on the kept modes, adding
 their populations c^2, and keeps the coherence d c_i c_j of the one pair of
 kets, if any, that agree on the traced modes: a 2x2 block with a
@@ -153,7 +154,8 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     ``mode_mask`` (mode m is bit 3 - m, early-B the most significant); mask
     0 is the empty subset, whose entropy is that of the trace.
 
-    ``rho`` is a 16x16 density (stack) or a ``BranchState``. The whole state,
+    ``rho`` is a 16x16 density (stack) or a ``BranchState``, whose table
+    holds arrays of one entry at one point. The whole state,
     mask 0b1111, is always in the table, first; ``_table_plan`` holds all
     that the masks alone decide. On 16x16 densities each mask is one
     ``qmath.vn_entropy`` (of a ``qmath.partial_trace`` below the whole
@@ -167,7 +169,7 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     """
     order, rows, groups, (r, i, j, gi, gj), triples = _table_plan(frozenset(subsets))
     if isinstance(rho, BranchState):
-        c, d = rho.c, rho.d
+        c, d = rho.c.reshape(-1, 3), rho.d
         spectra = ((c * c) @ groups).reshape(len(c), -1, 3)  # zero-padded
         spectra[:, r, gi], spectra[:, r, gj] = _pair_spectrum(
             spectra[:, r, gi], spectra[:, r, gj], c[:, i] * c[:, j] * d)

@@ -130,11 +130,11 @@ def early_state(p: DecayParams) -> np.ndarray:
 
     alpha |B>|00> + beta |X>|10> + gamma |g>|11>, over dims (3, 2, 2).
     """
-    a = amplitudes(p)
+    alpha, beta, gamma = amplitudes(p).c
     v = np.zeros(12, dtype=np.complex128)
-    v[early_index(B, 0, 0)] = a.alpha
-    v[early_index(X, 1, 0)] = a.beta
-    v[early_index(G, 1, 1)] = a.gamma
+    v[early_index(B, 0, 0)] = alpha
+    v[early_index(X, 1, 0)] = beta
+    v[early_index(G, 1, 1)] = gamma
     return v
 
 

@@ -34,13 +34,13 @@ def param_grid():
 
 def test_amplitudes_zero_delay():
     a = cascade.amplitudes(DecayParams(2.0, 1.0, 0.0))
-    assert (a.alpha, a.beta, a.gamma) == (1.0, 0.0, 0.0)
+    assert a.c.tolist() == [1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("gamma_x", [0.2, 1.0, 5.0, 2.0 * (1 + 1e-12)])
 def test_alpha_is_invsqrt2_when_gb_dt_is_log2(gamma_x):
     a = cascade.amplitudes(DecayParams(2.0, gamma_x, LN2 / 2))
-    assert abs(a.alpha - 1.0 / math.sqrt(2.0)) < 1e-12
+    assert abs(a.c[0] - 1.0 / math.sqrt(2.0)) < 1e-12
 
 
 def test_amplitudes_ratio2_point():
@@ -50,7 +50,7 @@ def test_amplitudes_ratio2_point():
     assert abs(a.gamma2 - GAMMA2) < 1e-12
     # decimal anchors
     np.testing.assert_allclose(
-        (a.alpha, a.beta, a.gamma), (0.707107, 0.643594, 0.292893), atol=1e-6
+        a.c, (0.707107, 0.643594, 0.292893), atol=1e-6
     )
 
 
@@ -122,13 +122,38 @@ def test_decay_params_validation():
             DecayParams(1.0, 1.0, bad)
 
 
-def test_amplitude_container_validation():
-    with pytest.raises(ValueError):
-        cascade.Amplitudes(1.0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        cascade.Amplitudes(-0.6, 0.8, 0.0)
-    with pytest.raises(ValueError):
-        cascade.Amplitudes(math.nan, 0.0, 1.0)
+def test_branch_state_checks_its_amplitudes():
+    # one check of range and norm, with the error of the first bad point, on
+    # one point of shape (3,) and on a grid of shape (N, 3) with two bad rows
+    good = cascade.amplitudes(DecayParams(2.0, 1.0, 0.125)).c
+    for bad, message in (
+        ((1.0, 0.5, 0.0), "amplitudes are not normalized: sum of squares is 1.25"),
+        ((0.8, 0.8, 0.0), "amplitudes are not normalized: sum of squares is 1.28"),
+        ((-0.6, 0.8, 0.0), "alpha must lie in [0, 1], got -0.6"),
+        ((1.5, 0.0, 0.0), "alpha must lie in [0, 1], got 1.5"),
+        ((math.nan, 0.0, 1.0), "alpha must lie in [0, 1], got nan"),
+        ((0.6, 0.8 + 2e-12, 0.0), "amplitudes are not normalized: sum of squares is 1.0000000000032"),
+    ):
+        for c in (bad, np.array([good, bad, (0.9, 0.9, 0.9)])):
+            with pytest.raises(ValueError) as exc:
+                cascade.BranchState(c)
+            assert str(exc.value) == message, bad
+    # within NORM_ATOL, as a point and as a grid
+    for c in ((0.6, 0.8 + 1e-13, 0.0), np.array([good, (0.6, 0.8 + 1e-13, 0.0)])):
+        assert cascade.BranchState(c).c.shape == np.shape(c)
+    # c is a read-only copy: the caller's array stays writable and apart
+    grid = np.array([good, good])
+    state = cascade.BranchState(grid, 0.5)
+    assert not state.c.flags.writeable and grid.flags.writeable and not np.shares_memory(state.c, grid)
+    grid[0] = 0.0
+    assert state.c[0].tolist() == good.tolist() and state.d == 0.5
+    for d in (-0.1, 1.1, math.nan):
+        for c in (good, grid):
+            with pytest.raises(ValueError, match=r"^dephase must lie in \[0, 1\], got"):
+                cascade.BranchState(c, d)
+    for c in (good[:2], np.ones((2, 4)) / 2.0, grid[None], 1.0):
+        with pytest.raises(ValueError, match=r"^amplitudes must have shape \(3,\) or \(N, 3\), got"):
+            cascade.BranchState(c)
 
 
 # --------------------------------------------------------------------------
@@ -174,11 +199,11 @@ def test_second_pulse_leaves_exciton_untouched():
 
 
 def test_second_pulse_on_early_state():
-    a = cascade.amplitudes(POINT)
+    alpha, beta, gamma = cascade.amplitudes(POINT).c
     out = oracle_math.apply_second_pulse(oracle_math.early_state(POINT))
-    assert out[_early_basis_index(0, 0, 0)] == a.alpha
-    assert out[_early_basis_index(1, 1, 0)] == a.beta
-    assert out[_early_basis_index(2, 1, 1)] == a.gamma
+    assert out[_early_basis_index(0, 0, 0)] == alpha
+    assert out[_early_basis_index(1, 1, 0)] == beta
+    assert out[_early_basis_index(2, 1, 1)] == gamma
     assert np.count_nonzero(out) == 3
 
 
@@ -319,10 +344,9 @@ def test_dephased_density_rejects_bad_attenuation():
 
 @pytest.mark.parametrize("d", [-0.2, 1.000000001, math.nan])
 def test_branch_state_rejects_dephasing_outside_the_unit_interval(d):
-    # every dephased state is built here, so the range is checked here
-    amps = cascade.grid_amplitudes(2.0, 1.0, np.geomspace(1e-2, 10.0, 200))
+    # every dephased state is built by BranchState, so the range is checked there
     with pytest.raises(ValueError, match="dephase"):
-        cascade.BranchState(amps, d)
+        cascade.grid_amplitudes(2.0, 1.0, np.geomspace(1e-2, 10.0, 200), d)
 
 
 def test_mode_label_order_and_parsing():

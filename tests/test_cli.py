@@ -9,7 +9,6 @@ import json
 import math
 import os
 from contextlib import redirect_stdout
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ LN2 = math.log(2.0)
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EB, EX, LB, LX = ModeLabel
 KETS = cascade.BRANCH_KETS
-GHZ_BRANCH = cascade.BranchState(cascade.Amplitudes(*cascade.ghz_state(4)[list(KETS)].real))
+GHZ_BRANCH = cascade.BranchState(cascade.ghz_state(4)[list(KETS)].real)
 
 
 def run_main(args):
@@ -94,7 +93,8 @@ def test_cli_sweep_ghz_solves_one_slice(monkeypatch):
     }
     tables, solves = [], []
     subset_entropies, eigvalsh = entanglement.subset_entropies, np.linalg.eigvalsh
-    monkeypatch.setattr(entanglement, "subset_entropies", lambda rho, masks: tables.append((len(rho.c), len(masks)))
+    monkeypatch.setattr(entanglement, "subset_entropies",
+                        lambda rho, masks: tables.append((rho.c.reshape(-1, 3).shape[0], len(masks)))
                         or subset_entropies(rho, masks))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(np.shape(a)) or eigvalsh(a))
     cli._ghz_table.cache_clear()
@@ -130,6 +130,26 @@ def test_dephased_outputs_keep_their_bytes():
                       "0x1.6fbf26e2e4398p-1", "0x1.6fbf26e2e4398p-1", "0x1.0d677e73b4f70p-3"]
 
 
+@pytest.mark.parametrize("command,digest", [
+    (("amplitudes", "--format", "csv"), "c393d4310d40b1e167cdeecc7a82b19704ca490a9931d5fc79a16766886ac0e3"),
+    (("amplitudes", "--format", "json"), "581ad04530e61cc82accb07aa74f61834edd0198169f8c31d5346b524705ed1b"),
+    (("state", "--format", "csv"), "e776441c69e458275f701e70a56fb2e8f99cfdffd4fb6557e28c1fa81cf6aaba"),
+    (("state", "--format", "json"), "73fcbcb31cdf09e010e2c89cb0449b98ee96238bfa9caf76a919320eaad73996"),
+    (("validate", "--trials", "2000"), "af77354d57112a1a3bbd8405e438a1d3c4d0c06150bc46634e9e392b5b06b2e6"),
+])
+def test_one_point_commands_keep_their_bytes(command, digest):
+    # the digest of a one-point command's exit codes and outputs at the delays
+    # 0, 1e-9, ln2/2 and 700 of equal rates, of ratio 0.5 and of ratio 2,
+    # one point after the other; validate steps at most a tenth of the delay
+    text = ""
+    for ratio in ("1", "0.5", "2"):
+        for dt in ("0", "1e-9", repr(LN2 / 2), "700"):
+            step = ["--step", "1e-10"] if command[0] == "validate" and dt == "1e-9" else []
+            code, out = run_main([*command, "--ratio", ratio, "--dt", dt, *step])
+            text += f"{code}\n{out}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_sweep_rows_ascending_and_independent():
     # each row of the stacked evaluation equals, bit for bit, the evaluation
     # of its own state as a single-row branch state
@@ -141,12 +161,11 @@ def test_sweep_rows_ascending_and_independent():
     split = EveSplit.from_alice_eve({EB}, {LB})
     for k, dt in enumerate(cols["dt"]):
         params = DecayParams(2.0, 1.0, dt)
-        a = cascade.amplitudes(params)
-        rho = cascade.BranchState(a)
-        assert rho.c.shape == (1, 3)
+        rho = cascade.amplitudes(params)
+        assert rho.c.shape == (3,)
         single = {
-            "gx_dt": 1.0 * dt, "alpha2": a.alpha2, "beta2": a.beta2, "gamma2": a.gamma2,
-            "fidelity": a.ghz_fidelity,
+            "gx_dt": 1.0 * dt, "alpha2": rho.alpha2, "beta2": rho.beta2, "gamma2": rho.gamma2,
+            "fidelity": rho.ghz_fidelity,
             "cmi": entanglement.conditional_mutual_information(rho, split)[0],
             "cmi_ghz": entanglement.conditional_mutual_information(GHZ_BRANCH, split)[0],
         }
@@ -165,7 +184,7 @@ def test_grid_densities_match_per_point_densities(dephase):
     # zero elsewhere; and dephased_density, built from the branch state, is
     # the dense formula (at d = 1, the pure state's projector)
     grid = np.geomspace(1e-3, 20.0, 25)
-    state = cascade.BranchState(cascade.grid_amplitudes(3.0, 1.0, grid), dephase)
+    state = cascade.grid_amplitudes(3.0, 1.0, grid, dephase)
     stack = np.concatenate([state.density(), GHZ_BRANCH.density()])
     assert stack.shape == (26, 3, 3) and type(state.d) is float and state.d == dephase and GHZ_BRANCH.d == 1.0
     assert not (state.c.flags.writeable or GHZ_BRANCH.c.flags.writeable)
@@ -207,16 +226,16 @@ def test_grid_amplitudes_match_per_point_amplitudes(gamma_b, gamma_x, dts):
     # values the same bits alone, in the example's grid and at every position
     # of a longer grid (numpy's vector kernels treat array tails apart)
     amps = cascade.grid_amplitudes(gamma_b, gamma_x, dts)
-    assert amps.alpha.shape == (len(dts),)
+    assert amps.c.shape == (len(dts), 3)
     for k, dt in enumerate(dts):
         want = oracle_math.branch_populations(gamma_b, gamma_x, dt)
         got = (amps.alpha2[k], amps.beta2[k], amps.gamma2[k])
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15, err_msg=f"dt = {dt!r}")
         a = cascade.amplitudes(DecayParams(gamma_b, gamma_x, dt))
-        alone = np.array([a.alpha, a.beta, a.gamma, a.alpha2, a.beta2, a.gamma2, a.ghz_fidelity])
+        alone = np.array([*a.c, a.alpha2, a.beta2, a.gamma2, a.ghz_fidelity])
         longer = cascade.grid_amplitudes(gamma_b, gamma_x, np.full(19, dt))
         for grid, j in [(amps, k)] + [(longer, j) for j in range(19)]:
-            row = [grid.alpha, grid.beta, grid.gamma, grid.alpha2, grid.beta2, grid.gamma2, grid.ghz_fidelity]
+            row = [*grid.c.T, grid.alpha2, grid.beta2, grid.gamma2, grid.ghz_fidelity]
             assert np.array([x[j] for x in row]).tobytes() == alone.tobytes(), (k, dt, j)
 
 
@@ -247,23 +266,6 @@ def test_grid_amplitudes_raise_the_per_point_error(gamma_b, gamma_x, grid):
     with pytest.raises(ValueError) as exc:
         cascade.grid_amplitudes(gamma_b, gamma_x, np.array(grid))
     assert str(exc.value) == message
-
-
-def test_grid_amplitudes_check_range_and_normalization():
-    # an unnormalized or out-of-range point of a grid fails with the error of
-    # its own Amplitudes; the grid reports the first of its two bad points
-    good = astuple(cascade.amplitudes(DecayParams(2.0, 1.0, 0.125)))
-    for bad, message in (
-        ((0.8, 0.8, 0.0), "amplitudes are not normalized: sum of squares is 1.28"),
-        ((1.5, 0.0, 0.0), "alpha must lie in [0, 1], got 1.5"),
-        ((math.nan, 0.0, 1.0), "alpha must lie in [0, 1], got nan"),
-        ((0.6, 0.8 + 2e-12, 0.0), "amplitudes are not normalized: sum of squares is 1.0000000000032"),
-    ):
-        for fields in (bad, np.array([good, bad, (0.9, 0.9, 0.9)]).T):
-            with pytest.raises(ValueError) as exc:
-                cascade.Amplitudes(*fields)
-            assert str(exc.value) == message, bad
-    cascade.Amplitudes(*np.array([good, (0.6, 0.8 + 1e-13, 0.0)]).T)  # within NORM_ATOL
 
 
 @pytest.mark.parametrize("argv,error", [
@@ -523,7 +525,7 @@ def test_optimize_delay_ends_on_brackets_narrower_than_its_tolerance(monkeypatch
     split = EveSplit.from_alice_eve({EB}, {EX})
     dt_star, cmi_star = cli.optimize_delay(2.0, 1.0, split, bracket)
     assert bracket[0] <= dt_star <= bracket[1]
-    rho = cascade.BranchState(cascade.amplitudes(DecayParams(2.0, 1.0, dt_star)))
+    rho = cascade.amplitudes(DecayParams(2.0, 1.0, dt_star))
     assert cmi_star == cmi(rho, split)[0]
 
 
@@ -551,7 +553,7 @@ def test_optimize_delay_returns_the_best_evaluated_point(ratio, d, split, lo, wi
     hi = lo + width
     dt_star, cmi_star = cli.optimize_delay(ratio, 1.0, split, (lo, hi), dephase=d)
     assert lo <= dt_star <= hi
-    rho = cascade.BranchState(cascade.amplitudes(DecayParams(ratio, 1.0, dt_star)), d)
+    rho = cascade.grid_amplitudes(ratio, 1.0, [dt_star], d)
     assert cmi_star == entanglement.conditional_mutual_information(rho, split)[0]
     # the coarse grid on dense 16x16 states: a cross-check of the branch path
     grid = np.linspace(lo, hi, 64)
@@ -719,7 +721,7 @@ def test_validate_oracles_passes_at_defaults():
 
 def test_validate_oracles_negative_control(monkeypatch):
     # corrupted closed-form weights must throw the z-scores far out
-    corrupted = cascade.Amplitudes(*(math.sqrt(w) for w in (0.52, math.sqrt(2) - 1.02, 1.5 - math.sqrt(2))))
+    corrupted = cascade.BranchState([math.sqrt(w) for w in (0.52, math.sqrt(2) - 1.02, 1.5 - math.sqrt(2))])
     monkeypatch.setattr(cascade, "amplitudes", lambda params: corrupted)
     lines, passed = cli.validate_oracles(DecayParams(2.0, 1.0, LN2 / 2), 200_000, 42)
     _, _, z_scores = report_fields(lines)
@@ -981,6 +983,9 @@ def test_cli_config_file_with_flag_override(tmp_path):
     # -h is not a flag of the table, so "help" is an unknown key, whatever its value
     ('{"help": "x"}', "unknown config keys for amplitudes: ['help']"),
     ('{"help": true}', "unknown config keys for amplitudes: ['help']"),
+    # only the command line's --config is read, so a config key could never take effect
+    ('{"config": "x.json"}', "config file {path} cannot name another config file"),
+    ('{"dt": 1, "config": 1}', "config file {path} cannot name another config file"),
     ("", "config file {path} is not JSON: Expecting value: line 1 column 1 (char 0)"),
     ("{'dt': 1}", "config file {path} is not JSON: Expecting property name enclosed in double quotes: "
                   "line 1 column 2 (char 1)"),

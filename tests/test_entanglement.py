@@ -18,7 +18,7 @@ import oracle_math
 LN2 = math.log(2.0)
 POINT = DecayParams(2.0, 1.0, LN2 / 2)  # alpha^2 = 1/2
 EB, EX, LB, LX = ModeLabel
-GHZ_BRANCH = cascade.BranchState(cascade.Amplitudes(*cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real))
+GHZ_BRANCH = cascade.BranchState(cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real)
 
 
 def final_density(params):
@@ -448,7 +448,7 @@ def test_subset_entropies_of_pure_cascade_states():
     table = entanglement.subset_entropies(grid_stack(grid), range(16))
     # one plan per mask set: the masks in any iterable, order or multiplicity
     # give the same table, the whole state first, then ascending masks
-    branch = cascade.BranchState(cascade.grid_amplitudes(2.0, 1.0, [p.delta_t for p in grid]))
+    branch = cascade.grid_amplitudes(2.0, 1.0, [p.delta_t for p in grid])
     masks = [0b0110, 0b1000, 0b0001, 0b1001]
     for rho, order in ((grid_stack(grid), [0b1111, 0b0001, 0b0110, 0b1000, 0b1001]),
                        (branch, [0b1111, 0b0001, 0b0110, 0b1000, 0b1001])):
@@ -493,7 +493,7 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
     # masks, the 7 channels and the 5 fig4 splits (the GHZ table's are
     # test_ghz_table_matches_the_dense_ghz_state's)
     grid = grid_params(dts, gamma_b=ratio)
-    branch = cascade.BranchState(cascade.grid_amplitudes(ratio, 1.0, dts), d)
+    branch = cascade.grid_amplitudes(ratio, 1.0, dts, d)
     got = entanglement.subset_entropies(branch, range(16))
     want = entanglement.subset_entropies(grid_stack(grid, d), range(16))
     # a pure state has whole-state entropy 0.0 exactly
@@ -544,7 +544,7 @@ def test_table_check_flags_one_entry_past_its_tolerance(point):
     # fig3's table of 200 grid points with the GHZ table's entries as point
     # 200, one entry changed at one point; the pairwise loop names the pair
     # the check must name
-    rho = cascade.BranchState(cascade.grid_amplitudes(2.0, 1.0, cli.FIG_SPEC.grid()))
+    rho = cascade.grid_amplitudes(2.0, 1.0, cli.FIG_SPEC.grid())
     masks = frozenset(mask for ch in entanglement.enumerate_channels() for mask in ch.subsets)
     grid_table = entanglement.subset_entropies(rho, masks)
     table = {mask: np.append(s, cli._ghz_table()[mask]) for mask, s in grid_table.items()}
@@ -622,7 +622,7 @@ def patch_folds(monkeypatch, reduction):
 def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
     # the same fault on the branch path: keep only the last mode of each
     # subset, in the reduction the tables merge populations by
-    rho = cascade.BranchState(cascade.amplitudes(POINT))
+    rho = cascade.amplitudes(POINT)
     split = EveSplit.from_alice_eve({EB}, {EX})
     before = entanglement.subset_entropies(rho, split.subsets)
     reduction = entanglement._reduction
@@ -639,7 +639,7 @@ def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
 def test_branch_table_rejects_a_fold_with_two_coherent_pairs(monkeypatch):
     # no reduction below the whole state couples more than one pair of
     # branches; the whole state's own, which couples all three, stands in
-    rho = cascade.BranchState(cascade.amplitudes(POINT))
+    rho = cascade.amplitudes(POINT)
     before = entanglement.subset_entropies(rho, [0b1000])
     reduction = entanglement._reduction
     with monkeypatch.context() as patched:

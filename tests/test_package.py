@@ -12,7 +12,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 MODULES = ["cascade", "cli", "entanglement", "oracle", "qmath"]
 # the 19 public names, by the module that defines them
 MODULE_OF = {name: module for module, names in {
-    "cascade": ["Amplitudes", "DecayParams", "ModeLabel", "amplitudes", "dephased_density", "final_state",
+    "cascade": ["BranchState", "DecayParams", "ModeLabel", "amplitudes", "dephased_density", "final_state",
                 "ghz_state"],
     "entanglement": ["Channel", "EveSplit", "channel_by_id", "conditional_mutual_information",
                      "enumerate_channels", "mutual_information", "negativity", "subset_entropies"],
