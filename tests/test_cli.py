@@ -268,6 +268,26 @@ def test_grid_amplitudes_raise_the_per_point_error(gamma_b, gamma_x, grid):
     assert str(exc.value) == message
 
 
+def test_grid_amplitudes_check_range_and_normalization():
+    # an unnormalized or out-of-range point of a grid of shape (N, 3) fails
+    # with the error of that point; the grid reports the first of its two bad
+    # points, and a point within NORM_ATOL passes
+    good = cascade.amplitudes(DecayParams(2.0, 1.0, 0.125)).c
+    for bad, message in (
+        ((1.0, 0.5, 0.0), "amplitudes are not normalized: sum of squares is 1.25"),
+        ((0.8, 0.8, 0.0), "amplitudes are not normalized: sum of squares is 1.28"),
+        ((-0.6, 0.8, 0.0), "alpha must lie in [0, 1], got -0.6"),
+        ((1.5, 0.0, 0.0), "alpha must lie in [0, 1], got 1.5"),
+        ((math.nan, 0.0, 1.0), "alpha must lie in [0, 1], got nan"),
+        ((0.6, 0.8 + 2e-12, 0.0), "amplitudes are not normalized: sum of squares is 1.0000000000032"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            cascade.BranchState(np.array([good, bad, (0.9, 0.9, 0.9)]))
+        assert str(exc.value) == message, bad
+    grid = np.array([good, (0.6, 0.8 + 1e-13, 0.0)])
+    assert cascade.BranchState(grid).c.shape == (2, 3)
+
+
 @pytest.mark.parametrize("argv,error", [
     (["optimize-dt", "--alice", "eb", "--eve", "ex", "--dt-min", "-1"],
      ValueError("dt_min must be non-negative and finite, got -1.0")),
