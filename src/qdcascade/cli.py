@@ -1,9 +1,9 @@
 """Batch front-end: sweeps, secret-rate evaluation, delay optimization,
 figure-data tables, and oracle validation.
 
-Everything is emitted as machine-readable CSV (or JSON) with fixed
-formatting -- 12 significant digits, '\\n' line endings -- so outputs are
-byte-reproducible and can be checked against golden files.
+Everything is emitted as machine-readable CSV or JSON with '\\n' line
+endings, CSV cells at 12 significant digits and JSON floats as their exact
+repr, so outputs are byte-reproducible and can be checked against golden files.
 
 Unit convention: rates are in units where gamma_x = 1 unless both rates are
 given explicitly; times are in the inverse rate units.
@@ -56,11 +56,6 @@ def _csv_lines(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
     return "\n".join([",".join(header)] + lines) + "\n"
 
 
-def parse_mode_list(text: str) -> frozenset[ModeLabel]:
-    tokens = [t for t in text.split(",") if t.strip()]
-    return frozenset(ModeLabel.parse(t) for t in tokens)
-
-
 def _check_bracket(gamma_b: float, gamma_x: float, lo: float, hi: float) -> None:
     """Check the rates and a delay bracket (lo, hi), named by the flags
     ``dt_min`` and ``dt_max``: each end by the rules of ``DecayParams``,
@@ -69,6 +64,12 @@ def _check_bracket(gamma_b: float, gamma_x: float, lo: float, hi: float) -> None
     DecayParams.check(gamma_b, gamma_x, lo, "dt_min")
     if not lo < hi:
         raise ValueError(f"dt_min must be smaller than dt_max, got {lo} and {hi}")
+
+
+def _delay_grid(lo: float, hi: float, points: int, scale: str = "linear") -> np.ndarray:
+    """``points`` delays from ``lo`` to ``hi``, evenly spaced on a linear or
+    log scale; numpy can round a point out of [lo, hi], so each is clipped to it."""
+    return np.clip((np.geomspace if scale == "log" else np.linspace)(lo, hi, points), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,7 @@ class SweepSpec:
         cascade.check_dephase(self.dephase)
 
     def grid(self) -> np.ndarray:
-        if self.scale == "log":
-            return np.geomspace(self.dt_min, self.dt_max, self.points)
-        return np.linspace(self.dt_min, self.dt_max, self.points)
+        return _delay_grid(self.dt_min, self.dt_max, self.points, self.scale)
 
 
 # the figures' grid: 200 log-spaced delays in [1e-2, 10] at gamma_b : gamma_x = 2 : 1
@@ -203,8 +202,7 @@ def optimize_delay(
     a, b, points = lo, hi, COARSE_SCAN_POINTS
     best_dt, best_cmi = lo, -math.inf
     while True:
-        # linspace's points are a + k step >= a, but a subnormal step can round them above b
-        xs = np.minimum(np.linspace(a, b, points), b)
+        xs = _delay_grid(a, b, points)
         rho = cascade.grid_amplitudes(gamma_b, gamma_x, xs, dephase)
         cmi = entanglement.conditional_mutual_information(rho, split)
         k = int(np.argmax(cmi))
@@ -285,7 +283,9 @@ def _resolve_params(args: argparse.Namespace) -> DecayParams:
 
 
 def _resolve_split(args: argparse.Namespace) -> EveSplit:
-    return EveSplit.from_alice_eve(parse_mode_list(args.alice), parse_mode_list(args.eve or ""))
+    """The split of ``--alice`` and ``--eve``, each a comma-separated list of modes."""
+    modes = [[ModeLabel.parse(t) for t in (text or "").split(",") if t.strip()] for text in (args.alice, args.eve)]
+    return EveSplit.from_alice_eve(*modes)
 
 
 def _emit(fmt: str, out: str | None, header: list[str], rows: list[list[float]]) -> None:
@@ -457,9 +457,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of ``COMMANDS``. It holds no flag defaults, so a parse
-    returns the command, its handler and only the flags that were given."""
+    """The parser of ``COMMANDS``, built on the first call and shared by every
+    later one. It holds no flag defaults, so a parse returns the command and
+    only the flags that were given."""
     parser = argparse.ArgumentParser(
         prog="qdcascade",
         description="Photon-number entanglement from a two-pulse biexciton-exciton cascade.",
@@ -469,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
         for flag, kwargs in command.flags:
             p.add_argument(flag, **{key: value for key, value in kwargs.items() if key != "default"})
-        p.set_defaults(handler=command.handler)
     return parser
 
 
@@ -522,15 +523,10 @@ def _config_values(path: str, command: str, flags: Mapping[str, Mapping]) -> dic
     return config
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call shares, built on the first call."""
-    return build_parser()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    given = vars(_parser().parse_args(argv))
-    flags = {_dest(name): kwargs for name, kwargs in COMMANDS[given["command"]].flags}
+    given = vars(build_parser().parse_args(argv))
+    command = COMMANDS[given["command"]]
+    flags = {_dest(name): kwargs for name, kwargs in command.flags}
     try:
         # each flag's value: the table's default, then the --config file's, then the command line's;
         # --config= and --config=-- (refused below) read no file
@@ -540,7 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if key in given and not _has_json_type(given[key], flag):
                 raise ValueError(f"{key} must be given a value, got '--'")
         defaults = {key: flag.get("default") for key, flag in flags.items()}
-        return given["handler"](argparse.Namespace(**{**defaults, **config, **given}))
+        return command.handler(argparse.Namespace(**{**defaults, **config, **given}))
     # LinAlgError subclasses ValueError, so it is caught before bad arguments
     except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdcascade import cascade, cli, entanglement, qmath
@@ -557,6 +557,46 @@ def test_optimize_delay_stays_inside_a_subnormal_bracket():
     assert lo <= dt_star <= hi
 
 
+@pytest.mark.parametrize("dt_min,dt_max,points,scale", [
+    ("156.43541172231124", "156.43541172231184", "163", "log"),  # geomspace's points rise above the top
+    ("0", "1.5e-323", "6", "linear"),  # a subnormal step rounds a point above the top
+])
+def test_sweep_prints_only_delays_inside_its_bracket(dt_min, dt_max, points, scale):
+    # JSON prints each delay as its exact repr, which 12 significant digits would round
+    code, out = run_main(["sweep", "--dt-min", dt_min, "--dt-max", dt_max, "--points", points,
+                          "--scale", scale, "--format", "json"])
+    dts = [row["dt"] for row in json.loads(out)]
+    assert code == 0 and len(dts) == int(points)
+    assert dts[0] == float(dt_min) and dts[-1] == float(dt_max)
+    assert all(float(dt_min) <= dt <= float(dt_max) for dt in dts) and dts == sorted(dts)
+
+
+TOP_BITS = int(np.float64(1e300).view(np.int64))  # a non-negative float's bits rise with it
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    lo_bits=st.integers(0, TOP_BITS),
+    ulps=st.one_of(st.integers(1, 1000), st.integers(1, TOP_BITS)),  # narrow brackets and wide ones
+    points=st.integers(2, 300),
+    scale=st.sampled_from(["linear", "log"]),
+)
+@example(lo_bits=int(np.float64(156.43541172231124).view(np.int64)), ulps=21, points=163, scale="log")
+@example(lo_bits=0, ulps=3, points=6, scale="linear")  # [0, 1.5e-323]
+def test_delay_grid_stays_inside_its_bracket(lo_bits, ulps, points, scale):
+    if scale == "log":
+        lo_bits = max(lo_bits, 1)  # a log grid needs a positive start, at least the smallest subnormal
+    hi_bits = min(lo_bits + ulps, TOP_BITS)
+    assume(lo_bits < hi_bits)
+    lo, hi = (float(np.int64(bits).view(np.float64)) for bits in (lo_bits, hi_bits))
+    grid = cli._delay_grid(lo, hi, points, scale)
+    assert grid.shape == (points,) and grid[0] == lo and grid[-1] == hi
+    assert np.all((lo <= grid) & (grid <= hi)) and np.all(np.diff(grid) >= 0.0)
+    numpy_grid = (np.geomspace if scale == "log" else np.linspace)(lo, hi, points)
+    inside = (lo <= numpy_grid) & (numpy_grid <= hi)
+    assert np.array_equal(grid[inside], numpy_grid[inside])
+
+
 FIG4_SPLITS = [({EB}, {EX}), ({EB}, {LB}), ({EB}, {LX}), ({EB, EX}, {LB}), ({EB, EX}, {LX})]
 
 
@@ -1076,21 +1116,19 @@ def test_a_ragged_row_exits_without_a_traceback(monkeypatch, tmp_path, rows):
     assert code in (cli.EXIT_BAD_ARGUMENTS, cli.EXIT_NUMERICAL_ERROR) and out == ""
 
 
-def test_main_builds_one_parser_per_process(monkeypatch, tmp_path):
-    builds = []
-    build_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
-    cli._parser.cache_clear()
+def test_main_builds_one_parser_per_process(tmp_path):
+    cli.build_parser.cache_clear()
+    builds = cli.build_parser.cache_info
     default_row = run_main(["amplitudes"])
     assert run_main(["amplitudes"]) == default_row
     assert run_main(["amplitudes", "--gamma-b", "4"])[0] == 0 and run_main(["state"])[0] == 0
-    assert len(builds) == 1
+    assert builds().misses == 1
     # --config parses with the same parser and leaves it as it was for the next call
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"gamma-b": 4}))
     code, out = run_main(["amplitudes", "--config", str(config)])
-    assert code == 0 and out != default_row[1] and len(builds) == 1
-    assert run_main(["amplitudes"]) == default_row and len(builds) == 1
+    assert code == 0 and out != default_row[1] and builds().misses == 1
+    assert run_main(["amplitudes"]) == default_row and builds().misses == 1
     assert read_csv_text(default_row[1])[0]["alpha2"] == pytest.approx(0.5)  # gamma_b dt = ln 2
 
 
