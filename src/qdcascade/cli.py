@@ -39,16 +39,16 @@ EXIT_VALIDATION_FAILURE = 1
 EXIT_BAD_ARGUMENTS = 2
 EXIT_IO_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
+CELL_FORMAT = "%.12g"  # each CSV cell, and each number _fmt writes
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    return CELL_FORMAT % float(x)
 
 
 def _csv_lines(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
-    """CSV text of ``header`` and ``rows``, every cell as ``_fmt`` writes it;
-    "%.12g" formats a row in one operation."""
-    row_format = ",".join(["%.12g"] * len(header))
+    """CSV text of ``header`` and ``rows``, every cell as ``_fmt`` writes it."""
+    row_format = ",".join([CELL_FORMAT] * len(header))
     try:
         lines = [row_format % tuple(row) for row in rows]
     except TypeError as exc:  # a row whose length differs from the header's, or a cell that is not a number
@@ -114,7 +114,7 @@ FIG_SPEC = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=1e-2, dt_max=10.0, points=
 
 _CHANNEL_COLUMNS = {f"mi_ch{ch.id}": ch for ch in entanglement.enumerate_channels()}
 # fig4's columns: (Alice, Eve) of each split, built once so that each split's masks are too
-_FIG4_SPLITS = {name: EveSplit.from_alice_eve(*split) for name, split in {
+_FIG4_SPLITS = {name: EveSplit(*split) for name, split in {
     "cmi_ch1_eve_early_x": ({ModeLabel.EARLY_B}, {ModeLabel.EARLY_X}),
     "cmi_ch1_eve_late_b": ({ModeLabel.EARLY_B}, {ModeLabel.LATE_B}),
     "cmi_ch1_eve_late_x": ({ModeLabel.EARLY_B}, {ModeLabel.LATE_X}),
@@ -285,7 +285,7 @@ def _resolve_params(args: argparse.Namespace) -> DecayParams:
 def _resolve_split(args: argparse.Namespace) -> EveSplit:
     """The split of ``--alice`` and ``--eve``, each a comma-separated list of modes."""
     modes = [[ModeLabel.parse(t) for t in (text or "").split(",") if t.strip()] for text in (args.alice, args.eve)]
-    return EveSplit.from_alice_eve(*modes)
+    return EveSplit(*modes)
 
 
 def _emit(fmt: str, out: str | None, header: list[str], rows: list[list[float]]) -> None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
 import numpy as np
@@ -64,22 +64,19 @@ def mode_mask(modes: Iterable[ModeLabel]) -> int:
 
 @dataclass(frozen=True)
 class Channel:
-    """An unordered bipartition (p1 | p2) of the four modes."""
+    """An unordered bipartition (p1 | p2) of the four modes, p2 the rest."""
 
     id: int
     p1: frozenset[ModeLabel]
-    p2: frozenset[ModeLabel]
 
     def __post_init__(self):
-        p1, p2 = _mode_set(self.p1), _mode_set(self.p2)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        if not p1 or not p2:
+        object.__setattr__(self, "p1", _mode_set(self.p1))
+        if not self.p1 or not self.p2:
             raise ValueError("both sides of a channel must be nonempty")
-        if p1 & p2:
-            raise ValueError(f"channel sides overlap: {sorted(p1 & p2)}")
-        if p1 | p2 != ALL_MODES:
-            raise ValueError("channel sides must cover all four modes")
+
+    @property
+    def p2(self) -> frozenset[ModeLabel]:
+        return ALL_MODES - self.p1
 
     @functools.cached_property
     def subsets(self) -> tuple[int, int, int]:
@@ -90,7 +87,7 @@ class Channel:
 # p1 of channels 1-7 by mode number (0 early-B, 1 early-X, 2 late-B, 3 late-X):
 # the smaller side, or of two equal sides the one holding early-B
 _CHANNEL_P1 = ({0}, {1}, {2}, {3}, {0, 1}, {0, 2}, {0, 3})
-_CHANNELS = tuple(Channel(id=i + 1, p1=p1, p2=set(ALL_MODES) - p1) for i, p1 in enumerate(_CHANNEL_P1))
+_CHANNELS = tuple(Channel(id=i + 1, p1=p1) for i, p1 in enumerate(_CHANNEL_P1))
 
 
 def enumerate_channels() -> list[Channel]:
@@ -108,38 +105,31 @@ def channel_by_id(n: int) -> Channel:
 
 @dataclass(frozen=True)
 class EveSplit:
-    """Three-way split of the modes: Alice, Bob, and an eavesdropper holding
-    part of Bob's original side. Eve may be empty."""
+    """Three-way split of the modes: Alice's, an eavesdropper's (possibly none)
+    and Bob's, the rest. Alice and Eve are disjoint, Alice and Bob nonempty."""
 
     alice: frozenset[ModeLabel]
-    bob: frozenset[ModeLabel]
-    eve: frozenset[ModeLabel] = field(default_factory=frozenset)
+    eve: frozenset[ModeLabel] = frozenset()
 
     def __post_init__(self):
-        alice, bob, eve = _mode_set(self.alice), _mode_set(self.bob), _mode_set(self.eve)
-        object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "bob", bob)
-        object.__setattr__(self, "eve", eve)
-        if alice & bob or alice & eve or bob & eve:
+        object.__setattr__(self, "alice", _mode_set(self.alice))
+        object.__setattr__(self, "eve", _mode_set(self.eve))
+        if self.alice & self.eve:
             raise ValueError("overlapping subsets in the Alice/Bob/Eve split")
-        if alice | bob | eve != ALL_MODES:
-            missing = sorted(ALL_MODES - (alice | bob | eve))
-            raise ValueError(f"split does not cover all modes; missing {missing}")
-        if not alice:
+        if not self.alice:
             raise ValueError("Alice's subset must be nonempty")
-        if not bob:
+        if not self.bob:
             raise ValueError("Bob's subset must be nonempty")
+
+    @property
+    def bob(self) -> frozenset[ModeLabel]:
+        return ALL_MODES - self.alice - self.eve
 
     @functools.cached_property
     def subsets(self) -> tuple[int, int, int, int, int]:
         """Masks of the entropies its secret rate sums: ABE, A, E, AE, BE."""
         a, b, e = mode_mask(self.alice), mode_mask(self.bob), mode_mask(self.eve)
         return ALL_MODES_MASK, a, e, a | e, b | e
-
-    @classmethod
-    def from_alice_eve(cls, alice: Iterable[ModeLabel], eve: Iterable[ModeLabel] = ()) -> "EveSplit":
-        a, e = _mode_set(alice), _mode_set(eve)
-        return cls(alice=a, bob=ALL_MODES - a - e, eve=e)
 
 
 def _four_mode_matrix(rho) -> np.ndarray:

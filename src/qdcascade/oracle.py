@@ -61,18 +61,19 @@ class Populations:
 
 @dataclass(frozen=True)
 class PatternCounts:
-    """Trajectory tallies per four-bit emission pattern."""
+    """Trajectory tallies per four-bit emission pattern, none negative; the trials are their sum."""
 
     counts: tuple[int, ...]
-    trials: int
 
     def __post_init__(self):
         if len(self.counts) != 16:
             raise ValueError("need one counter per four-bit pattern")
         if min(self.counts) < 0:
             raise ValueError(f"pattern counts must be non-negative, got {min(self.counts)}")
-        if sum(self.counts) != self.trials:
-            raise ValueError("pattern counts do not sum to the number of trials")
+
+    @property
+    def trials(self) -> int:
+        return sum(self.counts)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.counts) if c > 0)
@@ -186,4 +187,4 @@ def monte_carlo_patterns(
             tallies = list(pool.map(lambda w: _tally_blocks(p, trials, seed, w, workers), range(workers)))
     survived, late = (sum(column) for column in zip(*tallies))
     counts = {PATTERN_SURVIVED: survived, PATTERN_SPLIT: late - survived, PATTERN_FULL_EARLY: trials - late}
-    return PatternCounts(counts=tuple(counts.get(i, 0) for i in range(16)), trials=trials)
+    return PatternCounts(counts=tuple(counts.get(i, 0) for i in range(16)))

@@ -12,7 +12,6 @@ from typing import Iterable
 
 import numpy as np
 
-from qdcascade import oracle
 from qdcascade.cascade import DecayParams, amplitudes
 
 
@@ -95,15 +94,16 @@ def rk4_step_loop(gamma_b: float, gamma_x: float, delta_t: float, step: float) -
 
 
 def divide_tally(p: DecayParams, trials: int, seed: int) -> tuple[int, int]:
-    """(survived, late) over the blocks of ``oracle.monte_carlo_patterns``,
-    each drawn from ``oracle._block_rng(seed, k)`` as the sampler draws it
-    (all of t_b's uniforms, then all of t_x's), with each waiting time taken
-    as the quotient t = log(1 - u) / -rate: the trajectories with
+    """(survived, late) over 65536-trial blocks, block k drawn from SFC64 on
+    ``SeedSequence(seed, spawn_key=(k,))`` as the sampler documents its
+    streams (all of t_b's uniforms, then all of t_x's), with each waiting
+    time taken as the quotient t = log(1 - u) / -rate: the trajectories with
     t_b >= delta_t and those with t_b + t_x >= delta_t."""
+    block = 1 << 16
     survived = late = 0
-    for k in range(math.ceil(trials / oracle.TRIALS_PER_BLOCK)):
-        n = min(oracle.TRIALS_PER_BLOCK, trials - k * oracle.TRIALS_PER_BLOCK)
-        rng = oracle._block_rng(seed, k)
+    for k in range(math.ceil(trials / block)):
+        n = min(block, trials - k * block)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,))))
         with np.errstate(over="ignore"):  # a tiny rate's quotient is inf, the right waiting time
             t_b, t_x = (np.log(1.0 - rng.random(n)) / -rate for rate in (p.gamma_b, p.gamma_x))
         survived += int(np.count_nonzero(t_b >= p.delta_t))

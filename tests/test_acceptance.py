@@ -63,8 +63,7 @@ def protected_rate(alpha2, beta2, gamma2):
 
 def protected_rate_closed_form(gx_dt):
     """``protected_rate`` at gamma_b : gamma_x = 2 : 1 and gamma_x dt = gx_dt."""
-    a = cascade.amplitudes(DecayParams(2.0, 1.0, gx_dt))
-    return protected_rate(a.alpha2, a.beta2, a.gamma2)
+    return protected_rate(*oracle_math.branch_populations(2.0, 1.0, gx_dt))
 
 
 def protected_rate_argmax(lo, hi):
@@ -164,7 +163,7 @@ def test_criterion_06_average_below_ghz():
 @criterion(7, "secret-rate optimum for the single-mode channel")
 def test_criterion_07_secret_rate_optimum():
     # the vulnerable eavesdropper choice never beats the GHZ baseline
-    vulnerable = EveSplit.from_alice_eve({EB}, {LX})
+    vulnerable = EveSplit({EB}, {LX})
     for gx_dt in np.geomspace(1e-2, 10.0, 200):
         rho = final_density(DecayParams(2.0, 1.0, float(gx_dt)))
         assert entanglement.conditional_mutual_information(rho, vulnerable) <= 1.0 + 1e-9
@@ -173,7 +172,7 @@ def test_criterion_07_secret_rate_optimum():
 
     # the protected choice: maximum rate and its location, against the
     # closed-form oracle's own argmax
-    protected = EveSplit.from_alice_eve({EB}, {EX})
+    protected = EveSplit({EB}, {EX})
     dt_star, cmi_star = cli.optimize_delay(2.0, 1.0, protected, (1e-3, 10.0))
     assert cmi_star > 1.0  # beats the GHZ baseline at the optimum
     dt_oracle = protected_rate_argmax(0.2, 0.5)
@@ -207,7 +206,7 @@ def test_criterion_08_balanced_channel_window():
     rho = final_density(params)
     alice = {EB, EX}
     for eve in ({LB}, {LX}):
-        split = EveSplit.from_alice_eve(alice, eve)
+        split = EveSplit(alice, eve)
         cmi = entanglement.conditional_mutual_information(rho, split)
         assert abs(cmi - 1.5) <= 1e-9
         ghz_cmi = entanglement.conditional_mutual_information(
@@ -219,7 +218,7 @@ def test_criterion_08_balanced_channel_window():
     for gx_dt in (0.8 * LN2, LN2, 1.25 * LN2):
         rho_w = final_density(DecayParams(2.0, 1.0, gx_dt))
         for eve in ({LB}, {LX}):
-            split = EveSplit.from_alice_eve(alice, eve)
+            split = EveSplit(alice, eve)
             assert entanglement.conditional_mutual_information(rho_w, split) > 1.0
 
 

@@ -154,11 +154,11 @@ def test_sweep_rows_ascending_and_independent():
     # each row of the stacked evaluation equals, bit for bit, the evaluation
     # of its own state as a single-row branch state
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.1, dt_max=1.5, points=7,
-                     scale="log", split=EveSplit.from_alice_eve({EB}, {LB}))
+                     scale="log", split=EveSplit({EB}, {LB}))
     cols = sweep_columns(spec)
     assert cols["dt"] == sorted(cols["dt"])
     channels = entanglement.enumerate_channels()
-    split = EveSplit.from_alice_eve({EB}, {LB})
+    split = EveSplit({EB}, {LB})
     for k, dt in enumerate(cols["dt"]):
         params = DecayParams(2.0, 1.0, dt)
         rho = cascade.amplitudes(params)
@@ -352,9 +352,9 @@ def test_each_branch_table_makes_one_eigensolve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     spec = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30, dephase=0.8,
-                     split=EveSplit.from_alice_eve({EB, EX}, {LB}))
+                     split=EveSplit({EB, EX}, {LB}))
     empty_eve = SweepSpec(gamma_b=3.0, gamma_x=1.0, dt_min=0.01, dt_max=5.0, points=30,
-                          split=EveSplit.from_alice_eve({EB}))
+                          split=EveSplit({EB}))
     # the figures' 200 pure points and the pure sweep's 30 make none; the
     # dephased sweep solves its 30 points, not the GHZ state
     for build, solved in ((cli.fig3_table, []), (cli.fig4_table, []),
@@ -367,12 +367,12 @@ def test_each_branch_table_makes_one_eigensolve(monkeypatch):
     rounds = []
     grid_amplitudes = cascade.grid_amplitudes
     monkeypatch.setattr(cascade, "grid_amplitudes", lambda *a: rounds.append(len(a[2])) or grid_amplitudes(*a))
-    cli.optimize_delay(3.0, 1.0, EveSplit.from_alice_eve({EB}, {EX}), (0.01, 5.0), dephase=0.8)
+    cli.optimize_delay(3.0, 1.0, EveSplit({EB}, {EX}), (0.01, 5.0), dephase=0.8)
     assert rounds and shapes == [((n, 3, 3), np.float64) for n in rounds]
     shapes.clear()
     stack = np.stack([qmath.density_from_state(cascade.final_state(DecayParams(2.0, 1.0, dt)))
                       for dt in (0.1, 0.5)])
-    entanglement.conditional_mutual_information(stack, EveSplit.from_alice_eve({EB}, {EX}))
+    entanglement.conditional_mutual_information(stack, EveSplit({EB}, {EX}))
     assert len(shapes) == 5 and shapes[0] == ((2, 16, 16), np.complex128)
 
 
@@ -456,7 +456,7 @@ def test_sweep_spec_validation_names_fields():
 
 def test_sweep_with_secret_rate_column():
     spec = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=LN2 / 2, dt_max=1.0, points=2,
-                     split=EveSplit.from_alice_eve({EB}, {EX}))
+                     split=EveSplit({EB}, {EX}))
     cols = sweep_columns(spec)
     assert abs(cols["cmi"][0] - 1.9083982468759764) < 1e-9
     assert abs(cols["cmi_ghz"][0] - 1.0) < 1e-10
@@ -468,7 +468,7 @@ def test_sweep_with_secret_rate_column():
 
 def test_secure_rate_working_point():
     params = DecayParams(2.0, 1.0, LN2 / 2)
-    split = EveSplit.from_alice_eve({EB}, {EX})
+    split = EveSplit({EB}, {EX})
     result = cli.secure_rate(params, split)
     assert abs(result["cmi"] - 1.9083982468759764) < 1e-9
     assert abs(result["cmi_ghz"] - 1.0) < 1e-10
@@ -477,20 +477,20 @@ def test_secure_rate_working_point():
 
 def test_secure_rate_rejects_overlapping_subsets():
     with pytest.raises(ValueError, match="overlapping"):
-        EveSplit.from_alice_eve({EB, EX}, {EX})
+        EveSplit({EB, EX}, {EX})
 
 
 def test_optimize_delay_on_constant_zero(monkeypatch):
     monkeypatch.setattr(entanglement, "conditional_mutual_information",
                         lambda rho, split: np.zeros(len(rho.c)))
-    split = EveSplit.from_alice_eve({EB}, {EX})
+    split = EveSplit({EB}, {EX})
     dt_star, value = cli.optimize_delay(2.0, 1.0, split, (0.1, 2.0))
     assert 0.1 <= dt_star <= 2.0
     assert value == 0.0
 
 
 def test_optimize_delay_finds_secret_rate_peak():
-    split = EveSplit.from_alice_eve({EB}, {EX})
+    split = EveSplit({EB}, {EX})
     dt_star, cmi_star = cli.optimize_delay(2.0, 1.0, split, (1e-3, 10.0))
     assert abs(dt_star - 0.32893209903645) < 1e-4
     assert abs(cmi_star - 1.9102093840436276) < 1e-6
@@ -499,7 +499,7 @@ def test_optimize_delay_finds_secret_rate_peak():
 def test_optimize_delay_eve_late_x():
     # the vulnerable choice peaks at e^{-gamma_x dt} = 1/2, far below the
     # GHZ baseline of 1
-    split = EveSplit.from_alice_eve({EB}, {LX})
+    split = EveSplit({EB}, {LX})
     dt_star, cmi_star = cli.optimize_delay(2.0, 1.0, split, (1e-3, 10.0))
     assert abs(dt_star - LN2) < 1e-3
     assert abs(cmi_star - 0.3545789056913786) < 1e-6
@@ -507,21 +507,21 @@ def test_optimize_delay_eve_late_x():
 
 
 def test_optimize_delay_stable_under_bracket_widening():
-    split = EveSplit.from_alice_eve({EB}, {EX})
+    split = EveSplit({EB}, {EX})
     narrow, _ = cli.optimize_delay(2.0, 1.0, split, (0.05, 2.0))
     wide, _ = cli.optimize_delay(2.0, 1.0, split, (0.05, 4.0))
     assert abs(1.0 * narrow - 1.0 * wide) < 2e-6  # gamma_x = 1
 
 
 def test_optimize_delay_rejects_empty_bracket():
-    split = EveSplit.from_alice_eve({EB}, {EX})
+    split = EveSplit({EB}, {EX})
     with pytest.raises(ValueError, match="dt_min"):
         cli.optimize_delay(2.0, 1.0, split, (1.0, 1.0))
 
 
 @pytest.mark.parametrize("dephase", [-0.5, 1.000000001, 1.05, math.nan])
 def test_optimize_delay_rejects_dephasing_outside_the_unit_interval(dephase):
-    split = EveSplit.from_alice_eve({EB}, {EX})
+    split = EveSplit({EB}, {EX})
     with pytest.raises(ValueError, match="dephase"):
         cli.optimize_delay(2.0, 1.0, split, (0.1, 2.0), dephase=dephase)
     code, out = run_main(["optimize-dt", "--alice", "eb", "--eve", "ex", "--dephase", repr(dephase)])
@@ -542,7 +542,7 @@ def test_optimize_delay_ends_on_brackets_narrower_than_its_tolerance(monkeypatch
         return cmi(rho, split)
 
     monkeypatch.setattr(entanglement, "conditional_mutual_information", counted)
-    split = EveSplit.from_alice_eve({EB}, {EX})
+    split = EveSplit({EB}, {EX})
     dt_star, cmi_star = cli.optimize_delay(2.0, 1.0, split, bracket)
     assert bracket[0] <= dt_star <= bracket[1]
     rho = cascade.amplitudes(DecayParams(2.0, 1.0, dt_star))
@@ -553,7 +553,7 @@ def test_optimize_delay_stays_inside_a_subnormal_bracket():
     # a refine grid linspace(9.8e-321, 1e-320, 16) has a subnormal step, and
     # its points used to round above the bracket's top
     lo, hi = 0.0, 1e-320
-    dt_star, _ = cli.optimize_delay(2.0, 1.0, EveSplit.from_alice_eve({EB}, set()), (lo, hi))
+    dt_star, _ = cli.optimize_delay(2.0, 1.0, EveSplit({EB}, set()), (lo, hi))
     assert lo <= dt_star <= hi
 
 
@@ -609,7 +609,7 @@ FIG4_SPLITS = [({EB}, {EX}), ({EB}, {LB}), ({EB}, {LX}), ({EB, EX}, {LB}), ({EB,
     width=st.floats(1e-6, 10.0),
 )
 def test_optimize_delay_returns_the_best_evaluated_point(ratio, d, split, lo, width):
-    split = EveSplit.from_alice_eve(*split)
+    split = EveSplit(*split)
     hi = lo + width
     dt_star, cmi_star = cli.optimize_delay(ratio, 1.0, split, (lo, hi), dephase=d)
     assert lo <= dt_star <= hi
@@ -952,7 +952,7 @@ def test_cli_sweep_rejects_eve_without_alice(split, alice, eve, capsys):
     # "--eve needs --alice" is the CLI's own rule; an empty Alice is EveSplit's
     if alice is not None:
         with pytest.raises(ValueError, match="Alice's subset must be nonempty"):
-            EveSplit.from_alice_eve(alice, eve)
+            EveSplit(alice, eve)
     code, out = run_main(["sweep", "--dt-min", "0.1", "--dt-max", "1.0", "--points", "3", *split])
     assert (code, out) == (cli.EXIT_BAD_ARGUMENTS, "")
     assert "alice" in capsys.readouterr().err.lower()

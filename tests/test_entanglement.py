@@ -88,12 +88,36 @@ def test_channel_canonical_orientation():
 
 
 def test_channel_validation():
-    with pytest.raises(ValueError):
-        Channel(id=1, p1=frozenset({EB}), p2=frozenset({EB, EX, LB}))
-    with pytest.raises(ValueError):
-        Channel(id=1, p1=frozenset(), p2=frozenset(ModeLabel))
-    with pytest.raises(ValueError):
-        Channel(id=1, p1=frozenset({EB}), p2=frozenset({EX, LB}))
+    for p1 in (frozenset(), frozenset(ModeLabel)):
+        with pytest.raises(ValueError, match="both sides of a channel must be nonempty"):
+            Channel(id=1, p1=p1)
+
+
+def mask_modes(mask):
+    """The modes of a 4-bit mask: mode m is bit 3 - m."""
+    return frozenset(m for m in ModeLabel if mask >> (3 - m) & 1)
+
+
+def test_splits_and_channels_derive_their_last_side():
+    # all 256 (alice, eve) masks: the 50 valid splits, and each bad one
+    # refused by its first broken rule
+    valid = 0
+    for a, e in itertools.product(range(16), repeat=2):
+        b = 0b1111 & ~(a | e)
+        rule = "overlapping" if a & e else "Alice's" if not a else "Bob's" if not b else None
+        if rule:
+            with pytest.raises(ValueError, match=rule):
+                EveSplit(mask_modes(a), mask_modes(e))
+            continue
+        split = EveSplit(mask_modes(a), mask_modes(e))
+        valid += 1
+        assert split.bob == mask_modes(b)
+        assert split.subsets == (0b1111, a, e, a | e, b | e)
+    assert valid == 50
+    for ch in entanglement.enumerate_channels():
+        p1 = sum(1 << (3 - m) for m in ch.p1)
+        assert ch.p2 == mask_modes(0b1111 ^ p1)
+        assert ch.subsets == (0b1111, p1, 0b1111 ^ p1)
 
 
 # --------------------------------------------------------------------------
@@ -129,7 +153,7 @@ def test_mi_symmetric_under_side_swap():
     z /= np.linalg.norm(z)
     for rho in (final_density(POINT), np.outer(z, z.conj())):
         for ch in entanglement.enumerate_channels():
-            flipped = Channel(id=ch.id, p1=ch.p2, p2=ch.p1)
+            flipped = Channel(id=ch.id, p1=ch.p2)
             a = entanglement.mutual_information(rho, ch)
             b = entanglement.mutual_information(rho, flipped)
             assert abs(a - b) < 1e-12
@@ -194,18 +218,18 @@ def test_average_mi():
 def test_cmi_ghz_single_eve_baseline():
     rho = ghz_density()
     for eve in ({EX}, {LB}, {LX}):
-        split = EveSplit.from_alice_eve({EB}, eve)
+        split = EveSplit({EB}, eve)
         assert abs(entanglement.conditional_mutual_information(rho, split) - 1.0) < 1e-10
 
 
 def test_cmi_product_state_zero():
-    split = EveSplit.from_alice_eve({EB}, {EX})
+    split = EveSplit({EB}, {EX})
     assert entanglement.conditional_mutual_information(vacuum_density(), split) == 0.0
 
 
 def test_cmi_working_point_eve_early_x():
     rho = final_density(POINT)
-    split = EveSplit.from_alice_eve({EB}, {EX})
+    split = EveSplit({EB}, {EX})
     cmi = entanglement.conditional_mutual_information(rho, split)
     assert abs(cmi - 1.9083982468759764) < 1e-9
     a2, b2, g2 = branch_probs(POINT)
@@ -220,15 +244,15 @@ def test_cmi_channel5_symmetric_point():
     np.testing.assert_allclose((a2, b2, g2), (0.25, 0.5, 0.25), atol=1e-14)
     rho = final_density(params)
     for eve in ({LB}, {LX}):
-        split = EveSplit.from_alice_eve({EB, EX}, eve)
+        split = EveSplit({EB, EX}, eve)
         cmi = entanglement.conditional_mutual_information(rho, split)
         assert abs(cmi - 1.5) < 1e-9
 
 
 def test_cmi_channel5_closed_forms_across_grid():
     # eve = late-B: H3 + h(alpha^2) - h(gamma^2); eve = late-X: mirrored sign
-    eve_lb = EveSplit.from_alice_eve({EB, EX}, {LB})
-    eve_lx = EveSplit.from_alice_eve({EB, EX}, {LX})
+    eve_lb = EveSplit({EB, EX}, {LB})
+    eve_lx = EveSplit({EB, EX}, {LX})
     grid = grid_params(np.geomspace(0.05, 3.0, 15))
     stack = grid_stack(grid)
     stacked_b = entanglement.conditional_mutual_information(stack, eve_lb)
@@ -247,7 +271,7 @@ def test_cmi_channel5_closed_forms_across_grid():
 def test_cmi_eve_late_x_never_beats_ghz():
     # reduced state of (early-B, late-X) has eigenvalues (1 +- sqrt(1 - 4
     # alpha^2 gamma^2))/2, so the rate is h(lambda+) <= 1
-    split = EveSplit.from_alice_eve({EB}, {LX})
+    split = EveSplit({EB}, {LX})
     grid = grid_params(np.geomspace(0.01, 8.0, 30))
     stacked = entanglement.conditional_mutual_information(grid_stack(grid), split)
     for k, params in enumerate(grid):
@@ -263,21 +287,19 @@ def test_cmi_with_empty_eve_reduces_to_mi():
     rho = final_density(POINT)
     for ch_id in (1, 2, 3, 4, 5):
         ch = entanglement.channel_by_id(ch_id)
-        split = EveSplit(alice=ch.p1, bob=ch.p2, eve=frozenset())
+        split = EveSplit(alice=ch.p1)
         cmi = entanglement.conditional_mutual_information(rho, split)
         mi = entanglement.mutual_information(rho, ch)
         assert abs(cmi - mi) < 1e-10
 
 
 def test_cmi_rejects_invalid_splits():
-    with pytest.raises(ValueError, match="overlapping"):
-        EveSplit(alice=frozenset({EB}), bob=frozenset({EB, EX, LB}), eve=frozenset({LX}))
-    with pytest.raises(ValueError, match="missing"):
-        EveSplit(alice=frozenset({EB}), bob=frozenset({EX}), eve=frozenset({LB}))
-    with pytest.raises(ValueError):
-        EveSplit(alice=frozenset(), bob=frozenset(ModeLabel), eve=frozenset())
-    with pytest.raises(ValueError):
-        EveSplit(alice=frozenset(ModeLabel), bob=frozenset(), eve=frozenset())
+    with pytest.raises(ValueError, match="overlapping subsets in the Alice/Bob/Eve split"):
+        EveSplit(alice=frozenset({EB}), eve=frozenset({EB, LX}))
+    with pytest.raises(ValueError, match="Alice's subset must be nonempty"):
+        EveSplit(alice=frozenset())
+    with pytest.raises(ValueError, match="Bob's subset must be nonempty"):
+        EveSplit(alice=frozenset(ModeLabel))
 
 
 def test_three_qubit_ghz_with_uncorrelated_eve():
@@ -287,8 +309,9 @@ def test_three_qubit_ghz_with_uncorrelated_eve():
     zero = np.array([1.0, 0.0], dtype=complex)
     psi = np.kron(cascade.ghz_state(3), zero)
     rho = np.outer(psi, psi.conj())
-    one_qubit = EveSplit(alice=frozenset({EB}), bob=frozenset({EX, LB}), eve=frozenset({LX}))
-    two_qubit = EveSplit(alice=frozenset({EB, EX}), bob=frozenset({LB}), eve=frozenset({LX}))
+    one_qubit = EveSplit(alice=frozenset({EB}), eve=frozenset({LX}))
+    two_qubit = EveSplit(alice=frozenset({EB, EX}), eve=frozenset({LX}))
+    assert (one_qubit.bob, two_qubit.bob) == ({EX, LB}, {LB})
     for split in (one_qubit, two_qubit):
         cmi = entanglement.conditional_mutual_information(rho, split)
         assert abs(cmi - 2.0) < 1e-10
@@ -347,7 +370,7 @@ def test_classical_correlations_survive_full_dephasing():
 def test_dephased_stack_matches_single_matrices_bitwise():
     grid = grid_params(np.geomspace(0.01, 10.0, 20), gamma_b=1.3)
     stack = grid_stack(grid, d=0.73)
-    split = EveSplit.from_alice_eve({EB, EX}, {LX})
+    split = EveSplit({EB, EX}, {LX})
     for ch in entanglement.enumerate_channels():
         mi = entanglement.mutual_information(stack, ch)
         neg = entanglement.negativity(stack, ch)
@@ -364,7 +387,7 @@ def test_dephased_stack_matches_single_matrices_bitwise():
 # --------------------------------------------------------------------------
 
 ALL_SPLITS = [
-    EveSplit.from_alice_eve(alice, eve)
+    EveSplit(alice, eve)
     for alice in itertools.chain.from_iterable(
         itertools.combinations(ModeLabel, k) for k in (1, 2, 3))
     for eve in itertools.chain.from_iterable(
@@ -476,7 +499,7 @@ def test_subset_entropies_reject_bad_masks():
             entanglement.subset_entropies(rho, [1])
 
 
-FIG4_SPLITS = [EveSplit.from_alice_eve(alice, eve)
+FIG4_SPLITS = [EveSplit(alice, eve)
                for alice, eve in (({EB}, {EX}), ({EB}, {LB}), ({EB}, {LX}), ({EB, EX}, {LB}), ({EB, EX}, {LX}))]
 
 
@@ -605,7 +628,7 @@ def test_table_check_catches_a_reduction_of_the_wrong_modes(monkeypatch):
     partial_trace = qmath.partial_trace
     monkeypatch.setattr(qmath, "partial_trace", lambda rho, dims, keep: partial_trace(rho, dims, list(keep)[:1]))
     with pytest.raises(ArithmeticError, match="Araki-Lieb"):
-        entanglement.conditional_mutual_information(final_density(POINT), EveSplit.from_alice_eve({EB}, {EX}))
+        entanglement.conditional_mutual_information(final_density(POINT), EveSplit({EB}, {EX}))
     with pytest.raises(ArithmeticError, match="Araki-Lieb"):
         entanglement.mutual_information(final_density(POINT), entanglement.channel_by_id(5))
 
@@ -623,7 +646,7 @@ def test_table_check_catches_a_branch_reduction_of_the_wrong_modes(monkeypatch):
     # the same fault on the branch path: keep only the last mode of each
     # subset, in the reduction the tables merge populations by
     rho = cascade.amplitudes(POINT)
-    split = EveSplit.from_alice_eve({EB}, {EX})
+    split = EveSplit({EB}, {EX})
     before = entanglement.subset_entropies(rho, split.subsets)
     reduction = entanglement._reduction
     with monkeypatch.context() as patched:

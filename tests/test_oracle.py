@@ -154,7 +154,7 @@ def test_populations_validation():
 def test_mc_support_is_the_three_branches():
     counts = oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, LN2 / 2), 200_000, 7)
     assert set(counts.support()) <= {PATTERN_SURVIVED, PATTERN_SPLIT, PATTERN_FULL_EARLY}
-    assert sum(counts.counts) == counts.trials
+    assert counts.trials == 200_000
 
 
 def test_mc_zero_delay_all_trajectories_terminated_by_pulse():
@@ -352,15 +352,14 @@ def test_mc_refuses_trials_above_the_bound_before_any_block(monkeypatch):
 
 
 def test_pattern_counts_validation():
-    with pytest.raises(ValueError):
-        PatternCounts(counts=(1,) * 15, trials=15)
-    with pytest.raises(ValueError):
-        PatternCounts(counts=(1,) * 16, trials=15)
-    # a tally fault with late < survived makes SPLIT negative; the sum still
-    # matches the trials and support() would hide the entry
+    with pytest.raises(ValueError, match="need one counter per four-bit pattern"):
+        PatternCounts(counts=(1,) * 15)
+    # a tally fault with late < survived makes SPLIT negative; the trials
+    # would still come out right and support() would hide the entry
     negative_split = [0] * 16
     negative_split[PATTERN_SURVIVED], negative_split[PATTERN_SPLIT], negative_split[PATTERN_FULL_EARLY] = 8, -5, 7
     with pytest.raises(ValueError, match="pattern counts must be non-negative, got -5"):
-        PatternCounts(counts=tuple(negative_split), trials=10)
-    counts = PatternCounts(counts=tuple([10] + [0] * 14 + [30]), trials=40)
+        PatternCounts(counts=tuple(negative_split))
+    counts = PatternCounts(counts=tuple([10] + [0] * 14 + [30]))
     assert counts.support() == (0, 15)
+    assert counts.trials == 40
