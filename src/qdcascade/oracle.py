@@ -9,11 +9,11 @@ Two routes that never touch the closed-form amplitude expressions:
   (each squaring is D -> 2D + D^2) in O(log n) 3x3 products, and
 * a quantum-jump Monte Carlo sampler of the full two-pulse protocol: both
   emissions wait exponential times t = log(1 - u) / -rate for uniforms u,
-  the pulse applies the g<->B swap, and each trajectory's four-bit emission
-  pattern (early-B, early-X, late-B, late-X) follows from its waiting times
-  and the delay. The sampler tallies the patterns by comparing the logs
-  log(1 - u) with rate-scaled thresholds, with no quotient, in two buffers
-  each worker reuses across blocks.
+  the pulse applies the g<->B swap, and each trajectory ends in one of three
+  branches, a four-bit emission pattern (early-B, early-X, late-B, late-X).
+  The sampler counts two events, survived and late, on the logs log(1 - u)
+  against rate-scaled thresholds, with no quotient, in two buffers each
+  worker reuses across blocks; the three branch tallies follow from them.
 
 Both are deterministic: block k of the sampler draws from SFC64 seeded by
 ``SeedSequence(seed, spawn_key=(k,))``, numpy's k-th spawned child of the
@@ -61,13 +61,13 @@ class Populations:
 
 @dataclass(frozen=True)
 class PatternCounts:
-    """Trajectory tallies per four-bit emission pattern, none negative; the trials are their sum."""
+    """Tallies of the three branches in ``IDEAL_PATTERNS`` order, none negative; the trials are their sum."""
 
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.counts) != 16:
-            raise ValueError("need one counter per four-bit pattern")
+        if len(self.counts) != len(IDEAL_PATTERNS):
+            raise ValueError("need one counter per branch pattern")
         if min(self.counts) < 0:
             raise ValueError(f"pattern counts must be non-negative, got {min(self.counts)}")
 
@@ -76,7 +76,7 @@ class PatternCounts:
         return sum(self.counts)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.counts) if c > 0)
+        return tuple(pattern for pattern, n in zip(IDEAL_PATTERNS, self.counts) if n > 0)
 
 
 def rate_equation_populations(p: DecayParams, step: float) -> Populations:
@@ -160,7 +160,7 @@ def _worker_count(workers: int | None, n_blocks: int) -> int:
 def monte_carlo_patterns(
     p: DecayParams, trials: int, seed: int, workers: int | None = None
 ) -> PatternCounts:
-    """Sample the two-pulse protocol ``trials`` times and tally emission patterns.
+    """Sample the two-pulse protocol ``trials`` times and tally its three branches.
 
     The trials are split into fixed-size blocks, each with its own derived
     stream, so the result is a function of (params, trials, seed) only --
@@ -186,5 +186,4 @@ def monte_carlo_patterns(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             tallies = list(pool.map(lambda w: _tally_blocks(p, trials, seed, w, workers), range(workers)))
     survived, late = (sum(column) for column in zip(*tallies))
-    counts = {PATTERN_SURVIVED: survived, PATTERN_SPLIT: late - survived, PATTERN_FULL_EARLY: trials - late}
-    return PatternCounts(counts=tuple(counts.get(i, 0) for i in range(16)))
+    return PatternCounts((survived, late - survived, trials - late))

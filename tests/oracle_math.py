@@ -12,8 +12,6 @@ from typing import Iterable
 
 import numpy as np
 
-from qdcascade.cascade import DecayParams, amplitudes
-
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices."""
@@ -93,8 +91,9 @@ def rk4_step_loop(gamma_b: float, gamma_x: float, delta_t: float, step: float) -
     return pb, px, pg
 
 
-def divide_tally(p: DecayParams, trials: int, seed: int) -> tuple[int, int]:
-    """(survived, late) over 65536-trial blocks, block k drawn from SFC64 on
+def divide_tally(p, trials: int, seed: int) -> tuple[int, int]:
+    """(survived, late) of the rates ``p.gamma_b``, ``p.gamma_x`` and the
+    delay ``p.delta_t`` over 65536-trial blocks, block k drawn from SFC64 on
     ``SeedSequence(seed, spawn_key=(k,))`` as the sampler documents its
     streams (all of t_b's uniforms, then all of t_x's), with each waiting
     time taken as the quotient t = log(1 - u) / -rate: the trajectories with
@@ -125,12 +124,14 @@ def early_index(level: int, n_b: int, n_x: int) -> int:
     return level * 4 + n_b * 2 + n_x
 
 
-def early_state(p: DecayParams) -> np.ndarray:
-    """Joint emitter + early-mode state at the end of the first decay window.
+def early_state(p) -> np.ndarray:
+    """Joint emitter + early-mode state at the end of the first decay window
+    of the rates ``p.gamma_b``, ``p.gamma_x`` and the delay ``p.delta_t``.
 
-    alpha |B>|00> + beta |X>|10> + gamma |g>|11>, over dims (3, 2, 2).
+    alpha |B>|00> + beta |X>|10> + gamma |g>|11>, over dims (3, 2, 2), each
+    amplitude the square root of its ``branch_populations`` weight.
     """
-    alpha, beta, gamma = amplitudes(p).c
+    alpha, beta, gamma = (math.sqrt(w) for w in branch_populations(p.gamma_b, p.gamma_x, p.delta_t))
     v = np.zeros(12, dtype=np.complex128)
     v[early_index(B, 0, 0)] = alpha
     v[early_index(X, 1, 0)] = beta

@@ -201,7 +201,7 @@ def test_second_pulse_leaves_exciton_untouched():
 
 
 def test_second_pulse_on_early_state():
-    alpha, beta, gamma = cascade.amplitudes(POINT).c
+    alpha, beta, gamma = (math.sqrt(w) for w in oracle_math.branch_populations(2.0, 1.0, LN2 / 2))
     out = oracle_math.apply_second_pulse(oracle_math.early_state(POINT))
     assert out[_early_basis_index(0, 0, 0)] == alpha
     assert out[_early_basis_index(1, 1, 0)] == beta

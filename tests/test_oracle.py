@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import re
 import statistics
 import time
 
@@ -29,8 +30,7 @@ LN2 = math.log(2.0)
 
 def z_scores(counts, probs):
     out = []
-    for pattern, p in zip(IDEAL_PATTERNS, probs):
-        n = counts.counts[pattern]
+    for pattern, n, p in zip(IDEAL_PATTERNS, counts.counts, probs):
         out.append((n - counts.trials * p) / math.sqrt(counts.trials * p * (1.0 - p)))
     return out
 
@@ -165,16 +165,12 @@ def test_mc_zero_delay_all_trajectories_terminated_by_pulse():
     assert set(counts.support()) <= set(IDEAL_PATTERNS)
 
 
-def pattern_tuple(counts_by_pattern):
-    return tuple(counts_by_pattern.get(pattern, 0) for pattern in range(16))
-
-
-# 1e6 trials, seed 42, per gamma_b; recorded from the sampler whose block k
-# draws from SFC64 on SeedSequence(42, spawn_key=(k,))
+# 1e6 trials, seed 42, per gamma_b, in IDEAL_PATTERNS order; recorded from
+# the sampler whose block k draws from SFC64 on SeedSequence(42, spawn_key=(k,))
 PINNED_COUNTS = {
-    2.0: {0b0000: 500109, 0b1001: 414106, 0b1111: 85785},
-    1.0: {0b0000: 449424, 0b1001: 359055, 0b1111: 191521},
-    10.0: {0b0000: 500109, 0b1001: 480877, 0b1111: 19014},
+    2.0: (500109, 414106, 85785),
+    1.0: (449424, 359055, 191521),
+    10.0: (500109, 480877, 19014),
 }
 
 
@@ -188,13 +184,13 @@ def test_mc_frequencies_match_branch_probabilities(gamma_b, delta_t):
     counts = oracle.monte_carlo_patterns(params, 1_000_000, 42)
     for z in z_scores(counts, (a.alpha2, a.beta2, a.gamma2)):
         assert abs(z) < 4.0
-    assert counts.counts == pattern_tuple(PINNED_COUNTS[gamma_b])
+    assert counts.counts == PINNED_COUNTS[gamma_b]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_mc_counts_pinned_with_a_one_trial_last_block(workers):
     counts = oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, LN2 / 2), TRIALS_PER_BLOCK + 1, 3, workers)
-    assert counts.counts == pattern_tuple({0b0000: 32805, 0b1001: 27019, 0b1111: 5713})
+    assert counts.counts == (32805, 27019, 5713)
 
 
 RATES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
@@ -221,7 +217,7 @@ def test_mc_counts_equal_the_quotient_tally(gamma_b, gamma_x, delta_t, seed, tri
     # thresholds; the waiting times as quotients must give the same counts
     params = DecayParams(gamma_b, gamma_x, delta_t)
     survived, late = oracle_math.divide_tally(params, trials, seed)
-    expected = pattern_tuple({PATTERN_SURVIVED: survived, PATTERN_SPLIT: late - survived, PATTERN_FULL_EARLY: trials - late})
+    expected = (survived, late - survived, trials - late)
     for workers in (1, 2):
         assert oracle.monte_carlo_patterns(params, trials, seed, workers).counts == expected, workers
 
@@ -232,7 +228,7 @@ def test_mc_a_tiny_rate_waits_forever_without_a_warning(workers):
     # negative number that every log(1 - u) < 0 lies below: the biexciton
     # never decays before the delay; the suite turns a warning into an error
     counts = oracle.monte_carlo_patterns(DecayParams(1e-320, 1.0, LN2 / 2), TRIALS_PER_BLOCK + 10, 3, workers)
-    assert counts.counts == pattern_tuple({0b0000: TRIALS_PER_BLOCK + 10})
+    assert counts.counts == (TRIALS_PER_BLOCK + 10, 0, 0)
 
 
 def test_mc_z_scores_over_many_seeds_are_standard_normal():
@@ -351,15 +347,27 @@ def test_mc_refuses_trials_above_the_bound_before_any_block(monkeypatch):
             oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, 1.0), trials, 1)
 
 
+def test_validate_fails_tallies_in_the_wrong_places(monkeypatch):
+    # validate pairs the tallies with (alpha^2, beta^2, gamma^2) by position;
+    # a sampler that put them in the wrong places must fail the z-scores
+    assert IDEAL_PATTERNS == cascade.BRANCH_KETS
+    sample = oracle.monte_carlo_patterns
+    monkeypatch.setattr(oracle, "monte_carlo_patterns", lambda *args: PatternCounts(sample(*args).counts[::-1]))
+    lines, passed = cli.validate_oracles(DecayParams(2.0, 1.0, LN2 / 2), 200_000, 42)
+    z = dict(re.fullmatch(r"pattern (\d{4}): count \d+ z = (\S+)(?: \(FAIL\))?", line).groups()
+             for line in lines if line.startswith("pattern "))
+    assert abs(float(z["0000"])) > 5.0 and abs(float(z["1111"])) > 5.0, z
+    assert not passed and lines[-1] == "result: FAIL"
+
+
 def test_pattern_counts_validation():
-    with pytest.raises(ValueError, match="need one counter per four-bit pattern"):
-        PatternCounts(counts=(1,) * 15)
+    for wrong_length in ((1,) * 16, (1, 1)):
+        with pytest.raises(ValueError, match="need one counter per branch pattern"):
+            PatternCounts(counts=wrong_length)
     # a tally fault with late < survived makes SPLIT negative; the trials
     # would still come out right and support() would hide the entry
-    negative_split = [0] * 16
-    negative_split[PATTERN_SURVIVED], negative_split[PATTERN_SPLIT], negative_split[PATTERN_FULL_EARLY] = 8, -5, 7
     with pytest.raises(ValueError, match="pattern counts must be non-negative, got -5"):
-        PatternCounts(counts=tuple(negative_split))
-    counts = PatternCounts(counts=tuple([10] + [0] * 14 + [30]))
-    assert counts.support() == (0, 15)
+        PatternCounts(counts=(8, -5, 7))
+    counts = PatternCounts(counts=(10, 0, 30))
+    assert counts.support() == (0b0000, 0b1111)
     assert counts.trials == 40
