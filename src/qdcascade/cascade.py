@@ -45,15 +45,19 @@ class ModeLabel(IntEnum):
     @classmethod
     def parse(cls, token: str) -> "ModeLabel":
         key = token.strip().lower().replace("-", "_")
-        aliases = {
-            "eb": cls.EARLY_B, "early_b": cls.EARLY_B,
-            "ex": cls.EARLY_X, "early_x": cls.EARLY_X,
-            "lb": cls.LATE_B, "late_b": cls.LATE_B,
-            "lx": cls.LATE_X, "late_x": cls.LATE_X,
-        }
-        if key not in aliases:
+        if key not in _MODE_ALIASES:
             raise ValueError(f"unknown mode label {token!r} (use early-b, early-x, late-b, late-x)")
-        return aliases[key]
+        return _MODE_ALIASES[key]
+
+
+# each mode's short and long name, as ModeLabel.parse reads them after case
+# folding and "-" to "_"
+_MODE_ALIASES = {
+    "eb": ModeLabel.EARLY_B, "early_b": ModeLabel.EARLY_B,
+    "ex": ModeLabel.EARLY_X, "early_x": ModeLabel.EARLY_X,
+    "lb": ModeLabel.LATE_B, "late_b": ModeLabel.LATE_B,
+    "lx": ModeLabel.LATE_X, "late_x": ModeLabel.LATE_X,
+}
 
 
 @dataclass(frozen=True)
@@ -113,15 +117,18 @@ class BranchState:
             raise ValueError(f"amplitudes must have shape (3,) or (N, 3), got {self.c.shape}")
         check_dephase(dephase)
         self.d = float(dephase)
-        # every point checked at once; only a grid that fails looks for its
-        # first bad point, which raises its own error
+        # the whole grid passes at once when no amplitude is negative and no
+        # norm is off, as an amplitude above 1 + NORM_ATOL puts its norm off
+        # by more than NORM_ATOL (initial=0.0 passes an empty grid, a NaN
+        # fails); only a grid that fails looks for its first bad point, which
+        # raises its own error
         rows = self.c.reshape(-1, 3)
-        in_range = (rows >= 0.0) & (rows <= 1.0 + NORM_ATOL)
         norm = (rows * rows).sum(axis=1)
-        good = in_range.all(axis=1) & (np.abs(norm - 1.0) <= NORM_ATOL)
-        if good.all():
+        defect = np.abs(norm - 1.0)
+        if rows.min(initial=0.0) >= 0.0 and defect.max(initial=0.0) <= NORM_ATOL:
             return
-        k = good.argmin()
+        in_range = (rows >= 0.0) & (rows <= 1.0 + NORM_ATOL)
+        k = (in_range.all(axis=1) & (defect <= NORM_ATOL)).argmin()
         for name, value, ok in zip(("alpha", "beta", "gamma"), rows[k].tolist(), in_range[k]):
             if not ok:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -179,21 +186,25 @@ def _branch_amplitudes(gamma_b: float, gamma_x: float, dts) -> np.ndarray:
     there, and only there, dt / y is cancelled to 1 / |gamma_x - gamma_b|
     instead."""
     dts = np.asarray(dts, dtype=float).reshape(-1)
+    c = np.empty((dts.size, 3))
+    alpha2, beta2, gamma2 = c.T  # views of the three columns, filled in place
     with np.errstate(over="ignore", invalid="ignore"):  # an inf marks a bad point, a NaN takes the fallback
         good = (dts >= 0.0) & np.isfinite(gamma_x * dts)
         DecayParams.check(gamma_b, gamma_x, float(dts[good.argmin()]))  # the rates, and the first bad delay if any
-        alpha2 = np.exp(-gamma_b * dts)
+        np.exp(-gamma_b * dts, out=alpha2)
         decay = np.exp(-min(gamma_b, gamma_x) * dts)
         y = abs(gamma_x - gamma_b) * dts
-        beta2 = gamma_b * dts * decay * np.where(y > 0.0, -np.expm1(-y) / y, 1.0)
+        np.multiply(gamma_b * dts * decay, np.where(y > 0.0, -np.expm1(-y) / y, 1.0), out=beta2)
         overflowed = np.isnan(beta2)
         if overflowed.any():
             y, decay = y[overflowed], decay[overflowed]
             beta2[overflowed] = gamma_b * decay * (
                 -np.expm1(-y) / abs(gamma_x - gamma_b) if gamma_x != gamma_b else dts[overflowed])
-    beta2 = np.minimum(beta2, 1.0)
-    gamma2 = np.maximum(1.0 - alpha2 - beta2, 0.0)
-    return np.sqrt(np.stack([alpha2, beta2, gamma2], axis=1))
+    np.minimum(beta2, 1.0, out=beta2)
+    np.subtract(1.0, alpha2, out=gamma2)
+    gamma2 -= beta2
+    np.maximum(gamma2, 0.0, out=gamma2)
+    return np.sqrt(c, out=c)
 
 
 def final_state(p: DecayParams) -> np.ndarray:

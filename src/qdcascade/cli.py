@@ -69,7 +69,7 @@ def _check_bracket(gamma_b: float, gamma_x: float, lo: float, hi: float) -> None
 def _delay_grid(lo: float, hi: float, points: int, scale: str = "linear") -> np.ndarray:
     """``points`` delays from ``lo`` to ``hi``, evenly spaced on a linear or
     log scale; numpy can round a point out of [lo, hi], so each is clipped to it."""
-    return np.clip((np.geomspace if scale == "log" else np.linspace)(lo, hi, points), lo, hi)
+    return (np.geomspace if scale == "log" else np.linspace)(lo, hi, points).clip(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def optimize_delay(
         xs = _delay_grid(a, b, points)
         rho = cascade.grid_amplitudes(gamma_b, gamma_x, xs, dephase)
         cmi = entanglement.conditional_mutual_information(rho, split)
-        k = int(np.argmax(cmi))
+        k = int(cmi.argmax())
         if cmi[k] > best_cmi:
             best_dt, best_cmi = float(xs[k]), float(cmi[k])
         next_a, next_b = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, points - 1)])

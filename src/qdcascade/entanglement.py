@@ -157,14 +157,15 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     one Shannon sum. The table is then checked against subadditivity and
     Araki-Lieb in one vectorized pass.
     """
-    order, rows, groups, (r, i, j, gi, gj), triples = _table_plan(frozenset(subsets))
+    order, rows, groups, (i, j, pi, pj), triples = _table_plan(frozenset(subsets))
     if isinstance(rho, BranchState):
         c, d = rho.c.reshape(-1, 3), rho.d
-        spectra = ((c * c) @ groups).reshape(len(c), -1, 3)  # zero-padded
-        spectra[:, r, gi], spectra[:, r, gj] = _pair_spectrum(
-            spectra[:, r, gi], spectra[:, r, gj], c[:, i] * c[:, j] * d)
+        spectra = (c * c) @ groups  # three entries per reduction, zero-padded
+        spectra[:, pi], spectra[:, pj] = _pair_spectrum(
+            spectra.take(pi, axis=1), spectra.take(pj, axis=1), c.take(i, axis=1) * c.take(j, axis=1) * d)
         whole = np.linalg.eigvalsh(rho.density()) if d != 1.0 else np.broadcast_to(_PURE_SPECTRUM, (len(c), 3))
-        entries = qmath._spectrum_entropy(np.concatenate([whole[:, None], spectra], axis=1)).T[rows]
+        entries = qmath._spectrum_entropy(
+            np.concatenate([whole[:, None], spectra.reshape(len(c), -1, 3)], axis=1)).T[rows]
     else:
         m = _four_mode_matrix(rho)
         entries = np.stack([qmath.vn_entropy(m)] + [qmath.vn_entropy(qmath.partial_trace(m, FOUR_MODE_DIMS, [
@@ -180,8 +181,8 @@ def _table_plan(masks: frozenset[int]) -> tuple:
     per distinct ``_reduction``, s + 1 for the reduction s; the groups of
     the reductions as one read-only (3, 3k) 0/1 matrix, column 3s + g
     summing the populations of reduction s's group g; the coherent pairs as
-    index arrays (reduction, ket i, ket j, group of i, group of j); and the
-    rows of each checked X, Y, XY. Not cached when it raises: a bad mask, or
+    index arrays (ket i, ket j, and the columns 3s + g of their groups); and
+    the rows of each checked X, Y, XY. Not cached when it raises: a bad mask, or
     a reduction coupling two pairs."""
     if not masks <= set(range(16)):
         raise ValueError(f"mode mask must lie in 0..15, got {min(masks - set(range(16)))}")
@@ -195,10 +196,11 @@ def _table_plan(masks: frozenset[int]) -> tuple:
     kets = range(len(BRANCH_KETS))
     groups = np.array([[g[i] == c for g, _ in distinct for c in kets] for i in kets], dtype=float)
     groups.flags.writeable = False
-    pairs = np.array([(r, i, j, g[i], g[j]) for r, (g, p) in enumerate(distinct) for i, j in p], dtype=np.intp)
+    pairs = np.array([(i, j, 3 * s + g[i], 3 * s + g[j]) for s, (g, p) in enumerate(distinct) for i, j in p],
+                     dtype=np.intp)
     row = {mask: i for i, mask in enumerate(order)}
     triples = [(row[x], row[y], row[x | y]) for x, y in itertools.combinations(order, 2) if not x & y and x | y in row]
-    return order, rows, groups, pairs.reshape(-1, 5).T, np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    return order, rows, groups, pairs.reshape(-1, 4).T, np.array(triples, dtype=np.intp).reshape(-1, 3).T
 
 
 def _pair_spectrum(a, b, c) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +208,7 @@ def _pair_spectrum(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     l+ = (a+b)/2 + hypot((a-b)/2, c) and l- = (ab - c^2) / l+, which does
     not cancel as (a+b)/2 - hypot(...) does; l- = 0 where l+ = 0."""
     upper = (a + b) / 2.0 + np.hypot((a - b) / 2.0, c)
-    lower = np.divide(a * b - c * c, upper, out=np.zeros_like(upper), where=upper != 0.0)
+    lower = np.divide(a * b - c * c, upper, out=np.zeros(upper.shape), where=upper != 0.0)
     return upper, lower
 
 
@@ -237,9 +239,11 @@ def _check_entropy_inequalities(entries: np.ndarray, masks: tuple[int, ...], tri
     sides come from different reductions and spectra, so a fault in
     either shows.
     """
-    sx, sy, sxy = entries[triples]
+    sx, sy, sxy = entries.take(triples, axis=0)
     excess = np.maximum(sxy - sx - sy, np.abs(sx - sy) - sxy)
-    worst = np.max(excess, axis=tuple(range(1, excess.ndim)))
+    if excess.max(initial=0.0) <= ENTROPY_INEQUALITY_ATOL:  # the whole table at once: an empty one passes, a NaN fails
+        return
+    worst = excess.max(axis=tuple(range(1, excess.ndim)))
     failed = np.flatnonzero(~(worst <= ENTROPY_INEQUALITY_ATOL))  # NaN fails
     if failed.size:
         x, y, _ = (masks[i] for i in triples[:, failed[0]])
@@ -249,7 +253,7 @@ def _check_entropy_inequalities(entries: np.ndarray, masks: tuple[int, ...], tri
 
 
 def _clamp_roundoff(value, what: str):
-    lowest = np.min(value)
+    lowest = np.minimum.reduce(value, axis=None)  # a table may hold floats or arrays
     if not lowest >= -NEGATIVE_ROUNDOFF_TOL:
         raise ArithmeticError(f"{what} came out {lowest:.3e}, far below zero")
     return np.maximum(value, 0.0)[()]  # (x, 0.0) maps -0.0 to 0.0
@@ -290,4 +294,4 @@ def negativity(rho, ch: Channel) -> float | np.ndarray:
     unchecked."""
     m = qmath.require_density_matrix(_four_mode_matrix(rho))
     transposed = qmath.partial_transpose(m, FOUR_MODE_DIMS, ch.p1)
-    return (np.sum(np.abs(np.linalg.eigvalsh(transposed)), axis=-1)[()] - 1.0) / 2.0
+    return (np.abs(np.linalg.eigvalsh(transposed)).sum(axis=-1)[()] - 1.0) / 2.0

@@ -39,7 +39,7 @@ def hermiticity_defect(a) -> float:
     the worst over a stack."""
     m = _as_square(a)
     defect = m.conj().swapaxes(-1, -2)  # in place below: one temporary stack, not two
-    return float(np.max(np.abs(np.subtract(defect, m, out=defect))))
+    return float(np.abs(np.subtract(defect, m, out=defect)).max())
 
 
 def _require_hermitian(m: np.ndarray) -> None:
@@ -49,7 +49,7 @@ def _require_hermitian(m: np.ndarray) -> None:
 
 
 def _require_unit_trace(m: np.ndarray) -> None:
-    defect = np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0))
+    defect = np.abs(m.trace(axis1=-2, axis2=-1) - 1.0).max()
     if not defect <= DENSITY_ATOL:
         raise ValueError(f"density matrix trace is off 1 by {defect:.3e}")
 
@@ -140,8 +140,8 @@ def vn_entropy(rho) -> float | np.ndarray:
 def _spectrum_entropy(evals: np.ndarray) -> float | np.ndarray:
     """-sum(lambda log2 lambda) over the last axis of a stack of spectra, in
     any order: entries in [-1e-8, 0] are dropped, any lower one is rejected."""
-    lowest = np.min(evals)
+    lowest = evals.min()
     if not lowest >= EIG_CLAMP_FLOOR:
         raise ValueError(f"eigenvalue {lowest:.3e} below {EIG_CLAMP_FLOOR:.0e}; not a density matrix")
     pos = np.where(evals > 0.0, evals, 1.0)  # 1 log2 1 = 0 stands in for the dropped ones
-    return np.maximum(-np.sum(pos * np.log2(pos), axis=-1), 0.0)[()]  # (x, 0.0) maps -0.0 to 0.0
+    return np.maximum(-(pos * np.log2(pos)).sum(axis=-1), 0.0)[()]  # (x, 0.0) maps -0.0 to 0.0

@@ -158,6 +158,15 @@ def test_branch_state_checks_its_amplitudes():
             cascade.BranchState(c)
 
 
+def test_an_empty_grid_is_a_branch_state():
+    # no point breaks a rule, so a grid of none constructs, pure or dephased,
+    # with empty properties and an empty stack of densities
+    for d in (1.0, 0.5):
+        state = cascade.BranchState(np.empty((0, 3)), d)
+        assert state.c.shape == (0, 3) and state.alpha2.shape == state.ghz_fidelity.shape == (0,)
+        assert state.density().shape == (0, 3, 3)
+
+
 # --------------------------------------------------------------------------
 # early state and second pulse
 # --------------------------------------------------------------------------

@@ -120,6 +120,24 @@ def test_dephased_outputs_keep_their_bytes():
         ("optimize-dt", "--alice", "eb", "--eve", "ex", "--dephase", "0.9"):
             "cd5555a400cdefdd130751805c56e5a9d4e45b259dbc73fb498898e6c2c9b15a",
     }
+    # the scan's two commands on each of the five fig4 splits, as one draw runs them;
+    # ex and lb agree on every branch ket, so three splits print alike
+    scan = {
+        ("eb", "ex"): ("8a2838a638da235837f420a8cb4eced5a4426af122f4ea938dc2963738e8ed9a",
+                       "31ca30d635163abc92cc39eb49063780f9b2eaf806afa15a9079bc2cd9b3bcac"),
+        ("eb", "lb"): ("8a2838a638da235837f420a8cb4eced5a4426af122f4ea938dc2963738e8ed9a",
+                       "31ca30d635163abc92cc39eb49063780f9b2eaf806afa15a9079bc2cd9b3bcac"),
+        ("eb", "lx"): ("d24aa1317385cb13b37a6909a05cd68b01c9ae5e0a783452edb87f89bc93217a",
+                       "8defd936ccf6461130cf15cf5631778b6888a3b1950ae9805ced62700fd7f9db"),
+        ("eb,ex", "lb"): ("8a2838a638da235837f420a8cb4eced5a4426af122f4ea938dc2963738e8ed9a",
+                          "31ca30d635163abc92cc39eb49063780f9b2eaf806afa15a9079bc2cd9b3bcac"),
+        ("eb,ex", "lx"): ("d7a936518d5de04ba8cd874a873c4887a58123cc83aacc2deb4ef8840d7e86ff",
+                          "bbcc8c4c90400919f2dda98c8406f095580a4fbcf5ab4a11dac4c4a3e8dcda54"),
+    }
+    for (alice, eve), (optimum, grid) in scan.items():
+        rate = ("--ratio", "0.7", "--alice", alice, "--eve", eve, "--dephase", "0.65")
+        digests[("optimize-dt", *rate)] = optimum
+        digests[("sweep", *rate, "--dt-min", "1e-3", "--dt-max", "10", "--points", "50", "--scale", "log")] = grid
     for argv, digest in digests.items():
         code, out = run_main(list(argv))
         assert code == 0
@@ -128,6 +146,10 @@ def test_dephased_outputs_keep_their_bytes():
     values = [float(entanglement.negativity(rho, ch)).hex() for ch in entanglement.enumerate_channels()]
     assert values == ["0x1.9113290078220p-2", "0x1.0ac8ca9d6f7dcp-2", "0x1.0ac8ca9d6f7dcp-2", "0x1.9113290078220p-2",
                       "0x1.6fbf26e2e4398p-1", "0x1.6fbf26e2e4398p-1", "0x1.0d677e73b4f70p-3"]
+    rho = cascade.dephased_density(DecayParams(0.7, 1.0, 1.3), 0.65)
+    values = [float(entanglement.negativity(rho, ch)).hex() for ch in entanglement.enumerate_channels()]
+    assert values == ["0x1.466a1e4286282p-2", "0x1.2f4a46f9a63f6p-2", "0x1.2f4a46f9a63f6p-2", "0x1.466a1e4286282p-2",
+                      "0x1.4a3621311406ep-1", "0x1.4a3621311406ep-1", "0x1.570a5f039b358p-3"]
 
 
 @pytest.mark.parametrize("command,digest", [

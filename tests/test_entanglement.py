@@ -595,6 +595,20 @@ def test_table_check_flags_one_entry_past_its_tolerance(point):
             entanglement._check_entropy_inequalities(entries, order, triples)
 
 
+def test_a_one_mask_table_checks_no_triples():
+    # the whole state alone pairs with no other subset: the table has no
+    # triple to check, on branch states and on 16x16 densities alike
+    order, *_, triples = entanglement._table_plan(frozenset({0b1111}))
+    assert order == (0b1111,) and triples.shape == (3, 0)
+    entanglement._check_entropy_inequalities(np.zeros((1, 4)), order, triples)
+    pure = entanglement.subset_entropies(cascade.amplitudes(DecayParams(2.0, 1.0, 0.3)), [0b1111])
+    assert list(pure) == [0b1111] and pure[0b1111].tolist() == [0.0]
+    grid = cascade.grid_amplitudes(2.0, 1.0, [0.1, 0.2], 0.7)
+    dense = np.stack([cascade.dephased_density(DecayParams(2.0, 1.0, dt), 0.7) for dt in (0.1, 0.2)])
+    np.testing.assert_allclose(entanglement.subset_entropies(grid, [0b1111])[0b1111],
+                               entanglement.subset_entropies(dense, [0b1111])[0b1111], rtol=0, atol=1e-12)
+
+
 def _pair_blocks(rng, n):
     """(a, b, c) of 2x2 blocks of the branch reductions: near-rank-one pure
     blocks (|c|^2 within a few ulps of ab, and weights down to 1e-300),
