@@ -256,7 +256,8 @@ def validate_oracles(params: DecayParams, trials: int, seed: int, step: float = 
             z = (n - trials * prob) / spread
         z_ok = abs(z) <= MC_MAX_ZSCORE
         passed = passed and z_ok
-        lines.append(f"pattern {pattern:04b}: count {n} z = {z:+.3f}" + ("" if z_ok else " (FAIL)"))
+        # + 0.0 turns the -0.0 of a z that rounds to zero into +0.0, so it prints +0.000
+        lines.append(f"pattern {pattern:04b}: count {n} z = {round(z, 3) + 0.0:+.3f}" + ("" if z_ok else " (FAIL)"))
     return lines + ["result: " + ("PASS" if passed else "FAIL")], passed
 
 

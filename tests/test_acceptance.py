@@ -17,10 +17,10 @@ from qdcascade.cascade import DecayParams, ModeLabel
 from qdcascade.entanglement import EveSplit
 
 import oracle_math
+from approved import GOLDEN_DIR, moved_cells
 
 LN2 = math.log(2.0)
 EB, EX, LB, LX = ModeLabel
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 # ratio-2 anchor: gamma_b dt = ln 2 so the branch weights are
 # (1/2, sqrt(2)-1, 3/2-sqrt(2)) ~= (0.5, 0.414214, 0.085786)
@@ -272,5 +272,5 @@ def test_criterion_11_csv_determinism(tmp_path):
         assert first.read_bytes() == threaded.read_bytes()
         paths[name] = first
     for name, path in paths.items():
-        with open(os.path.join(GOLDEN_DIR, f"{name}.csv"), "rb") as fh:
-            assert path.read_bytes() == fh.read()
+        golden, got = (GOLDEN_DIR / f"{name}.csv").read_bytes().decode(), path.read_bytes().decode()
+        assert got == golden, "\n".join(moved_cells(f"{name}.csv", golden, got))

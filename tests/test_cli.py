@@ -3,13 +3,9 @@
 import argparse
 import csv
 import decimal
-import hashlib
 import io
 import json
 import math
-import os
-from contextlib import redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,19 +18,12 @@ from qdcascade.cli import SweepSpec
 from qdcascade.entanglement import EveSplit
 
 import oracle_math
+from approved import GOLDEN_DIR, TRANSCRIPT, moved_cells, read_transcript, run_main, transcript_report, write_transcript
 
 LN2 = math.log(2.0)
-GOLDEN_DIR = Path(__file__).parent / "golden"
 EB, EX, LB, LX = ModeLabel
 KETS = cascade.BRANCH_KETS
 GHZ_BRANCH = cascade.BranchState(cascade.ghz_state(4)[list(KETS)].real)
-
-
-def run_main(args):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli.main(args)
-    return code, buf.getvalue()
 
 
 def read_csv_text(text):
@@ -84,13 +73,9 @@ def test_sweep_ghz_reference_mode_is_flat():
 
 
 def test_cli_sweep_ghz_solves_one_slice(monkeypatch):
-    # digests of the output with the GHZ state's whole-state entropy an exact
-    # 0: every MI prints 2.0 and every CMI 1.0 in JSON (the CSV is as when
-    # each of the 51 slices was solved)
-    digests = {
-        "csv": "5a3e59d2256c9daf45cf1bd41d388d9c3cea3a4dcb5527a0e45fbc9df5dfd76e",
-        "json": "cbde433586bc7b182f0916ad8440f2646a72bee5357b2a37daaeb180443e703f",
-    }
+    # the approved transcript holds both outputs, with the GHZ state's
+    # whole-state entropy an exact 0: every MI prints 2.0 and every CMI 1.0 in
+    # JSON (the CSV is as when each of the 51 slices was solved)
     tables, solves = [], []
     subset_entropies, eigvalsh = entanglement.subset_entropies, np.linalg.eigvalsh
     monkeypatch.setattr(entanglement, "subset_entropies",
@@ -98,50 +83,19 @@ def test_cli_sweep_ghz_solves_one_slice(monkeypatch):
                         or subset_entropies(rho, masks))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(np.shape(a)) or eigvalsh(a))
     cli._ghz_table.cache_clear()
-    for fmt, digest in digests.items():
-        code, out = run_main(["sweep", "--ghz", "--points", "50", "--dt-min", "0.01", "--dt-max", "5",
-                              "--dephase", "0.3", "--alice", "eb", "--eve", "lb", "--format", fmt])
+    for fmt in ("csv", "json"):
+        code, _ = run_main(["sweep", "--ghz", "--points", "50", "--dt-min", "0.01", "--dt-max", "5",
+                            "--dephase", "0.3", "--alice", "eb", "--eve", "lb", "--format", fmt])
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
     # one table for both formats: the GHZ state's, one row over all 16
     # masks, built once per process; it is pure, so no eigensolve
     assert tables == [(1, 16)] and solves == []
 
 
-def test_dephased_outputs_keep_their_bytes():
-    # digests of a dephased log sweep with a secret-rate column and of a
-    # dephased optimum, and the exact values of the seven negativities of a
-    # dephased state: a faster path must keep every digit
-    sweep = ["sweep", "--ratio", "2.3", "--dt-min", "1e-3", "--dt-max", "10", "--points", "50", "--scale", "log",
-             "--dephase", "0.8", "--alice", "eb,ex", "--eve", "lb"]
-    digests = {
-        (*sweep, "--format", "csv"): "6ae922f8d982679140342052ac407d3971fa5c762dbb7a369ea1364cc7bb4faa",
-        (*sweep, "--format", "json"): "aea2a94715b2b3c35c7e19ca743a19cbe4601f1750cdc75e3974439c1343690a",
-        ("optimize-dt", "--alice", "eb", "--eve", "ex", "--dephase", "0.9"):
-            "cd5555a400cdefdd130751805c56e5a9d4e45b259dbc73fb498898e6c2c9b15a",
-    }
-    # the scan's two commands on each of the five fig4 splits, as one draw runs them;
-    # ex and lb agree on every branch ket, so three splits print alike
-    scan = {
-        ("eb", "ex"): ("8a2838a638da235837f420a8cb4eced5a4426af122f4ea938dc2963738e8ed9a",
-                       "31ca30d635163abc92cc39eb49063780f9b2eaf806afa15a9079bc2cd9b3bcac"),
-        ("eb", "lb"): ("8a2838a638da235837f420a8cb4eced5a4426af122f4ea938dc2963738e8ed9a",
-                       "31ca30d635163abc92cc39eb49063780f9b2eaf806afa15a9079bc2cd9b3bcac"),
-        ("eb", "lx"): ("d24aa1317385cb13b37a6909a05cd68b01c9ae5e0a783452edb87f89bc93217a",
-                       "8defd936ccf6461130cf15cf5631778b6888a3b1950ae9805ced62700fd7f9db"),
-        ("eb,ex", "lb"): ("8a2838a638da235837f420a8cb4eced5a4426af122f4ea938dc2963738e8ed9a",
-                          "31ca30d635163abc92cc39eb49063780f9b2eaf806afa15a9079bc2cd9b3bcac"),
-        ("eb,ex", "lx"): ("d7a936518d5de04ba8cd874a873c4887a58123cc83aacc2deb4ef8840d7e86ff",
-                          "bbcc8c4c90400919f2dda98c8406f095580a4fbcf5ab4a11dac4c4a3e8dcda54"),
-    }
-    for (alice, eve), (optimum, grid) in scan.items():
-        rate = ("--ratio", "0.7", "--alice", alice, "--eve", eve, "--dephase", "0.65")
-        digests[("optimize-dt", *rate)] = optimum
-        digests[("sweep", *rate, "--dt-min", "1e-3", "--dt-max", "10", "--points", "50", "--scale", "log")] = grid
-    for argv, digest in digests.items():
-        code, out = run_main(list(argv))
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+def test_dephased_negativities_keep_their_bits():
+    # no command prints a negativity, so the exact values of the seven
+    # negativities of two dephased states are pinned here: a faster path must
+    # keep every bit
     rho = cascade.dephased_density(DecayParams(2.3, 1.0, 0.4), 0.8)
     values = [float(entanglement.negativity(rho, ch)).hex() for ch in entanglement.enumerate_channels()]
     assert values == ["0x1.9113290078220p-2", "0x1.0ac8ca9d6f7dcp-2", "0x1.0ac8ca9d6f7dcp-2", "0x1.9113290078220p-2",
@@ -152,24 +106,38 @@ def test_dephased_outputs_keep_their_bytes():
                       "0x1.4a3621311406ep-1", "0x1.4a3621311406ep-1", "0x1.570a5f039b358p-3"]
 
 
-@pytest.mark.parametrize("command,digest", [
-    (("amplitudes", "--format", "csv"), "c393d4310d40b1e167cdeecc7a82b19704ca490a9931d5fc79a16766886ac0e3"),
-    (("amplitudes", "--format", "json"), "581ad04530e61cc82accb07aa74f61834edd0198169f8c31d5346b524705ed1b"),
-    (("state", "--format", "csv"), "e776441c69e458275f701e70a56fb2e8f99cfdffd4fb6557e28c1fa81cf6aaba"),
-    (("state", "--format", "json"), "73fcbcb31cdf09e010e2c89cb0449b98ee96238bfa9caf76a919320eaad73996"),
-    (("validate", "--trials", "2000"), "af77354d57112a1a3bbd8405e438a1d3c4d0c06150bc46634e9e392b5b06b2e6"),
-])
-def test_one_point_commands_keep_their_bytes(command, digest):
-    # the digest of a one-point command's exit codes and outputs at the delays
-    # 0, 1e-9, ln2/2 and 700 of equal rates, of ratio 0.5 and of ratio 2,
-    # one point after the other; validate steps at most a tenth of the delay
-    text = ""
-    for ratio in ("1", "0.5", "2"):
-        for dt in ("0", "1e-9", repr(LN2 / 2), "700"):
-            step = ["--step", "1e-10"] if command[0] == "validate" and dt == "1e-9" else []
-            code, out = run_main([*command, "--ratio", ratio, "--dt", dt, *step])
-            text += f"{code}\n{out}"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+def test_cli_keeps_the_approved_transcript(tmp_path):
+    # every command of the approved transcript, run in this process, prints
+    # its approved exit code and stdout; a mismatch lists every moved cell and
+    # leaves the received transcript, to copy over the approved one once each
+    # moved cell is deliberate and listed in CHANGES.md
+    text = TRANSCRIPT.read_bytes().decode()
+    approved = read_transcript(text)
+    received = [(argv, *run_main(argv)) for argv, _, _ in approved]
+    if write_transcript(received) != text:
+        path = tmp_path / "cli.txt"
+        path.write_text(write_transcript(received))
+        pytest.fail("\n".join([f"received transcript: {path}", *transcript_report(approved, received)]), pytrace=False)
+
+
+def edit_cell(text, line, column, value):
+    """``text`` with the comma-separated cell at (line, column), from 1, set to ``value``; and its old value."""
+    rows = [row.split(",") for row in text.split("\n")]
+    old, rows[line - 1][column - 1] = rows[line - 1][column - 1], value
+    return "\n".join(",".join(row) for row in rows), old
+
+
+def test_the_cell_report_names_exactly_the_edited_cell():
+    fig4 = (GOLDEN_DIR / "fig4.csv").read_bytes().decode()
+    edited, old = edit_cell(fig4, 100, 6, "0.5")
+    assert moved_cells("fig4.csv", fig4, edited) == [f"fig4.csv: line 100, column cmi_ch5_eve_late_b: {old!r} -> '0.5'"]
+    # the dephased log sweep's CSV, through the transcript's own text
+    approved = read_transcript(TRANSCRIPT.read_bytes().decode())
+    argv, code, out = approved[2]
+    edited, old = edit_cell(out, 3, 15, "0.5")
+    received = read_transcript(write_transcript([*approved[:2], (argv, code, edited), *approved[3:]]))
+    name = "qdcascade " + " ".join(argv)
+    assert transcript_report(approved, received) == [f"{name}: line 3, column cmi: {old!r} -> '0.5'"]
 
 
 def test_sweep_rows_ascending_and_independent():
@@ -398,63 +366,6 @@ def test_each_branch_table_makes_one_eigensolve(monkeypatch):
     assert len(shapes) == 5 and shapes[0] == ((2, 16, 16), np.complex128)
 
 
-# outputs with an empty Eve: the table's S(empty set) is the entropy of the
-# 1x1 trace, not an exact 0 (which changes the last bits here); sweep runs on
-# branch states, secure-rate on 16x16 densities
-EMPTY_EVE_OUTPUTS = {
-    ("secure-rate", "--alice", "eb", "--dt", "10"): "dt,gx_dt,cmi,cmi_ghz\n10,10,1.24891870593e-07,2\n",
-    ("secure-rate", "--alice", "eb", "--dt", "0.08", "--format", "json"): """[
-  {
-    "dt": 0.08,
-    "gx_dt": 0.08,
-    "cmi": 1.2088987356465455,
-    "cmi_ghz": 1.9999999999999996
-  }
-]
-""",
-    ("sweep", "--alice", "eb,ex", "--dt-min", "0.01", "--dt-max", "0.11", "--points", "2", "--channel", "1"): (
-        "dt,gx_dt,alpha2,beta2,gamma2,fidelity,mi_ch1,mi_avg,cmi,cmi_ghz\n"
-        "0.01,0.01,0.980198673307,0.0197023208848,9.90058084192e-05,0.5,0.280647184327,0.162127533109,"
-        "0.282445714045,2\n"
-        "0.11,0.11,0.802518797962,0.186630674668,0.0108505273694,0.5,1.43372361062,0.924029514008,"
-        "1.55499328472,2\n"
-    ),
-    ("sweep", "--alice", "eb,ex", "--dt-min", "0.01", "--dt-max", "0.11", "--points", "2", "--channel", "1",
-     "--format", "json"): """[
-  {
-    "dt": 0.01,
-    "gx_dt": 0.01,
-    "alpha2": 0.9801986733067551,
-    "beta2": 0.0197023208848255,
-    "gamma2": 9.900580841924746e-05,
-    "fidelity": 0.5000000000000027,
-    "mi_ch1": 0.28064718432657987,
-    "mi_avg": 0.16212753310862332,
-    "cmi": 0.282445714044571,
-    "cmi_ghz": 1.9999999999999998
-  },
-  {
-    "dt": 0.11,
-    "gx_dt": 0.11,
-    "alpha2": 0.8025187979624784,
-    "beta2": 0.18663067466809952,
-    "gamma2": 0.01085052736942199,
-    "fidelity": 0.5,
-    "mi_ch1": 1.433723610621414,
-    "mi_avg": 0.9240295140080909,
-    "cmi": 1.554993284721304,
-    "cmi_ghz": 1.9999999999999998
-  }
-]
-""",
-}
-
-
-@pytest.mark.parametrize("argv", list(EMPTY_EVE_OUTPUTS))
-def test_cli_empty_eve_output_bytes(argv):
-    assert run_main(list(argv)) == (0, EMPTY_EVE_OUTPUTS[argv])
-
-
 def test_sweep_spec_validation_names_fields():
     with pytest.raises(ValueError, match="points"):
         SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.0, dt_max=1.0, points=1)
@@ -656,32 +567,8 @@ def test_cli_optimize_dt_notes_an_edge_optimum(capsys):
 
 
 # --------------------------------------------------------------------------
-# figure tables and golden files
+# figure tables
 # --------------------------------------------------------------------------
-
-def test_fig3_matches_golden_bytes(tmp_path):
-    out = tmp_path / "fig3.csv"
-    cli.main(["fig3", "--out", str(out)])
-    assert out.read_bytes() == (GOLDEN_DIR / "fig3.csv").read_bytes()
-
-
-def test_fig4_matches_golden_bytes(tmp_path):
-    out = tmp_path / "fig4.csv"
-    cli.main(["fig4", "--out", str(out)])
-    assert out.read_bytes() == (GOLDEN_DIR / "fig4.csv").read_bytes()
-
-
-def test_fig_outputs_independent_of_worker_env(tmp_path):
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    cli.main(["fig3", "--out", str(first)])
-    os.environ["CASCADE_THREADS"] = "4"
-    try:
-        cli.main(["fig3", "--out", str(second)])
-    finally:
-        del os.environ["CASCADE_THREADS"]
-    assert first.read_bytes() == second.read_bytes()
-
 
 def test_fig3_spot_values():
     header, rows = cli.fig3_table()
