@@ -87,6 +87,9 @@ class DecayParams:
 
 FOUR_MODE_DIMS = (2, 2, 2, 2)
 BRANCH_KETS = (0b0000, 0b1001, 0b1111)  # basis indices of the alpha, beta, gamma branches
+# the flat indices of the 3x3 block on BRANCH_KETS in a flattened 16x16 matrix, row by row
+_BRANCH_BLOCK = np.array([16 * i + j for i in BRANCH_KETS for j in BRANCH_KETS])
+_BRANCH_BLOCK.flags.writeable = False
 
 
 def check_dephase(dephase: float) -> None:
@@ -184,22 +187,24 @@ def _branch_amplitudes(gamma_b: float, gamma_x: float, dts) -> np.ndarray:
     where it tends to gamma_b dt exp(-gamma_b dt), and no overflow at long
     delays. Where gamma_b dt itself overflows, the product would be inf * 0;
     there, and only there, dt / y is cancelled to 1 / |gamma_x - gamma_b|
-    instead."""
+    instead. (1 - exp(-y)) / y is taken as expm1(-y) / -y, the same bits
+    with one negation fewer, as negating is exact."""
     dts = np.asarray(dts, dtype=float).reshape(-1)
     c = np.empty((dts.size, 3))
     alpha2, beta2, gamma2 = c.T  # views of the three columns, filled in place
     with np.errstate(over="ignore", invalid="ignore"):  # an inf marks a bad point, a NaN takes the fallback
         good = (dts >= 0.0) & np.isfinite(gamma_x * dts)
         DecayParams.check(gamma_b, gamma_x, float(dts[good.argmin()]))  # the rates, and the first bad delay if any
-        np.exp(-gamma_b * dts, out=alpha2)
+        gamma_b_dts = gamma_b * dts
+        np.exp(-gamma_b_dts, out=alpha2)
         decay = np.exp(-min(gamma_b, gamma_x) * dts)
-        y = abs(gamma_x - gamma_b) * dts
-        np.multiply(gamma_b * dts * decay, np.where(y > 0.0, -np.expm1(-y) / y, 1.0), out=beta2)
+        minus_y = -abs(gamma_x - gamma_b) * dts
+        np.multiply(gamma_b_dts * decay, np.where(minus_y < 0.0, np.expm1(minus_y) / minus_y, 1.0), out=beta2)
         overflowed = np.isnan(beta2)
         if overflowed.any():
-            y, decay = y[overflowed], decay[overflowed]
+            minus_y, decay = minus_y[overflowed], decay[overflowed]
             beta2[overflowed] = gamma_b * decay * (
-                -np.expm1(-y) / abs(gamma_x - gamma_b) if gamma_x != gamma_b else dts[overflowed])
+                np.expm1(minus_y) / -abs(gamma_x - gamma_b) if gamma_x != gamma_b else dts[overflowed])
     np.minimum(beta2, 1.0, out=beta2)
     np.subtract(1.0, alpha2, out=gamma2)
     gamma2 -= beta2
@@ -234,6 +239,6 @@ def dephased_density(p: DecayParams, d: float) -> np.ndarray:
     d = 1 returns the pure projector unchanged; d = 0 keeps only the
     populations. ``BranchState`` rejects a d outside [0, 1].
     """
-    rho = np.zeros((16, 16), dtype=np.complex128)
-    rho[np.ix_(BRANCH_KETS, BRANCH_KETS)] = grid_amplitudes(p.gamma_b, p.gamma_x, [p.delta_t], d).density()[0]
-    return rho
+    rho = np.zeros(256, dtype=np.complex128)
+    rho[_BRANCH_BLOCK] = grid_amplitudes(p.gamma_b, p.gamma_x, [p.delta_t], d).density().reshape(9)
+    return rho.reshape(16, 16)

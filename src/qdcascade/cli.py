@@ -280,9 +280,13 @@ def _resolve_params(args: argparse.Namespace) -> DecayParams:
     return DecayParams(gamma_b=gamma_b, gamma_x=gamma_x, delta_t=args.dt)
 
 
-def _resolve_split(args: argparse.Namespace) -> EveSplit:
-    """The split of ``--alice`` and ``--eve``, each a comma-separated list of modes."""
-    modes = [[ModeLabel.parse(t) for t in (text or "").split(",") if t.strip()] for text in (args.alice, args.eve)]
+@functools.lru_cache(maxsize=64)
+def _resolve_split(alice: str | None, eve: str | None) -> EveSplit:
+    """The split of the texts of ``--alice`` and ``--eve``, each a
+    comma-separated list of modes: one object per pair of texts while it is
+    among the 64 most recent, so that its masks are computed once. A pair
+    that raises is not cached, and raises again."""
+    modes = [[ModeLabel.parse(t) for t in (text or "").split(",") if t.strip()] for text in (alice, eve)]
     return EveSplit(*modes)
 
 
@@ -327,7 +331,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         gamma_b=gamma_b, gamma_x=gamma_x,
         dt_min=args.dt_min, dt_max=args.dt_max, points=args.points, scale=args.scale,
         channels=tuple(args.channel or SweepSpec.channels), dephase=args.dephase, ghz_reference=args.ghz,
-        split=None if args.alice is None else _resolve_split(args),
+        split=None if args.alice is None else _resolve_split(args.alice, args.eve),
     )
     _emit(args.format, args.out, *sweep_table(spec))
     return EXIT_OK
@@ -335,7 +339,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_secure_rate(args: argparse.Namespace) -> int:
     params = _resolve_params(args)
-    split = _resolve_split(args)
+    split = _resolve_split(args.alice, args.eve)
     result = secure_rate(params, split, args.dephase)
     _emit(args.format, args.out, list(result), [list(result.values())])
     return EXIT_OK
@@ -343,7 +347,7 @@ def _cmd_secure_rate(args: argparse.Namespace) -> int:
 
 def _cmd_optimize_dt(args: argparse.Namespace) -> int:
     gamma_b, gamma_x = _resolve_rates(args)
-    split = _resolve_split(args)
+    split = _resolve_split(args.alice, args.eve)
     dt_star, cmi_star = optimize_delay(
         gamma_b, gamma_x, split, (args.dt_min, args.dt_max), dephase=args.dephase
     )

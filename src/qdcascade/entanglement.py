@@ -28,6 +28,11 @@ closed-form spectrum. A pure state (d = 1) has the whole-state spectrum
 row of a dephased one takes a real 3x3 eigensolve. The whole state's
 spectrum leads the reduced ones in one stack, which takes one check against
 ``qmath``'s eigenvalue floor and one Shannon sum.
+
+A channel's partial transpose, which ``negativity`` takes, is a fixed
+permutation of a 16x16 matrix's 256 entries: it is derived from
+``qmath.partial_transpose`` once per channel side, cached, and applied as
+one ``take``.
 """
 
 from __future__ import annotations
@@ -285,13 +290,30 @@ def conditional_mutual_information(rho, split: EveSplit) -> float | np.ndarray:
     return cmi_from_table(subset_entropies(rho, split.subsets), split)
 
 
+@functools.cache  # one entry per subset of the four modes, at most 16
+def _transpose_index(p1: frozenset[ModeLabel]) -> np.ndarray:
+    """The partial transpose over the modes ``p1`` as a read-only
+    permutation of the 256 entries of a flattened 16x16 matrix:
+    ``qmath.partial_transpose`` applied to the entries' own indices."""
+    entries = np.arange(256).reshape(16, 16)
+    index = qmath.partial_transpose(entries, FOUR_MODE_DIMS, p1).real.astype(np.intp).reshape(256)
+    index.flags.writeable = False
+    return index
+
+
+def _partial_transpose(m: np.ndarray, p1: frozenset[ModeLabel]) -> np.ndarray:
+    """``qmath.partial_transpose(m, FOUR_MODE_DIMS, p1)`` of a 16x16 matrix
+    or stack, bit for bit, as one ``take`` of the cached permutation."""
+    return m.reshape(m.shape[:-2] + (256,)).take(_transpose_index(p1), axis=-1).reshape(m.shape)
+
+
 def negativity(rho, ch: Channel) -> float | np.ndarray:
     """Entanglement negativity (||rho^(T_p1)||_1 - 1) / 2 across a channel.
 
-    A partial transpose permutes the off-diagonal entries and keeps the
-    diagonal, so its Hermiticity defect and its trace are those of ``rho``,
-    bit for bit: ``rho`` is checked once, and its transpose is solved
-    unchecked."""
+    The partial transpose is a permutation of the entries, built once per
+    ``ch.p1`` and cached (``_transpose_index``). It permutes the off-diagonal
+    entries and keeps the diagonal, so its Hermiticity defect and its trace
+    are those of ``rho``, bit for bit: ``rho`` is checked once, and its
+    transpose is solved unchecked."""
     m = qmath.require_density_matrix(_four_mode_matrix(rho))
-    transposed = qmath.partial_transpose(m, FOUR_MODE_DIMS, ch.p1)
-    return (np.abs(np.linalg.eigvalsh(transposed)).sum(axis=-1)[()] - 1.0) / 2.0
+    return (np.abs(np.linalg.eigvalsh(_partial_transpose(m, ch.p1))).sum(axis=-1)[()] - 1.0) / 2.0

@@ -413,6 +413,39 @@ def test_secure_rate_rejects_overlapping_subsets():
         EveSplit({EB, EX}, {EX})
 
 
+def test_resolved_splits_are_shared_per_text():
+    # one split object per (--alice, --eve) text, so its masks are computed once
+    first = cli._resolve_split("eb,ex", "lb")
+    assert cli._resolve_split("eb,ex", "lb") is first
+    assert first == EveSplit({EB, EX}, {LB})
+    # another text of the same modes is another key, but an equal split
+    assert cli._resolve_split("early-b", None) == cli._resolve_split("eb", None) == EveSplit({EB})
+
+
+def test_a_bad_split_raises_on_every_call():
+    # a split that raises is not cached: each call raises the same error anew
+    for alice, eve, error in (("eb,xx", "lb", "unknown mode label 'xx'"),
+                              ("eb", "eb", "overlapping subsets"),
+                              (",", None, "Alice's subset must be nonempty")):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=error) as info:
+                cli._resolve_split(alice, eve)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+def test_a_split_from_config_resolves_like_one_from_flags(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"alice": "eb,ex", "eve": "lx"}))
+    sweep = ["sweep", "--dt-min", "0.1", "--dt-max", "1.0", "--points", "3", "--dephase", "0.8"]
+    from_flags = run_main(sweep + ["--alice", "eb,ex", "--eve", "lx"])
+    hits = cli._resolve_split.cache_info().hits
+    assert run_main(sweep + ["--config", str(config)]) == from_flags
+    assert from_flags[0] == 0 and from_flags[1].splitlines()[0].endswith(",cmi,cmi_ghz")
+    assert cli._resolve_split.cache_info().hits == hits + 1  # the same key, so the same split
+
+
 def test_optimize_delay_on_constant_zero(monkeypatch):
     monkeypatch.setattr(entanglement, "conditional_mutual_information",
                         lambda rho, split: np.zeros(len(rho.c)))

@@ -400,6 +400,36 @@ property_settings = settings(derandomize=True, database=None, deadline=None, max
 
 
 @property_settings
+@given(seed=st.integers(0, 2**32 - 1), k=st.one_of(st.none(), st.integers(1, 4)))
+def test_cached_partial_transpose_is_the_general_one_bitwise(seed, k):
+    # negativity transposes by a permutation cached per channel side; on a
+    # random complex matrix, or a stack of k, it must give what
+    # qmath.partial_transpose gives, bit for bit, on every channel
+    rng = np.random.default_rng(seed)
+    shape = (16, 16) if k is None else (k, 16, 16)
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for ch in entanglement.enumerate_channels():
+        got = entanglement._partial_transpose(m, ch.p1)
+        want = qmath.partial_transpose(m, FOUR_MODE_DIMS, ch.p1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), ch.id
+
+
+@property_settings
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+def test_negativity_of_a_drawn_stack_is_that_of_each_matrix(seed, k):
+    # random full-rank complex densities: A A^H, made exactly Hermitian, at unit trace
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(k, 16, 16)) + 1j * rng.normal(size=(k, 16, 16))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    rho /= rho.trace(axis1=-2, axis2=-1).real[:, None, None]
+    for ch in entanglement.enumerate_channels():
+        neg = entanglement.negativity(rho, ch)
+        assert neg.shape == (k,)
+        assert [float(x).hex() for x in neg] == [float(entanglement.negativity(m, ch)).hex() for m in rho], ch.id
+
+
+@property_settings
 @given(gb=rates, gx=rates, dts=delay_grids, d=st.floats(0.0, 1.0), split=st.sampled_from(ALL_SPLITS))
 def test_invariants_on_drawn_stacks(gb, gx, dts, d, split):
     grid = grid_params(dts, gamma_b=gb, gamma_x=gx)
