@@ -587,6 +587,42 @@ def test_optimize_delay_returns_the_best_evaluated_point(ratio, d, split, lo, wi
     assert entanglement.conditional_mutual_information(stack, split).max() <= cmi_star + 1e-12
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    split=st.sampled_from(oracle_math.ALL_SPLITS),
+    gamma_b=st.floats(1e-2, 1e2),
+    gamma_x=st.one_of(st.none(), st.floats(1e-2, 1e2)),  # None: equal rates
+    d=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    bracket=st.one_of(st.sampled_from([(9.8e-321, 1e-320), (0.0, 1e-300), (5.0, 5.000000000001)]),
+                      st.tuples(st.floats(0.0, 5.0), st.floats(1e-9, 10.0)).map(lambda t: (t[0], t[0] + t[1]))),
+)
+@example(split=EveSplit({EB}, {EX}), gamma_b=2.0, gamma_x=1.0, d=1.0, bracket=(2.0, 5.0))  # the optimum is dt = 2
+@example(split=EveSplit({EB}, {EX}), gamma_b=0.05, gamma_x=1.0, d=0.8, bracket=(1e-3, 10.0))  # and here dt = 10
+@example(split=EveSplit({EB}, {LX}), gamma_b=2.0, gamma_x=1.0, d=0.0, bracket=(1e-3, 10.0))  # a rate of round-off
+def test_optimize_delay_equals_the_plain_refinement_loop(split, gamma_b, gamma_x, d, bracket):
+    # the rounds evaluated ahead change no bit of the result
+    gamma_x = gamma_b if gamma_x is None else gamma_x
+    got = cli.optimize_delay(gamma_b, gamma_x, split, bracket, dephase=d)
+    want = oracle_math.refine_plain(gamma_b, gamma_x, split, bracket, dephase=d)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_optimize_delay_evaluates_a_scan_draw_in_four_stacks(monkeypatch):
+    # the 64-point round alone; the second round's guess at the third misses,
+    # the third's at the fourth and the fifth's at the sixth hit, so the six
+    # rounds take four stacks, where the plain loop takes one per round
+    stacks = []
+    cmi = entanglement.conditional_mutual_information
+    monkeypatch.setattr(entanglement, "conditional_mutual_information",
+                        lambda rho, split: stacks.append(len(rho.c)) or cmi(rho, split))
+    split = cli._resolve_split("eb,ex", "lb")
+    got = cli.optimize_delay(2.3, 1.0, split, (1e-3, 10.0), dephase=0.8)
+    assert stacks == [64, 32, 32, 32]
+    stacks.clear()
+    assert oracle_math.refine_plain(2.3, 1.0, split, (1e-3, 10.0), dephase=0.8) == got
+    assert stacks == [64] + [16] * 5
+
+
 def test_cli_optimize_dt_notes_an_edge_optimum(capsys):
     code, out = run_main(["optimize-dt", "--ratio", "0.05", "--alice", "eb", "--eve", "ex"])
     assert code == 0
@@ -979,6 +1015,23 @@ def test_cli_config_file_with_flag_override(tmp_path):
     code, out = run_main(["amplitudes", "--config", str(config)])
     assert code == 0
     assert out == run_main(["amplitudes", "--dt", "1", "--format", "json"])[1]
+
+
+def test_cli_calls_in_one_process_share_no_flag_values(tmp_path):
+    # each command's flag table and defaults are derived once and shared by
+    # every later call; no value given to one call may reach the next
+    sweep = ["sweep", "--dt-min", "0.1", "--dt-max", "1.0", "--points", "3"]
+    code, out = run_main(sweep + ["--alice", "eb", "--eve", "ex"])
+    assert code == 0 and out.splitlines()[0].endswith(",mi_avg,cmi,cmi_ghz")
+    code, out = run_main(sweep)
+    assert code == 0 and out.splitlines()[0].endswith(",mi_avg")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dt": LN2, "gamma-b": 4.0, "format": "json"}))
+    code, out = run_main(["amplitudes", "--config", str(config)])
+    assert code == 0 and abs(json.loads(out)[0]["alpha2"] - 0.0625) < 1e-12  # gb * dt = 4 ln 2
+    code, out = run_main(["amplitudes"])
+    assert code == 0 and out == run_main(["amplitudes", "--gamma-b", "2", "--dt", repr(cli.DEFAULT_DT)])[1]
+    assert abs(read_csv_text(out)[0]["alpha2"] - 0.5) < 1e-12  # the defaults: gb * dt = ln 2
 
 
 @pytest.mark.parametrize("text,error", [

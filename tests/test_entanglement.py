@@ -382,17 +382,28 @@ def test_dephased_stack_matches_single_matrices_bitwise():
     assert list(cmi) == [entanglement.conditional_mutual_information(rho, split) for rho in stack]
 
 
+@pytest.mark.parametrize("d", [0.0, 0.37, 1.0])
+@pytest.mark.parametrize("points", [1, 16, 64])
+def test_a_grid_rates_alike_alone_and_in_a_larger_stack(points, d):
+    # cli.optimize_delay evaluates a round's grid in one branch state with a
+    # guess at the next round's: a row's CMI must not depend on the rows
+    # stacked with it. Each amplitude is elementwise, each 3x3 eigensolve
+    # stands alone and each column of the 0/1 population sum adds at most
+    # two nonzero populations, except the mask-0 column of an empty Eve,
+    # which adds three
+    grid = np.linspace(0.05, 2.0, points) if points > 1 else np.array([0.3])
+    other = np.linspace(0.25, 0.4, 16)
+    for split in oracle_math.ALL_SPLITS:
+        def cmi(dts):
+            return entanglement.conditional_mutual_information(cascade.grid_amplitudes(2.3, 1.0, dts, d), split)
+        alone = cmi(grid).tobytes()
+        assert cmi(np.concatenate([grid, other]))[:points].tobytes() == alone, split
+        assert cmi(np.concatenate([other, grid]))[len(other):].tobytes() == alone, split
+
+
 # --------------------------------------------------------------------------
 # invariants over drawn rates, delay grids and dephasing
 # --------------------------------------------------------------------------
-
-ALL_SPLITS = [
-    EveSplit(alice, eve)
-    for alice in itertools.chain.from_iterable(
-        itertools.combinations(ModeLabel, k) for k in (1, 2, 3))
-    for eve in itertools.chain.from_iterable(
-        itertools.combinations(sorted(set(ModeLabel) - set(alice)), k) for k in range(4 - len(alice)))
-]
 
 rates = st.floats(0.1, 10.0)
 delay_grids = st.lists(st.floats(0.0, 10.0), min_size=1, max_size=6)
@@ -430,7 +441,7 @@ def test_negativity_of_a_drawn_stack_is_that_of_each_matrix(seed, k):
 
 
 @property_settings
-@given(gb=rates, gx=rates, dts=delay_grids, d=st.floats(0.0, 1.0), split=st.sampled_from(ALL_SPLITS))
+@given(gb=rates, gx=rates, dts=delay_grids, d=st.floats(0.0, 1.0), split=st.sampled_from(oracle_math.ALL_SPLITS))
 def test_invariants_on_drawn_stacks(gb, gx, dts, d, split):
     grid = grid_params(dts, gamma_b=gb, gamma_x=gx)
     for a2, b2, g2 in map(branch_probs, grid):
@@ -578,8 +589,8 @@ def test_ghz_table_matches_the_dense_ghz_state():
     for ch in entanglement.enumerate_channels():
         np.testing.assert_allclose(entanglement.mi_from_table(table, ch), entanglement.mutual_information(dense, ch),
                                    rtol=0.0, atol=1e-12, err_msg=f"channel {ch.id}")
-    assert len(set(ALL_SPLITS)) == 50
-    for split in ALL_SPLITS:
+    assert len(set(oracle_math.ALL_SPLITS)) == 50
+    for split in oracle_math.ALL_SPLITS:
         np.testing.assert_allclose(entanglement.cmi_from_table(table, split),
                                    entanglement.conditional_mutual_information(dense, split),
                                    rtol=0.0, atol=1e-12, err_msg=str(split))
