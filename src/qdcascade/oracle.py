@@ -99,7 +99,7 @@ def rate_equation_populations(p: DecayParams, step: float) -> Populations:
     # keeps I apart so the small d is never rounded into it: total is
     # (I + d)^k - I over the bits taken so far, and squaring maps d to 2d + d^2
     total = np.zeros((3, 3))
-    # an overflowing h A or an unstable step gives inf or NaN, which Populations refuses
+    # an overflowing h A or an unstable step gives populations outside [0, 1], inf or NaN, which Populations refuses
     with np.errstate(over="ignore", invalid="ignore"):
         a = (p.delta_t / n_steps) * np.array([[-gb, 0.0, 0.0], [gb, -gx, 0.0], [0.0, gx, 0.0]])  # h A
         d = a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
@@ -109,7 +109,10 @@ def rate_equation_populations(p: DecayParams, step: float) -> Populations:
             d = 2.0 * d + d @ d
             n_steps >>= 1
     pb, px, pg = (total[:, 0] + (1.0, 0.0, 0.0)).tolist()
-    return Populations(pb, px, pg)
+    try:
+        return Populations(pb, px, pg)
+    except ValueError as exc:
+        raise ValueError(f"step must be stable for RK4, got {step}: {exc}") from None
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:

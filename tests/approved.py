@@ -2,14 +2,14 @@
 in which a received output differs from an approved one.
 
 Each entry of the transcript is a ``$ qdcascade <argv>`` line, then an
-``exit N`` line, then that command's exact stdout. Argv tokens are plain words
-with no quotes, spaces or glob characters, so ``str.split`` and bash word
-splitting both read them back.
+``exit N`` line, then each line of that command's stderr behind ``2> ``, then
+its exact stdout. Argv tokens are plain words with no quotes, spaces or glob
+characters, so ``str.split`` and bash word splitting both read them back.
 """
 
 import io
 import re
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import zip_longest
 from pathlib import Path
 
@@ -17,28 +17,31 @@ from qdcascade import cli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TRANSCRIPT = GOLDEN_DIR / "cli.txt"
+ERR = "2> "  # the prefix of a stderr line; no stdout line starts with it
 
 
 def run_main(argv):
-    """Exit code and stdout of one command, run in this process."""
-    buf = io.StringIO()
-    with redirect_stdout(buf):
+    """Exit code, stderr and stdout of one command, run in this process."""
+    err, out = io.StringIO(), io.StringIO()
+    with redirect_stderr(err), redirect_stdout(out):
         code = cli.main(argv)
-    return code, buf.getvalue()
+    return code, err.getvalue(), out.getvalue()
 
 
 def read_transcript(text):
-    """The entries of a transcript, as ``(argv, exit code, stdout)`` in order."""
+    """The entries of a transcript, as ``(argv, exit code, stderr, stdout)`` in order."""
     entries = []
     for block in re.split(r"^\$ qdcascade ", text, flags=re.M)[1:]:
-        argv, code, out = block.split("\n", 2)
-        entries.append((argv.split(), int(code.removeprefix("exit ")), out))
+        argv, code, rest = block.split("\n", 2)
+        err = re.match(f"(?:{ERR}.*\n)*", rest).group()
+        entries.append((argv.split(), int(code.removeprefix("exit ")), re.sub(f"(?m)^{ERR}", "", err), rest[len(err):]))
     return entries
 
 
 def write_transcript(entries):
-    """The text of a transcript of ``(argv, exit code, stdout)`` entries."""
-    return "".join(f"$ qdcascade {' '.join(argv)}\nexit {code}\n{out}" for argv, code, out in entries)
+    """The text of a transcript of ``(argv, exit code, stderr, stdout)`` entries."""
+    return "".join(f"$ qdcascade {' '.join(argv)}\nexit {code}\n" + "".join(ERR + line for line in err.splitlines(True))
+                   + out for argv, code, err, out in entries)
 
 
 def moved_cells(name, old, new):
@@ -63,11 +66,11 @@ def moved_cells(name, old, new):
 
 
 def transcript_report(approved, received):
-    """The moved exit codes and cells of every entry, over two transcripts of the same argv."""
+    """The moved exit codes, stderr lines and stdout cells of every entry, over two transcripts of the same argv."""
     report = []
-    for (argv, code, out), (_, new_code, new_out) in zip(approved, received):
+    for (argv, code, err, out), (_, new_code, new_err, new_out) in zip(approved, received):
         name = "qdcascade " + " ".join(argv)
         if code != new_code:
             report.append(f"{name}: exit {code} -> {new_code}")
-        report += moved_cells(name, out, new_out)
+        report += moved_cells(f"{name} (stderr)", err, new_err) + moved_cells(name, out, new_out)
     return report

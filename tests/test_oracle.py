@@ -131,9 +131,9 @@ def test_rk4_step_validation():
 
 @pytest.mark.parametrize("gamma_b, delta_t, step", [(1e300, 1e10, 1e9), (1e308, 20.0, 2.0)])
 def test_rk4_step_map_that_overflows_is_refused_without_a_warning(gamma_b, delta_t, step):
-    # h gamma_b overflows in h A itself: Populations refuses the NaN, and the
-    # suite turns any RuntimeWarning on the way into a failure
-    with pytest.raises(ValueError, match=r"p_b outside \[0, 1\]: nan"):
+    # h gamma_b overflows in h A itself: Populations refuses the NaN, the error
+    # names the step, and the suite turns any RuntimeWarning on the way into a failure
+    with pytest.raises(ValueError, match=rf"^step must be stable for RK4, got {step!r}: p_b outside \[0, 1\]: nan$"):
         oracle.rate_equation_populations(DecayParams(gamma_b, 1.0, delta_t), step)
 
 
