@@ -31,7 +31,6 @@ DEFAULT_DT = math.log(2.0) / 2.0  # alpha^2 = 1/2 for the default ratio-2 rates
 RK4_MAX_DEVIATION = 1e-6
 MC_MAX_ZSCORE = 5.0
 COARSE_SCAN_POINTS = 64
-REFINE_POINTS = 16
 REFINE_TOL_FRACTION = 1e-6
 
 EXIT_OK = 0
@@ -189,57 +188,30 @@ def optimize_delay(
 ) -> tuple[float, float]:
     """Locate the delay maximizing the secret rate inside ``bracket``, two ``DecayParams`` delays.
 
-    Each round evaluates one grid and narrows to the two cells around its
-    best point: a 64-point first grid guards against non-unimodal
-    objectives, then 16-point grids refine until the spacing is at most 1e-6
-    of the bracket width, or a round no longer narrows the interval. Returns
+    Each round evaluates one 64-point grid in one branch state and narrows
+    to the two cells around its best point; the first grid, over the whole
+    bracket, guards against non-unimodal objectives. The rounds stop once
+    the spacing is at most 1e-6 of the bracket width, or a round no longer
+    narrows the interval, so an interior optimum takes four rounds. Returns
     the best evaluated grid point and its rate, so an optimum at the edge
     comes back as exactly ``lo`` or ``hi``.
-
-    A refinement round whose spacing does not stop the search is evaluated
-    in one branch state together with a guess at the next round's grid. The
-    guess takes the argmax the round before predicts: the vertex of the
-    parabola through its best point and that point's two neighbours, or the
-    best point itself at a grid edge or where the three are not concave
-    (successive parabolic interpolation; Brent, 1973, ch. 5). Around the
-    point of this round's grid nearest to it lies the guessed bracket. The
-    next round takes the grid and values evaluated ahead only if its bracket
-    equals the guessed one exactly, since its grid depends on nothing else;
-    otherwise it is evaluated as usual. A row's rate does not depend on the
-    stack it is evaluated in, so the result is the same, bit for bit, as
-    that of evaluating each round alone.
     """
     lo, hi = bracket
     _check_bracket(gamma_b, gamma_x, lo, hi)
     tol = REFINE_TOL_FRACTION * (hi - lo)
-    a, b, points = lo, hi, COARSE_SCAN_POINTS
+    a, b = lo, hi
     best_dt, best_cmi = lo, -math.inf
-    guess, ahead = None, {}  # this round's predicted argmax; the next round's grid and values, by bracket
     while True:
-        if (a, b) in ahead:
-            xs, cmi = ahead[a, b]
-        else:
-            xs, guessed = _delay_grid(a, b, points), ()  # no guess on the first round, nor on the last
-            if guess is not None and (b - a) / (points - 1) > tol:
-                j = int(np.abs(xs - guess).argmin())
-                guessed = float(xs[max(j - 1, 0)]), float(xs[min(j + 1, points - 1)])
-            ahead_xs = _delay_grid(*guessed, REFINE_POINTS) if guessed else xs[:0]
-            rho = cascade.grid_amplitudes(gamma_b, gamma_x, np.concatenate([xs, ahead_xs]), dephase)
-            cmi = entanglement.conditional_mutual_information(rho, split)
-            cmi, ahead = cmi[:points], {guessed: (ahead_xs, cmi[points:])}
+        xs = _delay_grid(a, b, COARSE_SCAN_POINTS)
+        rho = cascade.grid_amplitudes(gamma_b, gamma_x, xs, dephase)
+        cmi = entanglement.conditional_mutual_information(rho, split)
         k = int(cmi.argmax())
         if cmi[k] > best_cmi:
             best_dt, best_cmi = float(xs[k]), float(cmi[k])
-        next_a, next_b = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, points - 1)])
-        if (b - a) / (points - 1) <= tol or not next_b - next_a < b - a:
+        next_a, next_b = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, COARSE_SCAN_POINTS - 1)])
+        if (b - a) / (COARSE_SCAN_POINTS - 1) <= tol or not next_b - next_a < b - a:
             return best_dt, best_cmi
-        # the vertex of the parabola through the best point and its neighbours, where they are concave
-        guess = float(xs[k])
-        if 0 < k < points - 1:
-            (x0, _, x2), (f0, f1, f2) = xs[k - 1:k + 2].tolist(), cmi[k - 1:k + 2].tolist()
-            if (curvature := 2.0 * f1 - f0 - f2) > 0.0:
-                guess += (x2 - x0) / 4.0 * (f2 - f0) / curvature
-        a, b, points = next_a, next_b, REFINE_POINTS
+        a, b = next_a, next_b
 
 
 def fig3_table() -> tuple[list[str], list[list[float]]]:

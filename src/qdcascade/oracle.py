@@ -83,6 +83,11 @@ def rate_equation_populations(p: DecayParams, step: float) -> Populations:
     """Integrate dP_B/dt = -gamma_b P_B, dP_X/dt = gamma_b P_B - gamma_x P_X
     from (1, 0, 0) to t = delta_t with n = ceil(delta_t / step) classical RK4
     steps, taken at once as the n-th power of the one-step map."""
+    # RK4's real stability interval ends at -2.785, so no step above 2.78 / rate
+    # is stable: where dt over that step is not finite, no finite count of stable steps spans dt
+    rate = max(p.gamma_b, p.gamma_x)
+    if not math.isfinite(p.delta_t / (2.78 / rate)):
+        raise ValueError(f"dt * max(gamma_b, gamma_x) / 2.78 must be finite, got {p.delta_t} * {rate} / 2.78")
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
     if p.delta_t == 0.0:

@@ -4,9 +4,8 @@ branch populations and the eigenvalues of a 2x2 Hermitian block in
 high-precision decimal arithmetic, dense dephasing, classical RK4 on the
 rate equations one step at a time, the trajectory sampler's tally with each
 waiting time as a quotient, the two-pulse protocol step by step (early
-window, pulse, late cascade), which must reproduce ``cascade.final_state``,
-and the delay search with each grid round evaluated alone; and the 50
-Alice/Eve splits the tests range over."""
+window, pulse, late cascade), which must reproduce ``cascade.final_state``;
+and the 50 Alice/Eve splits the tests range over."""
 
 import decimal
 import itertools
@@ -15,7 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-from qdcascade import cascade, cli, entanglement
 from qdcascade.cascade import ModeLabel
 from qdcascade.entanglement import EveSplit
 
@@ -124,30 +122,6 @@ def divide_tally(p, trials: int, seed: int) -> tuple[int, int]:
         survived += int(np.count_nonzero(t_b >= p.delta_t))
         late += int(np.count_nonzero(t_b + t_x >= p.delta_t))
     return survived, late
-
-
-def refine_plain(gamma_b: float, gamma_x: float, split, bracket: tuple[float, float],
-                 dephase: float = 1.0) -> tuple[float, float]:
-    """(dt_star, cmi_star) of ``cli.optimize_delay``'s rounds, each round's
-    grid evaluated alone, in its own branch state, and no round evaluated
-    ahead: a 64-point grid over ``bracket``, then 16-point grids over the two
-    cells around each round's best point, until the spacing is at most 1e-6
-    of the bracket width or a round no longer narrows the interval."""
-    lo, hi = bracket
-    tol = cli.REFINE_TOL_FRACTION * (hi - lo)
-    a, b, points = lo, hi, cli.COARSE_SCAN_POINTS
-    best_dt, best_cmi = lo, -math.inf
-    while True:
-        xs = cli._delay_grid(a, b, points)
-        rho = cascade.grid_amplitudes(gamma_b, gamma_x, xs, dephase)
-        cmi = entanglement.conditional_mutual_information(rho, split)
-        k = int(cmi.argmax())
-        if cmi[k] > best_cmi:
-            best_dt, best_cmi = float(xs[k]), float(cmi[k])
-        next_a, next_b = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, points - 1)])
-        if (b - a) / (points - 1) <= tol or not next_b - next_a < b - a:
-            return best_dt, best_cmi
-        a, b, points = next_a, next_b, cli.REFINE_POINTS
 
 
 def dephase(rho, d: float) -> np.ndarray:

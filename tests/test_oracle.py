@@ -131,10 +131,17 @@ def test_rk4_step_validation():
 
 @pytest.mark.parametrize("gamma_b, delta_t, step", [(1e300, 1e10, 1e9), (1e308, 20.0, 2.0)])
 def test_rk4_step_map_that_overflows_is_refused_without_a_warning(gamma_b, delta_t, step):
-    # h gamma_b overflows in h A itself: Populations refuses the NaN, the error
-    # names the step, and the suite turns any RuntimeWarning on the way into a failure
-    with pytest.raises(ValueError, match=rf"^step must be stable for RK4, got {step!r}: p_b outside \[0, 1\]: nan$"):
+    # no stable step spans delta_t in a finite count: refused on the rates and
+    # dt before any step rule, whatever the step
+    with pytest.raises(ValueError) as exc:
         oracle.rate_equation_populations(DecayParams(gamma_b, 1.0, delta_t), step)
+    assert str(exc.value) == f"dt * max(gamma_b, gamma_x) / 2.78 must be finite, got {delta_t!r} * {gamma_b!r} / 2.78"
+    # a hundredth of dt has a finite count, and h gamma_b overflows in the step
+    # map: Populations refuses the NaN, the error names the step, and the suite
+    # turns any RuntimeWarning on the way into a failure
+    step /= 100.0
+    with pytest.raises(ValueError, match=rf"^step must be stable for RK4, got {step!r}: p_b outside \[0, 1\]: nan$"):
+        oracle.rate_equation_populations(DecayParams(gamma_b, 1.0, delta_t / 100.0), step)
 
 
 def test_populations_validation():
