@@ -248,7 +248,7 @@ def validate_oracles(params: DecayParams, trials: int, seed: int, step: float = 
         + (" (ok)" if passed else f" (FAIL, limit {RK4_MAX_DEVIATION:.0e})"),
         f"trajectory support {counts.support()} (ok)",
     ]
-    for pattern, n, prob in zip(oracle.IDEAL_PATTERNS, counts.counts, expected):
+    for pattern, n, prob in zip(cascade.BRANCH_KETS, counts.counts, expected):
         spread = math.sqrt(trials * prob * (1.0 - prob))
         if spread == 0.0:
             z = 0.0 if n == round(trials * prob) else math.inf

@@ -30,16 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import DecayParams, _int_text
+from .cascade import BRANCH_KETS, DecayParams, _int_text
 
 POPULATION_SUM_ATOL = 1e-9
 TRIALS_PER_BLOCK = 1 << 16
-MAX_TRIALS = 10**10  # about two minutes of one worker's blocks
-
-PATTERN_SURVIVED = 0b0000   # swapped B -> g at the pulse, no photons at all
-PATTERN_SPLIT = 0b1001      # early B photon, late X photon
-PATTERN_FULL_EARLY = 0b1111 # full early cascade, re-excited, full late cascade
-IDEAL_PATTERNS = (PATTERN_SURVIVED, PATTERN_SPLIT, PATTERN_FULL_EARLY)
+MAX_TRIALS = 10**10  # about two minutes of one worker's blocks, the CLI's case
 
 
 @dataclass(frozen=True)
@@ -61,12 +56,12 @@ class Populations:
 
 @dataclass(frozen=True)
 class PatternCounts:
-    """Tallies of the three branches in ``IDEAL_PATTERNS`` order, none negative; the trials are their sum."""
+    """Tallies of the three branches in ``BRANCH_KETS`` order, none negative; the trials are their sum."""
 
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.counts) != len(IDEAL_PATTERNS):
+        if len(self.counts) != len(BRANCH_KETS):
             raise ValueError("need one counter per branch pattern")
         if min(self.counts) < 0:
             raise ValueError(f"pattern counts must be non-negative, got {min(self.counts)}")
@@ -76,7 +71,7 @@ class PatternCounts:
         return sum(self.counts)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(pattern for pattern, n in zip(IDEAL_PATTERNS, self.counts) if n > 0)
+        return tuple(pattern for pattern, n in zip(BRANCH_KETS, self.counts) if n > 0)
 
 
 def rate_equation_populations(p: DecayParams, step: float) -> Populations:
@@ -152,32 +147,19 @@ def _tally_blocks(p: DecayParams, trials: int, seed: int, first: int, stride: in
     return survived, late
 
 
-def _worker_count(workers: int | None, n_blocks: int) -> int:
-    """``workers``, else ``CASCADE_THREADS`` (default 1), capped at ``n_blocks``
-    and at the CPUs this process may run on."""
-    if workers is None:
-        text = os.environ.get("CASCADE_THREADS", "1") or "1"
-        try:
-            workers = int(text)
-        except ValueError:
-            raise ValueError(f"CASCADE_THREADS must be an integer, got {text!r}") from None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(workers, n_blocks, cpus))
-
-
-def monte_carlo_patterns(
-    p: DecayParams, trials: int, seed: int, workers: int | None = None
-) -> PatternCounts:
+def monte_carlo_patterns(p: DecayParams, trials: int, seed: int, workers: int = 1) -> PatternCounts:
     """Sample the two-pulse protocol ``trials`` times and tally its three branches.
 
     The trials are split into fixed-size blocks, each with its own derived
     stream, so the result is a function of (params, trials, seed) only --
-    bit-identical for any worker count.
+    bit-identical for any worker count. ``workers`` is capped at the number
+    of blocks and at the CPUs this process may run on.
 
-    The pulse at delta_t dumps a trajectory still in B to g (SURVIVED), lets
-    one in X emit its photon late (SPLIT) and re-excites one in g for a full
-    late cascade (FULL_EARLY); as t_x >= 0, survivors are late too, so SPLIT
-    is late - survived.
+    The pulse at delta_t dumps a trajectory still in B to g, with no photon
+    at all (survived, 0000); lets one in X emit its photon late after the
+    early B photon (split, 1001); and re-excites one in g, after its full
+    early cascade, for a full late cascade (full early, 1111). As t_x >= 0,
+    survivors are late too, so split is late - survived.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {_int_text(trials)}")
@@ -185,7 +167,8 @@ def monte_carlo_patterns(
         raise ValueError(f"trials must be at most {MAX_TRIALS}, got {_int_text(trials)}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {_int_text(seed)}")
-    workers = _worker_count(workers, math.ceil(trials / TRIALS_PER_BLOCK))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(workers, math.ceil(trials / TRIALS_PER_BLOCK), cpus))
     if workers == 1:
         tallies = [_tally_blocks(p, trials, seed, 0, 1)]
     else:

@@ -111,7 +111,7 @@ def test_criterion_03_trajectory_oracle():
     counts = oracle.monte_carlo_patterns(ANCHOR, 1_000_000, 42)
     elapsed = time.perf_counter() - start
     assert counts.support() == (0b0000, 0b1001, 0b1111)
-    for pattern, n, prob in zip(oracle.IDEAL_PATTERNS, counts.counts, (a.alpha2, a.beta2, a.gamma2)):
+    for pattern, n, prob in zip(cascade.BRANCH_KETS, counts.counts, (a.alpha2, a.beta2, a.gamma2)):
         z = (n - counts.trials * prob) / math.sqrt(counts.trials * prob * (1.0 - prob))
         assert abs(z) <= 4.0, f"pattern {pattern:04b}: z = {z:.2f}"
     assert counts == oracle.monte_carlo_patterns(ANCHOR, 1_000_000, 42, workers=4)

@@ -364,6 +364,8 @@ def test_sweep_spec_validation_names_fields():
         SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=-1.0, dt_max=1.0, points=3)
     with pytest.raises(ValueError, match="dt_min"):
         SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.0, dt_max=1.0, points=3, scale="log")
+    with pytest.raises(ValueError, match="scale: must be 'linear' or 'log'"):
+        SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=0.1, dt_max=1.0, points=3, scale="cubic")
     with pytest.raises(ValueError, match="dt_min"):
         SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=2.0, dt_max=1.0, points=3)
     with pytest.raises(ValueError, match="channel id"):

@@ -293,6 +293,19 @@ def test_cmi_with_empty_eve_reduces_to_mi():
         assert abs(cmi - mi) < 1e-10
 
 
+def test_rates_from_a_table_refuse_a_value_far_below_zero():
+    # hand-built entropy tables: a rate past -NEGATIVE_ROUNDOFF_TOL is a fault,
+    # one within it is round-off and comes out 0.0
+    split = EveSplit({EB}, {EX})  # subsets (15, 8, 4, 12, 7)
+    with pytest.raises(ArithmeticError, match="conditional mutual information came out -5.000e-01, far below zero"):
+        entanglement.cmi_from_table({15: 0.0, 8: 1.0, 4: 1.0, 12: 0.0, 7: 0.5}, split)
+    assert entanglement.cmi_from_table({15: 1e-10, 8: 1.0, 4: 1.0, 12: 0.0, 7: 1.0}, split) == 0.0
+    ch = entanglement.channel_by_id(1)  # subsets (15, 8, 7)
+    with pytest.raises(ArithmeticError, match="mutual information came out -1.000e\\+00, far below zero"):
+        entanglement.mi_from_table({15: 2.0, 8: 0.5, 7: 0.5}, ch)
+    assert entanglement.mi_from_table({15: 1.0 + 1e-10, 8: 0.5, 7: 0.5}, ch) == 0.0
+
+
 def test_cmi_rejects_invalid_splits():
     with pytest.raises(ValueError, match="overlapping subsets in the Alice/Bob/Eve split"):
         EveSplit(alice=frozenset({EB}), eve=frozenset({EB, LX}))
@@ -385,12 +398,11 @@ def test_dephased_stack_matches_single_matrices_bitwise():
 @pytest.mark.parametrize("d", [0.0, 0.37, 1.0])
 @pytest.mark.parametrize("points", [1, 16, 64])
 def test_a_grid_rates_alike_alone_and_in_a_larger_stack(points, d):
-    # cli.optimize_delay evaluates a round's grid in one branch state with a
-    # guess at the next round's: a row's CMI must not depend on the rows
-    # stacked with it. Each amplitude is elementwise, each 3x3 eigensolve
-    # stands alone and each column of the 0/1 population sum adds at most
-    # two nonzero populations, except the mask-0 column of an empty Eve,
-    # which adds three
+    # sweep, figure and optimize-dt rows are evaluated in stacks of different
+    # sizes: a row's CMI must not depend on the rows stacked with it. Each
+    # amplitude is elementwise, each 3x3 eigensolve stands alone and each
+    # column of the 0/1 population sum adds at most two nonzero populations,
+    # except the mask-0 column of an empty Eve, which adds three
     grid = np.linspace(0.05, 2.0, points) if points > 1 else np.array([0.3])
     other = np.linspace(0.25, 0.4, 16)
     for split in oracle_math.ALL_SPLITS:
@@ -473,11 +485,6 @@ def test_pure_and_dephasing_invariants_on_drawn_stacks(gb, gx, dts, d, lower):
 # the entropy table
 # --------------------------------------------------------------------------
 
-def kept_modes(mask):
-    """Modes of a 4-bit mask, early-B the most significant bit."""
-    return [m for m in ModeLabel if mask >> (3 - m) & 1]
-
-
 def assert_same_table(got, want):
     assert list(got) == list(want)
     for mask in want:
@@ -489,7 +496,7 @@ def test_mode_mask_bit_order():
     assert entanglement.mode_mask({EB}) == 0b1000
     assert entanglement.mode_mask({EB, LX}) == 0b1001  # the ket |1001> of beta
     assert entanglement.mode_mask(ModeLabel) == 0b1111
-    assert all(entanglement.mode_mask(kept_modes(mask)) == mask for mask in range(16))
+    assert all(entanglement.mode_mask(mask_modes(mask)) == mask for mask in range(16))
 
 
 @property_settings
@@ -503,7 +510,7 @@ def test_subset_entropies_equal_each_reduced_entropy(gb, dts, d, seed):
     table = entanglement.subset_entropies(stack, range(16))
     assert sorted(table) == list(range(16))
     for mask, entropy in table.items():
-        expected = qmath.vn_entropy(qmath.partial_trace(stack, FOUR_MODE_DIMS, kept_modes(mask)))
+        expected = qmath.vn_entropy(qmath.partial_trace(stack, FOUR_MODE_DIMS, mask_modes(mask)))
         assert entropy.tobytes() == expected.tobytes(), mask
 
 

@@ -12,16 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdcascade import cascade, cli, oracle
-from qdcascade.cascade import DecayParams
-from qdcascade.oracle import (
-    IDEAL_PATTERNS,
-    PATTERN_FULL_EARLY,
-    PATTERN_SPLIT,
-    PATTERN_SURVIVED,
-    TRIALS_PER_BLOCK,
-    PatternCounts,
-    Populations,
-)
+from qdcascade.cascade import BRANCH_KETS, DecayParams
+from qdcascade.oracle import TRIALS_PER_BLOCK, PatternCounts, Populations
 
 import oracle_math
 
@@ -30,7 +22,7 @@ LN2 = math.log(2.0)
 
 def z_scores(counts, probs):
     out = []
-    for pattern, n, p in zip(IDEAL_PATTERNS, counts.counts, probs):
+    for pattern, n, p in zip(BRANCH_KETS, counts.counts, probs):
         out.append((n - counts.trials * p) / math.sqrt(counts.trials * p * (1.0 - p)))
     return out
 
@@ -160,7 +152,7 @@ def test_populations_validation():
 
 def test_mc_support_is_the_three_branches():
     counts = oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, LN2 / 2), 200_000, 7)
-    assert set(counts.support()) <= {PATTERN_SURVIVED, PATTERN_SPLIT, PATTERN_FULL_EARLY}
+    assert set(counts.support()) <= {0b0000, 0b1001, 0b1111}
     assert counts.trials == 200_000
 
 
@@ -168,11 +160,10 @@ def test_mc_zero_delay_all_trajectories_terminated_by_pulse():
     # at dt = 0 the pulse hits the freshly excited emitter and dumps it to
     # the ground state before anything is emitted
     counts = oracle.monte_carlo_patterns(DecayParams(2.0, 1.0, 0.0), 100_000, 3)
-    assert counts.support() == (PATTERN_SURVIVED,)
-    assert set(counts.support()) <= set(IDEAL_PATTERNS)
+    assert counts.support() == (0b0000,)
 
 
-# 1e6 trials, seed 42, per gamma_b, in IDEAL_PATTERNS order; recorded from
+# 1e6 trials, seed 42, per gamma_b, in BRANCH_KETS order; recorded from
 # the sampler whose block k draws from SFC64 on SeedSequence(42, spawn_key=(k,))
 PINNED_COUNTS = {
     2.0: (500109, 414106, 85785),
@@ -248,7 +239,7 @@ def test_mc_z_scores_over_many_seeds_are_standard_normal():
         z_scores(oracle.monte_carlo_patterns(params, TRIALS_PER_BLOCK, seed), (a.alpha2, a.beta2, a.gamma2))
         for seed in range(64)
     ]
-    for pattern, zs in zip(IDEAL_PATTERNS, zip(*per_seed)):
+    for pattern, zs in zip(BRANCH_KETS, zip(*per_seed)):
         assert abs(statistics.fmean(zs)) < 0.5, pattern
         assert 0.64 < statistics.stdev(zs) < 1.36, pattern
 
@@ -284,17 +275,19 @@ def test_mc_seed_reproducibility():
     assert different != first
 
 
-def test_mc_worker_count_invariance():
-    params = DecayParams(2.0, 1.0, LN2 / 2)
-    serial = oracle.monte_carlo_patterns(params, 500_000, 99, workers=1)
-    threaded = oracle.monte_carlo_patterns(params, 500_000, 99, workers=4)
-    assert serial == threaded
-    os.environ["CASCADE_THREADS"] = "3"
-    try:
-        from_env = oracle.monte_carlo_patterns(params, 500_000, 99)
-    finally:
-        del os.environ["CASCADE_THREADS"]
-    assert from_env == serial
+# the three `validate` cases that leave all three branches, only 0000 (dt 0)
+# and only 1111 (dt 50), at seed 42
+@pytest.mark.parametrize(
+    "delta_t,trials,support",
+    [(cli.DEFAULT_DT, 1_000_000, BRANCH_KETS), (0.0, 200_000, (0b0000,)), (50.0, 200_000, (0b1111,))],
+    ids=["default", "dt0", "dt50"],
+)
+def test_mc_worker_count_invariance(delta_t, trials, support):
+    params = DecayParams(cli.DEFAULT_RATIO * cli.DEFAULT_GAMMA_X, cli.DEFAULT_GAMMA_X, delta_t)
+    serial = oracle.monte_carlo_patterns(params, trials, 42)
+    assert serial.support() == support
+    for workers in (1, 2, 4):
+        assert oracle.monte_carlo_patterns(params, trials, 42, workers) == serial, workers
 
 
 class RecordingPool:
@@ -321,22 +314,10 @@ def test_mc_thread_pool_capped_at_cpus_and_blocks(monkeypatch, cpus, blocks, poo
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setenv("CASCADE_THREADS", "100000")
-    assert oracle._worker_count(None, blocks) == pool_size
-    assert oracle._worker_count(100_000, blocks) == pool_size
     params = DecayParams(2.0, 1.0, LN2 / 2)
-    counts = oracle.monte_carlo_patterns(params, blocks * TRIALS_PER_BLOCK, 5)
+    counts = oracle.monte_carlo_patterns(params, blocks * TRIALS_PER_BLOCK, 5, workers=100_000)
     assert RecordingPool.sizes == [pool_size]
     assert counts == oracle.monte_carlo_patterns(params, blocks * TRIALS_PER_BLOCK, 5, workers=1)
-
-
-def test_mc_rejects_a_non_integer_thread_count(monkeypatch, capsys):
-    monkeypatch.setenv("CASCADE_THREADS", "two")
-    with pytest.raises(ValueError, match="CASCADE_THREADS"):
-        oracle._worker_count(None, 4)
-    assert cli.main(["validate", "--trials", "10"]) == cli.EXIT_BAD_ARGUMENTS
-    captured = capsys.readouterr()
-    assert "CASCADE_THREADS" in captured.err and captured.out == ""
 
 
 def test_mc_rejects_zero_trials():
@@ -357,7 +338,6 @@ def test_mc_refuses_trials_above_the_bound_before_any_block(monkeypatch):
 def test_validate_fails_tallies_in_the_wrong_places(monkeypatch):
     # validate pairs the tallies with (alpha^2, beta^2, gamma^2) by position;
     # a sampler that put them in the wrong places must fail the z-scores
-    assert IDEAL_PATTERNS == cascade.BRANCH_KETS
     sample = oracle.monte_carlo_patterns
     monkeypatch.setattr(oracle, "monte_carlo_patterns", lambda *args: PatternCounts(sample(*args).counts[::-1]))
     lines, passed = cli.validate_oracles(DecayParams(2.0, 1.0, LN2 / 2), 200_000, 42)
@@ -371,7 +351,7 @@ def test_pattern_counts_validation():
     for wrong_length in ((1,) * 16, (1, 1)):
         with pytest.raises(ValueError, match="need one counter per branch pattern"):
             PatternCounts(counts=wrong_length)
-    # a tally fault with late < survived makes SPLIT negative; the trials
+    # a tally fault with late < survived makes split negative; the trials
     # would still come out right and support() would hide the entry
     with pytest.raises(ValueError, match="pattern counts must be non-negative, got -5"):
         PatternCounts(counts=(8, -5, 7))

@@ -154,10 +154,14 @@ def test_partial_trace_preserves_trace_and_positivity():
 
 def test_partial_trace_rejects_bad_inputs():
     rho = np.eye(4, dtype=complex) / 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="keep index 2 out of range for 2 subsystems"):
         qmath.partial_trace(rho, (2, 2), (2,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"subsystem dimensions \(2, 3\) do not multiply to the ambient dimension 4"):
         qmath.partial_trace(rho, (2, 3), (0,))
+    with pytest.raises(ValueError, match=r"subsystem dimensions must be positive, got \(0, 4\)"):
+        qmath.partial_trace(rho, (0, 4), (0,))
+    with pytest.raises(ValueError, match=r"duplicate keep index in \(0, 0\)"):
+        qmath.partial_trace(rho, (2, 2), (0, 0))
 
 
 # --------------------------------------------------------------------------
@@ -303,6 +307,9 @@ def test_vn_entropy_rejects_bad_spectrum():
     rho = np.diag([1.0 + 5e-8, -5e-8]).astype(complex)
     with pytest.raises(ValueError):
         qmath.vn_entropy(rho)
+    # a non-square matrix has no spectrum at all
+    with pytest.raises(ValueError, match=r"expected a nonempty square matrix or stack of them, got shape \(2, 3\)"):
+        qmath.vn_entropy(np.zeros((2, 3)))
 
 
 def test_vn_entropy_invariant_under_conjugation():
