@@ -503,7 +503,8 @@ def _has_json_type(value, flag: Mapping) -> bool:
 def _config_values(path: str, command: str, flags: Mapping[str, Mapping]) -> dict:
     """The JSON object in the file ``path`` as values of ``flags``, the flags
     of ``command`` by dest. Each key names one of them but ``config`` (``-``
-    or ``_``), and each value has the flag's JSON type and lies within its choices."""
+    or ``_``), at most one of ``gamma_b`` and ``ratio`` is set, and each value
+    has the flag's JSON type and lies within its choices."""
     import json
 
     with open(path) as fh:
@@ -519,6 +520,8 @@ def _config_values(path: str, command: str, flags: Mapping[str, Mapping]) -> dic
         raise ValueError(f"unknown config keys for {command}: {unknown}")
     if "config" in config:  # only the command line's --config is read, and it wins the merge
         raise ValueError(f"config file {path} cannot name another config file")
+    if "gamma_b" in config and "ratio" in config:
+        raise ValueError(f"config file {path} sets both gamma-b and ratio")
     for key, value in config.items():
         flag = flags[key]
         if not _has_json_type(value, flag):
@@ -540,6 +543,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # each flag's value: the table's default, then the --config file's, then the command line's;
         # --config= and --config=-- (refused below) read no file
         config = _config_values(given["config"], given["command"], flags) if given.get("config") else {}
+        if "gamma_b" in given or "ratio" in given:  # a rate on the command line replaces both of the file's
+            config = {key: value for key, value in config.items() if key not in ("gamma_b", "ratio")}
         for key, flag in flags.items():
             # argparse drops the -- of --flag=-- and stores an empty list, to which it applies no type
             if key in given and not _has_json_type(given[key], flag):

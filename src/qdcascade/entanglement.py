@@ -30,9 +30,10 @@ spectrum leads the reduced ones in one stack, which takes one check against
 ``qmath``'s eigenvalue floor and one Shannon sum.
 
 A channel's partial transpose, which ``negativity`` takes, is a fixed
-permutation of a 16x16 matrix's 256 entries: it is derived from
-``qmath.partial_transpose`` once per channel side, cached, and applied as
-one ``take``.
+permutation of a 16x16 matrix's 256 entries: entry (i, j) takes entry
+(i ^ x, j ^ x), where x = (i ^ j) & ``mode_mask(p1)`` swaps the bits of the
+row and column indices on the modes of p1. It is built once per channel
+side, cached, and applied as one ``take``.
 """
 
 from __future__ import annotations
@@ -293,17 +294,18 @@ def conditional_mutual_information(rho, split: EveSplit) -> float | np.ndarray:
 @functools.cache  # one entry per subset of the four modes, at most 16
 def _transpose_index(p1: frozenset[ModeLabel]) -> np.ndarray:
     """The partial transpose over the modes ``p1`` as a read-only
-    permutation of the 256 entries of a flattened 16x16 matrix:
-    ``qmath.partial_transpose`` applied to the entries' own indices."""
-    entries = np.arange(256).reshape(16, 16)
-    index = qmath.partial_transpose(entries, FOUR_MODE_DIMS, p1).real.astype(np.intp).reshape(256)
+    permutation of the 256 entries of a flattened 16x16 matrix: entry
+    (i, j) takes entry (i ^ x, j ^ x), x = (i ^ j) & ``mode_mask(p1)``."""
+    i, j = np.divmod(np.arange(256, dtype=np.intp), 16)
+    x = (i ^ j) & mode_mask(p1)
+    index = (i ^ x) * 16 + (j ^ x)
     index.flags.writeable = False
     return index
 
 
 def _partial_transpose(m: np.ndarray, p1: frozenset[ModeLabel]) -> np.ndarray:
-    """``qmath.partial_transpose(m, FOUR_MODE_DIMS, p1)`` of a 16x16 matrix
-    or stack, bit for bit, as one ``take`` of the cached permutation."""
+    """The partial transpose over the modes ``p1`` of a 16x16 matrix or
+    stack, as one ``take`` of the cached permutation."""
     return m.reshape(m.shape[:-2] + (256,)).take(_transpose_index(p1), axis=-1).reshape(m.shape)
 
 

@@ -78,13 +78,13 @@ def _check_shape(dims: Sequence[int], ambient: int) -> tuple[int, ...]:
     return dims
 
 
-def _check_subset(indices: Iterable[int], nsub: int, what: str) -> tuple[int, ...]:
+def _check_subset(indices: Iterable[int], nsub: int) -> tuple[int, ...]:
     idx = tuple(int(i) for i in indices)
     for i in idx:
         if i < 0 or i >= nsub:
-            raise ValueError(f"{what} index {i} out of range for {nsub} subsystems")
+            raise ValueError(f"keep index {i} out of range for {nsub} subsystems")
     if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate {what} index in {idx}")
+        raise ValueError(f"duplicate keep index in {idx}")
     return tuple(sorted(idx))
 
 
@@ -96,7 +96,7 @@ def partial_trace(rho, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """
     m = _as_square(rho)
     dims = _check_shape(dims, m.shape[-1])
-    keep = _check_subset(keep, len(dims), "keep")
+    keep = _check_subset(keep, len(dims))
     lead = m.shape[:-2]
     tensor = m.reshape(lead + dims + dims)
     remaining = list(dims)
@@ -105,18 +105,6 @@ def partial_trace(rho, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
         del remaining[ax]
     d = math.prod(remaining)
     return tensor.reshape(lead + (d, d))
-
-
-def partial_transpose(rho, dims: Sequence[int], subset: Iterable[int]) -> np.ndarray:
-    """Transpose the listed tensor factors, leaving the rest untouched."""
-    m = _as_square(rho)
-    dims = _check_shape(dims, m.shape[-1])
-    subset = _check_subset(subset, len(dims), "transpose")
-    lead, n = m.ndim - 2, len(dims)
-    axes = list(range(lead + 2 * n))
-    for i in subset:
-        axes[lead + i], axes[lead + i + n] = axes[lead + i + n], axes[lead + i]
-    return m.reshape(m.shape[:-2] + dims + dims).transpose(axes).reshape(m.shape)
 
 
 def eig_hermitian(h) -> np.ndarray:

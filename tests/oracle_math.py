@@ -1,5 +1,6 @@
 """Reference implementations the tests compare the package against:
-Kronecker products, Shannon entropies of explicit probability vectors, the
+Kronecker products, the general partial transpose of a tensor product,
+Shannon entropies of explicit probability vectors, the
 branch populations and the eigenvalues of a 2x2 Hermitian block in
 high-precision decimal arithmetic, dense dephasing, classical RK4 on the
 rate equations one step at a time, the trajectory sampler's tally with each
@@ -10,7 +11,7 @@ and the 50 Alice/Eve splits the tests range over."""
 import decimal
 import itertools
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +31,18 @@ ALL_SPLITS = [
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices."""
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+
+
+def partial_transpose(rho, dims: Sequence[int], subset: Iterable[int]) -> np.ndarray:
+    """Transpose the listed tensor factors of a matrix or stack over the
+    factors ``dims``, leaving the rest untouched, by swapping each listed
+    factor's row and column axes."""
+    m = np.asarray(rho)
+    lead, n = m.ndim - 2, len(dims)
+    axes = list(range(lead + 2 * n))
+    for i in subset:
+        axes[lead + i], axes[lead + i + n] = axes[lead + i + n], axes[lead + i]
+    return m.reshape(m.shape[:-2] + tuple(dims) * 2).transpose(axes).reshape(m.shape)
 
 
 def binary_entropy(p: float) -> float:

@@ -17,6 +17,7 @@ from qdcascade.entanglement import EveSplit
 
 import oracle_math
 from approved import GOLDEN_DIR, moved_cells
+from test_entanglement import final_density
 
 LN2 = math.log(2.0)
 EB, EX, LB, LX = ModeLabel
@@ -40,10 +41,6 @@ def criterion(number, name):
         return wrapper
 
     return decorate
-
-
-def final_density(params):
-    return qmath.density_from_state(cascade.final_state(params))
 
 
 def protected_rate(alpha2, beta2, gamma2):

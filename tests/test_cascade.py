@@ -171,50 +171,46 @@ def test_an_empty_grid_is_a_branch_state():
 # early state and second pulse
 # --------------------------------------------------------------------------
 
-def _early_basis_index(level, n_b, n_x):
-    return level * 4 + n_b * 2 + n_x
-
-
 def test_early_state_zero_delay_is_biexciton_vacuum():
     v = oracle_math.early_state(DecayParams(2.0, 1.0, 0.0))
     expected = np.zeros(12, dtype=complex)
-    expected[_early_basis_index(2, 0, 0)] = 1.0
+    expected[oracle_math.early_index(2, 0, 0)] = 1.0
     np.testing.assert_array_equal(v, expected)
 
 
 def test_early_state_full_decay_limit():
     v = oracle_math.early_state(DecayParams(2.0, 1.0, 25.0))  # gamma_b dt = 50
-    assert abs(v[_early_basis_index(0, 1, 1)]) >= 1.0 - 1e-10
+    assert abs(v[oracle_math.early_index(0, 1, 1)]) >= 1.0 - 1e-10
 
 
 def test_early_state_at_working_point():
     v = oracle_math.early_state(POINT)
-    assert abs(v[_early_basis_index(2, 0, 0)] - 0.707107) < 1e-6
-    assert abs(v[_early_basis_index(1, 1, 0)] - 0.643594) < 1e-6
-    assert abs(v[_early_basis_index(0, 1, 1)] - 0.292893) < 1e-6
+    assert abs(v[oracle_math.early_index(2, 0, 0)] - 0.707107) < 1e-6
+    assert abs(v[oracle_math.early_index(1, 1, 0)] - 0.643594) < 1e-6
+    assert abs(v[oracle_math.early_index(0, 1, 1)] - 0.292893) < 1e-6
     assert np.count_nonzero(v) == 3
 
 
 def test_second_pulse_swaps_ground_and_biexciton():
     g00 = np.zeros(12, dtype=complex)
-    g00[_early_basis_index(0, 0, 0)] = 1.0
+    g00[oracle_math.early_index(0, 0, 0)] = 1.0
     out = oracle_math.apply_second_pulse(g00)
-    assert out[_early_basis_index(2, 0, 0)] == 1.0
+    assert out[oracle_math.early_index(2, 0, 0)] == 1.0
     assert abs(np.linalg.norm(out) - 1.0) == 0.0
 
 
 def test_second_pulse_leaves_exciton_untouched():
     x10 = np.zeros(12, dtype=complex)
-    x10[_early_basis_index(1, 1, 0)] = 1.0
+    x10[oracle_math.early_index(1, 1, 0)] = 1.0
     np.testing.assert_array_equal(oracle_math.apply_second_pulse(x10), x10)
 
 
 def test_second_pulse_on_early_state():
     alpha, beta, gamma = (math.sqrt(w) for w in oracle_math.branch_populations(2.0, 1.0, LN2 / 2))
     out = oracle_math.apply_second_pulse(oracle_math.early_state(POINT))
-    assert out[_early_basis_index(0, 0, 0)] == alpha
-    assert out[_early_basis_index(1, 1, 0)] == beta
-    assert out[_early_basis_index(2, 1, 1)] == gamma
+    assert out[oracle_math.early_index(0, 0, 0)] == alpha
+    assert out[oracle_math.early_index(1, 1, 0)] == beta
+    assert out[oracle_math.early_index(2, 1, 1)] == gamma
     assert np.count_nonzero(out) == 3
 
 

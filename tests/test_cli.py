@@ -21,11 +21,11 @@ from qdcascade.entanglement import EveSplit
 import oracle_math
 from approved import GOLDEN_DIR, TRANSCRIPT, moved_cells, read_transcript, run_main, transcript_report, write_transcript
 from test_cli_contract import EDGE_NOTE, PREFIX
+from test_entanglement import GHZ_BRANCH
 
 LN2 = math.log(2.0)
 EB, EX, LB, LX = ModeLabel
 KETS = cascade.BRANCH_KETS
-GHZ_BRANCH = cascade.BranchState(cascade.ghz_state(4)[list(KETS)].real)
 
 
 def read_csv_text(text):
@@ -812,6 +812,27 @@ def test_cli_optimize_dt():
     assert abs(row["cmi_star"] - 1.9102093840436276) < 1e-6
 
 
+FIG4_FLAGS = [("eb", "ex"), ("eb", "lb"), ("eb", "lx"), ("eb,ex", "lb"), ("eb,ex", "lx")]
+
+
+@pytest.mark.parametrize("ratio,alice,eve,dephase", [
+    *[(2, alice, eve, 0.7) for alice, eve in FIG4_FLAGS],
+    (2, "eb", "ex", 0), (2, "eb", "ex", 1), (2, "eb", "", 0.7), (2, "eb", "", 0), (2, "eb,ex", "", 1),
+    # both ends of the scan's ratio range, at both ends of its dephasing range and between
+    *[(ratio, alice, eve, d) for ratio in (0.5, 4) for d in (0.6, 0.7, 1) for alice, eve in FIG4_FLAGS],
+])
+def test_cli_dephased_optimum_is_reproduced_by_the_dense_path(ratio, alice, eve, dephase):
+    # optimize-dt runs on branch states, secure-rate on 16x16 densities: at
+    # the printed optimum their secret rates agree within 1e-9
+    flags = ["--ratio", str(ratio), "--alice", alice, "--eve", eve, "--dephase", str(dephase), "--format", "json"]
+    code, _, out = run_main(["optimize-dt", *flags])
+    assert code == 0
+    star = json.loads(out)[0]
+    code, _, out = run_main(["secure-rate", "--dt", repr(star["dt_star"]), *flags])
+    assert code == 0
+    assert abs(json.loads(out)[0]["cmi"] - star["cmi_star"]) <= 1e-9
+
+
 def test_cli_validate_exit_codes():
     code, _, out = run_main(["validate", "--trials", "100000"])
     assert code == 0
@@ -888,6 +909,15 @@ def test_cli_config_file_with_flag_override(tmp_path):
     code, _, out = run_main(["amplitudes", "--config", str(config), "--gamma-b", "8.0"])
     assert code == 0
     assert abs(read_csv_text(out)[0]["alpha2"] - 0.25) < 1e-12
+    # a rate on the command line replaces both of the file's: --ratio its
+    # gamma-b, and --gamma-b its ratio
+    code, _, out = run_main(["amplitudes", "--config", str(config), "--ratio", "2"])
+    assert code == 0 and out == run_main(["amplitudes", "--ratio", "2", "--dt", repr(LN2 / 4)])[2]
+    config.write_text(json.dumps({"ratio": 3, "dt": LN2 / 4}))
+    code, _, out = run_main(["amplitudes", "--config", str(config), "--gamma-b", "2"])
+    assert code == 0 and out == run_main(["amplitudes", "--gamma-b", "2", "--dt", repr(LN2 / 4)])[2]
+    code, _, out = run_main(["amplitudes", "--config", str(config)])
+    assert code == 0 and out == run_main(["amplitudes", "--ratio", "3", "--dt", repr(LN2 / 4)])[2]
     # flags whose parser default is not None take their value from the file too
     config.write_text(json.dumps({"gamma-b": 4.0, "dt": LN2 / 4, "format": "json"}))
     code, _, out = run_main(["amplitudes", "--config", str(config)])
@@ -947,6 +977,8 @@ def test_cli_calls_in_one_process_share_no_flag_values(tmp_path):
     # only the command line's --config is read, so a config key could never take effect
     ('{"config": "x.json"}', "config file {path} cannot name another config file"),
     ('{"dt": 1, "config": 1}', "config file {path} cannot name another config file"),
+    # a rate flag on the command line replaces both, so the file sets at most one
+    ('{"gamma-b": 4, "ratio": 2}', "config file {path} sets both gamma-b and ratio"),
     ("", "config file {path} is not JSON: Expecting value: line 1 column 1 (char 0)"),
     ("{'dt': 1}", "config file {path} is not JSON: Expecting property name enclosed in double quotes: "
                   "line 1 column 2 (char 1)"),

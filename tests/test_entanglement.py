@@ -14,11 +14,13 @@ from qdcascade.cascade import FOUR_MODE_DIMS, DecayParams, ModeLabel
 from qdcascade.entanglement import Channel, EveSplit
 
 import oracle_math
+from test_qmath import random_density
 
 LN2 = math.log(2.0)
 POINT = DecayParams(2.0, 1.0, LN2 / 2)  # alpha^2 = 1/2
 EB, EX, LB, LX = ModeLabel
 GHZ_BRANCH = cascade.BranchState(cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real)
+ALL_SUBSETS = [frozenset(modes) for k in range(5) for modes in itertools.combinations(ModeLabel, k)]
 
 
 def final_density(params):
@@ -331,6 +333,43 @@ def test_three_qubit_ghz_with_uncorrelated_eve():
 
 
 # --------------------------------------------------------------------------
+# partial transpose
+# --------------------------------------------------------------------------
+
+def test_partial_transpose_product_state_stays_positive():
+    # the early pair's state times the late pair's: transposing the late
+    # modes transposes the late factor, entry for entry
+    rng = np.random.default_rng(3)
+    early, late = random_density(rng, 4), random_density(rng, 4)
+    transposed = entanglement._partial_transpose(oracle_math.kron(early, late), frozenset({LB, LX}))
+    np.testing.assert_array_equal(transposed, oracle_math.kron(early, late.T))
+    assert qmath.eig_hermitian(transposed)[0] > -1e-12
+
+
+def test_partial_transpose_bell_negative_eigenvalue():
+    # a Bell pair on eB,eX with the late modes in |00>; transposing a late
+    # mode as well leaves the spectrum as it is
+    psi = np.zeros(16, dtype=complex)
+    psi[[0b0000, 0b1100]] = 1.0 / math.sqrt(2.0)
+    rho = np.outer(psi, psi.conj())
+    for p1 in ({EB}, {EX}, {EB, LB}, {EX, LX}):
+        evals = qmath.eig_hermitian(entanglement._partial_transpose(rho, frozenset(p1)))
+        np.testing.assert_allclose(evals, [-0.5] + [0.0] * 12 + [0.5] * 3, atol=1e-13)
+
+
+def test_partial_transpose_diagonal_unchanged():
+    rho = np.diag(np.arange(1.0, 17.0) / 136.0).astype(complex)
+    for p1 in ALL_SUBSETS:
+        np.testing.assert_array_equal(entanglement._partial_transpose(rho, p1), rho)
+
+
+def test_partial_transpose_involution_is_exact():
+    rho = random_density(np.random.default_rng(17), 16)
+    for p1 in ALL_SUBSETS:
+        assert np.array_equal(entanglement._partial_transpose(entanglement._partial_transpose(rho, p1), p1), rho), p1
+
+
+# --------------------------------------------------------------------------
 # negativity
 # --------------------------------------------------------------------------
 
@@ -426,15 +465,15 @@ property_settings = settings(derandomize=True, database=None, deadline=None, max
 @given(seed=st.integers(0, 2**32 - 1), k=st.one_of(st.none(), st.integers(1, 4)))
 def test_cached_partial_transpose_is_the_general_one_bitwise(seed, k):
     # negativity transposes by a permutation cached per channel side; on a
-    # random complex matrix, or a stack of k, it must give what
-    # qmath.partial_transpose gives, bit for bit, on every channel
+    # random complex matrix, or a stack of k, it must give what the general
+    # tensor transpose gives, bit for bit, on every subset of the modes
     rng = np.random.default_rng(seed)
     shape = (16, 16) if k is None else (k, 16, 16)
     m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    for ch in entanglement.enumerate_channels():
-        got = entanglement._partial_transpose(m, ch.p1)
-        want = qmath.partial_transpose(m, FOUR_MODE_DIMS, ch.p1)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes(), ch.id
+    for p1 in ALL_SUBSETS:
+        got = entanglement._partial_transpose(m, p1)
+        want = oracle_math.partial_transpose(m, FOUR_MODE_DIMS, p1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), p1
 
 
 @property_settings

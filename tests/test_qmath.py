@@ -165,42 +165,6 @@ def test_partial_trace_rejects_bad_inputs():
 
 
 # --------------------------------------------------------------------------
-# partial transpose
-# --------------------------------------------------------------------------
-
-def test_partial_transpose_product_state_stays_positive():
-    rng = np.random.default_rng(3)
-    rho_a = random_density(rng, 2)
-    rho_b = random_density(rng, 2)
-    product = oracle_math.kron(rho_a, rho_b)
-    transposed = qmath.partial_transpose(product, (2, 2), (1,))
-    np.testing.assert_allclose(transposed, oracle_math.kron(rho_a, rho_b.T), atol=1e-14)
-    assert qmath.eig_hermitian(transposed)[0] > -1e-12
-
-
-def test_partial_transpose_bell_negative_eigenvalue():
-    rho = np.outer(BELL, BELL.conj())
-    transposed = qmath.partial_transpose(rho, (2, 2), (1,))
-    evals = qmath.eig_hermitian(transposed)
-    np.testing.assert_allclose(evals, [-0.5, 0.5, 0.5, 0.5], atol=1e-13)
-
-
-def test_partial_transpose_diagonal_unchanged():
-    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-    np.testing.assert_array_equal(qmath.partial_transpose(rho, (2, 2), (0,)), rho)
-
-
-def test_partial_transpose_involution_is_exact():
-    rng = np.random.default_rng(17)
-    rho = random_density(rng, 16)
-    for subset in [(0,), (1, 2), (0, 3)]:
-        twice = qmath.partial_transpose(
-            qmath.partial_transpose(rho, (2, 2, 2, 2), subset), (2, 2, 2, 2), subset
-        )
-        assert np.array_equal(twice, rho)
-
-
-# --------------------------------------------------------------------------
 # eigensolver
 # --------------------------------------------------------------------------
 
