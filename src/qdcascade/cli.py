@@ -111,7 +111,7 @@ class SweepSpec:
 FIG_SPEC = SweepSpec(gamma_b=2.0, gamma_x=1.0, dt_min=1e-2, dt_max=10.0, points=200, scale="log")
 
 
-_CHANNEL_COLUMNS = {f"mi_ch{ch.id}": ch for ch in entanglement.enumerate_channels()}
+_CHANNEL_COLUMNS = {f"mi_ch{ch.id}": ch.split for ch in entanglement.enumerate_channels()}
 # fig4's columns: (Alice, Eve) of each split, built once so that each split's masks are too
 _FIG4_SPLITS = {name: EveSplit(*split) for name, split in {
     "cmi_ch1_eve_early_x": ({ModeLabel.EARLY_B}, {ModeLabel.EARLY_X}),
@@ -122,13 +122,10 @@ _FIG4_SPLITS = {name: EveSplit(*split) for name, split in {
 }.items()}
 
 
-@functools.cache
-def _ghz_table() -> Mapping[int, float]:
-    """The GHZ state's entropy table over all 16 masks, one float each, built
-    on the branch kets, never dephased, once per process and read-only, as
-    every caller shares it: every grid command's GHZ baseline."""
-    ghz = cascade.BranchState(cascade.ghz_state(4)[list(cascade.BRANCH_KETS)].real)
-    return MappingProxyType({mask: s[0] for mask, s in entanglement.subset_entropies(ghz, range(16)).items()})
+# the GHZ state's entropy table over all 16 masks in closed form, read-only:
+# 0 for the pure whole state and the empty subset, 1 bit for every other
+# subset; every grid command's GHZ baseline
+_GHZ_TABLE = MappingProxyType({entanglement.ALL_MODES_MASK: 0.0, **{mask: float(mask != 0) for mask in range(15)}})
 
 
 def _grid_table(spec: SweepSpec, header: Iterable[str], measures: Mapping,
@@ -138,18 +135,18 @@ def _grid_table(spec: SweepSpec, header: Iterable[str], measures: Mapping,
     quantity (``dt``, ``gx_dt``, ``alpha2``, ``beta2``, ``gamma2``,
     ``fidelity``), a name of ``measures``, ``mi_avg`` (the mean of the seven
     channels, all in ``measures``) or a name of ``ghz``, that measure's GHZ
-    baseline. A measure is a ``Channel`` for its MI or an ``EveSplit`` for
-    its CMI; ``measures`` are read from one entropy table over their masks,
-    of the branch state, or of the GHZ state for ``spec.ghz_reference``."""
+    baseline. Every measure is an ``EveSplit``, read as its secret rate, a
+    channel's MI as its split with no Eve; ``measures`` are read from one
+    entropy table over their masks, of the branch state, or ``_GHZ_TABLE``
+    for ``spec.ghz_reference``."""
     grid = spec.grid()
     state = cascade.grid_amplitudes(spec.gamma_b, spec.gamma_x, grid, spec.dephase)
-    table = _ghz_table() if spec.ghz_reference else entanglement.subset_entropies(
+    table = _GHZ_TABLE if spec.ghz_reference else entanglement.subset_entropies(
         state, {mask for m in measures.values() for mask in m.subsets})
-    read = {entanglement.Channel: entanglement.mi_from_table, EveSplit: entanglement.cmi_from_table}
     columns = {"dt": grid, "gx_dt": spec.gamma_x * grid, "alpha2": state.alpha2, "beta2": state.beta2,
                "gamma2": state.gamma2, "fidelity": state.ghz_fidelity,
-               **{name: read[type(m)](table, m) for name, m in measures.items()},
-               **{name: read[type(m)](_ghz_table(), m) for name, m in ghz.items()}}
+               **{name: entanglement.cmi_from_table(table, m) for name, m in measures.items()},
+               **{name: entanglement.cmi_from_table(_GHZ_TABLE, m) for name, m in ghz.items()}}
     header = list(dict.fromkeys(header))
     if "mi_avg" in header:
         columns["mi_avg"] = sum(columns[name] for name in _CHANNEL_COLUMNS) / len(_CHANNEL_COLUMNS)
@@ -351,7 +348,7 @@ def _cmd_optimize_dt(args: argparse.Namespace) -> int:
     dt_star, cmi_star = optimize_delay(
         gamma_b, gamma_x, split, (args.dt_min, args.dt_max), dephase=args.dephase
     )
-    ghz_cmi = entanglement.cmi_from_table(_ghz_table(), split)
+    ghz_cmi = entanglement.cmi_from_table(_GHZ_TABLE, split)
     header = ["dt_star", "gx_dt_star", "cmi_star", "cmi_ghz"]
     _emit(args.format, args.out, header, [[dt_star, gamma_x * dt_star, cmi_star, ghz_cmi]])
     # after the table, so that a failed write prints its error alone
@@ -389,6 +386,10 @@ _RATES = (
 )
 _POINT = (*_RATES, ("--dt", dict(type=float, default=DEFAULT_DT, help="pulse delay")))
 _OUTPUT = (("--format", dict(choices=("csv", "json"), default="csv")), ("--out", {}))
+_ALICE = ("--alice", dict(required=True, help="Alice's comma-separated modes, e.g. 'early-b' or 'eb,ex'"))
+_EVE = ("--eve", dict(help="comma-separated modes Eve grabs from Bob's side (default: none)"))
+_DEPHASE = ("--dephase", dict(type=float, default=1.0,
+                              help="attenuate all coherences by this factor in [0, 1] (default 1: no dephasing)"))
 
 # the command line, stated once: build_parser, the --config check and the
 # contract test all read it
@@ -415,29 +416,23 @@ COMMANDS = {
          ("--scale", dict(choices=("linear", "log"), default="linear")),
          ("--channel", dict(type=int, action="append",
                             help="channel id 1..7; repeat to select several (default: all)")),
-         ("--dephase", dict(type=float, default=1.0,
-                            help="attenuate all coherences by this factor in [0, 1] (default 1: no dephasing)")),
+         _DEPHASE,
          ("--ghz", dict(action="store_true", default=False,
                         help="evaluate the GHZ reference state instead of the cascade state")),
          ("--alice", dict(help="comma-separated modes for an extra secret-rate column")),
-         ("--eve", {}))),
+         _EVE)),
     "secure-rate": Command(
         _cmd_secure_rate,
         "secret rate I(Alice:Bob|Eve) = I(A:BE) - I(A:E), with GHZ baseline",
-        (*_POINT, *_OUTPUT,
-         ("--alice", dict(required=True, help="e.g. 'early-b' or 'eb,ex'")),
-         ("--eve", dict(help="modes Eve grabs from Bob's side")),
-         ("--dephase", dict(type=float, default=1.0)))),
+        (*_POINT, *_OUTPUT, _ALICE, _EVE, _DEPHASE)),
     "optimize-dt": Command(
         _cmd_optimize_dt,
         "maximize I(Alice:Bob|Eve) over the pulse delay "
         "(coarse scan + repeated grid refinement)",
-        (*_RATES, *_OUTPUT,
-         ("--alice", dict(required=True)),
-         ("--eve", {}),
+        (*_RATES, *_OUTPUT, _ALICE, _EVE,
          ("--dt-min", dict(type=float, default=1e-3)),
          ("--dt-max", dict(type=float, default=10.0)),
-         ("--dephase", dict(type=float, default=1.0)))),
+         _DEPHASE)),
     "fig3": Command(
         _cmd_figure,
         "CSV of per-channel mutual information vs gamma_x dt "

@@ -8,12 +8,15 @@ receiving side, and negativity witnesses genuine entanglement across a cut.
 
 Every measure is a signed sum of entries of one entropy table,
 ``subset_entropies``: the von Neumann entropies of mode subsets, each
-computed once and keyed by the subset's 4-bit mask. A caller with several
-measures of one state builds the table once over the union of their
-``subsets`` and reads it with ``mi_from_table`` and ``cmi_from_table``.
-Its row order, reductions and checked triples are planned once per mask set,
-and one vectorized pass checks it against subadditivity and Araki-Lieb:
-a fault in a reduction or a spectrum that breaks them fails loudly.
+computed once and keyed by the subset's 4-bit mask. The empty subset's
+entropy is 0 exactly and never solved. A rate has one reader,
+``cmi_from_table``: a channel's mutual information is the secret rate of its
+``split``, the split with no eavesdropper. A caller with several rates of one
+state builds the table once over the union of their splits' ``subsets`` and
+reads each with ``cmi_from_table``. The table's row order, reductions and
+checked triples are planned once per mask set, and one vectorized pass
+checks it against subadditivity and Araki-Lieb: a fault in a reduction or a
+spectrum that breaks them fails loudly.
 
 Like ``qmath``, every measure takes a 16x16 density matrix or a stack of
 them, shape (..., 16, 16); one bad matrix fails the whole stack. The table,
@@ -85,9 +88,10 @@ class Channel:
         return ALL_MODES - self.p1
 
     @functools.cached_property
-    def subsets(self) -> tuple[int, int, int]:
-        """Masks of the entropies its mutual information sums: p1 p2, p1, p2."""
-        return ALL_MODES_MASK, mode_mask(self.p1), mode_mask(self.p2)
+    def split(self) -> EveSplit:
+        """Alice p1, Bob p2 and no Eve: its secret rate is the channel's
+        mutual information."""
+        return EveSplit(self.p1)
 
 
 # p1 of channels 1-7 by mode number (0 early-B, 1 early-X, 2 late-B, 3 late-X):
@@ -148,12 +152,14 @@ def _four_mode_matrix(rho) -> np.ndarray:
 def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarray]:
     """Von Neumann entropy of each mode subset in ``subsets``, keyed by its
     ``mode_mask`` (mode m is bit 3 - m, early-B the most significant); mask
-    0 is the empty subset, whose entropy is that of the trace.
+    0 is the empty subset, whose entropy is 0 exactly: it is never solved,
+    and its entry, if asked for, is zeros of the other entries' shape.
 
     ``rho`` is a 16x16 density (stack) or a ``BranchState``, whose table
-    holds arrays of one entry at one point. The whole state,
-    mask 0b1111, is always in the table, first; ``_table_plan`` holds all
-    that the masks alone decide. On 16x16 densities each mask is one
+    holds arrays of one entry at one point. The whole state, mask 0b1111,
+    is always in the table, first, then the other masks in ascending order;
+    ``_table_plan`` holds all that the masks alone decide, and leaves mask 0
+    out of its rows and triples. On 16x16 densities each mask is one
     ``qmath.vn_entropy`` (of a ``qmath.partial_trace`` below the whole
     state), whose checks validate the stack. On a branch state one product
     sums the populations each reduction merges and the coherent pairs take
@@ -163,7 +169,7 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
     one Shannon sum. The table is then checked against subadditivity and
     Araki-Lieb in one vectorized pass.
     """
-    order, rows, groups, (i, j, pi, pj), triples = _table_plan(frozenset(subsets))
+    order, rows, groups, (i, j, pi, pj), triples = _table_plan(masks := frozenset(subsets))
     if isinstance(rho, BranchState):
         c, d = rho.c.reshape(-1, 3), rho.d
         spectra = (c * c) @ groups  # three entries per reduction, zero-padded
@@ -177,12 +183,16 @@ def subset_entropies(rho, subsets: Iterable[int]) -> dict[int, float | np.ndarra
         entries = np.stack([qmath.vn_entropy(m)] + [qmath.vn_entropy(qmath.partial_trace(m, FOUR_MODE_DIMS, [
             mode for mode in ModeLabel if mask & (8 >> mode)])) for mask in order[1:]])
     _check_entropy_inequalities(entries, order, triples)
-    return dict(zip(order, entries))
+    table = dict(zip(order, entries))
+    if 0 in masks:
+        table = {ALL_MODES_MASK: table.pop(ALL_MODES_MASK), 0: np.zeros(entries.shape[1:])[()], **table}
+    return table
 
 
 @functools.lru_cache(maxsize=32)
 def _table_plan(masks: frozenset[int]) -> tuple:
-    """A table's keys in row order (the whole state, then ascending masks);
+    """A table's solved keys in row order (the whole state, then ascending
+    masks; not the empty subset, whose entropy is 0 and is never solved);
     the spectrum of each row in a stack of the whole state's, 0, then one
     per distinct ``_reduction``, s + 1 for the reduction s; the groups of
     the reductions as one read-only (3, 3k) 0/1 matrix, column 3s + g
@@ -192,7 +202,7 @@ def _table_plan(masks: frozenset[int]) -> tuple:
     a reduction coupling two pairs."""
     if not masks <= set(range(16)):
         raise ValueError(f"mode mask must lie in 0..15, got {min(masks - set(range(16)))}")
-    order = (ALL_MODES_MASK, *sorted(masks - {ALL_MODES_MASK}))
+    order = (ALL_MODES_MASK, *sorted(masks - {0, ALL_MODES_MASK}))
     for mask in order[1:]:
         if len(pairs := _reduction(mask)[1]) > 1:
             raise ArithmeticError(f"the reduction to modes {mask:04b} couples {len(pairs)} branch pairs")
@@ -258,32 +268,25 @@ def _check_entropy_inequalities(entries: np.ndarray, masks: tuple[int, ...], tri
         )
 
 
-def _clamp_roundoff(value, what: str):
-    lowest = np.minimum.reduce(value, axis=None)  # a table may hold floats or arrays
-    if not lowest >= -NEGATIVE_ROUNDOFF_TOL:
-        raise ArithmeticError(f"{what} came out {lowest:.3e}, far below zero")
-    return np.maximum(value, 0.0)[()]  # (x, 0.0) maps -0.0 to 0.0
-
-
-def mi_from_table(table: dict[int, float | np.ndarray], ch: Channel) -> float | np.ndarray:
-    """I(p1 : p2) = S(p1) + S(p2) - S(p1, p2), in bits, from a table that
-    holds ``ch.subsets``."""
-    s12, s1, s2 = (table[mask] for mask in ch.subsets)
-    return _clamp_roundoff(s1 + s2 - s12, "mutual information")
-
-
 def mutual_information(rho, ch: Channel) -> float | np.ndarray:
-    """I(p1 : p2) = S(p1) + S(p2) - S(p1, p2), in bits."""
-    return mi_from_table(subset_entropies(rho, ch.subsets), ch)
+    """I(p1 : p2) = S(p1) + S(p2) - S(p1, p2), in bits: the secret rate of
+    ``ch.split``."""
+    return cmi_from_table(subset_entropies(rho, ch.split.subsets), ch.split)
 
 
 def cmi_from_table(table: dict[int, float | np.ndarray], split: EveSplit) -> float | np.ndarray:
     """Secret rate I(Alice : Bob | Eve) = I(A : BE) - I(A : E), in bits, from
-    a table that holds ``split.subsets``."""
+    a table that holds ``split.subsets``. With no Eve, I(A : E) is 0 and is
+    left out: the rate is the mutual information S(A) + S(B) - S(AB). A rate
+    at most NEGATIVE_ROUNDOFF_TOL below 0 is round-off and comes out 0.0;
+    one further below raises ArithmeticError."""
     s_abe, s_a, s_e, s_ae, s_be = (table[mask] for mask in split.subsets)
     i_a_be = s_a + s_be - s_abe
-    i_a_e = s_a + s_e - s_ae
-    return _clamp_roundoff(i_a_be - i_a_e, "conditional mutual information")
+    rate = i_a_be - (s_a + s_e - s_ae) if split.eve else i_a_be
+    lowest = np.minimum.reduce(rate, axis=None)  # a table may hold floats or arrays
+    if not lowest >= -NEGATIVE_ROUNDOFF_TOL:
+        raise ArithmeticError(f"conditional mutual information came out {lowest:.3e}, far below zero")
+    return np.maximum(rate, 0.0)[()]  # (x, 0.0) maps -0.0 to 0.0
 
 
 def conditional_mutual_information(rho, split: EveSplit) -> float | np.ndarray:

@@ -1,5 +1,5 @@
 """Reference implementations the tests compare the package against:
-Kronecker products, the general partial transpose of a tensor product,
+the general partial transpose of a tensor product,
 Shannon entropies of explicit probability vectors, the
 branch populations and the eigenvalues of a 2x2 Hermitian block in
 high-precision decimal arithmetic, dense dephasing, classical RK4 on the
@@ -26,11 +26,6 @@ ALL_SPLITS = [
     for eve in itertools.chain.from_iterable(
         itertools.combinations(sorted(set(ModeLabel) - set(alice)), k) for k in range(4 - len(alice)))
 ]
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
 def partial_transpose(rho, dims: Sequence[int], subset: Iterable[int]) -> np.ndarray:

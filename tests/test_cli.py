@@ -75,23 +75,21 @@ def test_sweep_ghz_reference_mode_is_flat():
 
 
 def test_cli_sweep_ghz_solves_one_slice(monkeypatch):
-    # the approved transcript holds both outputs, with the GHZ state's
-    # whole-state entropy an exact 0: every MI prints 2.0 and every CMI 1.0 in
-    # JSON (the CSV is as when each of the 51 slices was solved)
+    # the approved transcript holds both outputs, read from the closed-form
+    # GHZ table: every MI is 2.0, and every CMI 1.0 with an Eve and 2.0 with none
     tables, solves = [], []
     subset_entropies, eigvalsh = entanglement.subset_entropies, np.linalg.eigvalsh
     monkeypatch.setattr(entanglement, "subset_entropies",
-                        lambda rho, masks: tables.append((rho.c.reshape(-1, 3).shape[0], len(masks)))
-                        or subset_entropies(rho, masks))
+                        lambda rho, masks: tables.append(rho) or subset_entropies(rho, masks))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(np.shape(a)) or eigvalsh(a))
-    cli._ghz_table.cache_clear()
     for fmt in ("csv", "json"):
-        code, _, _ = run_main(["sweep", "--ghz", "--points", "50", "--dt-min", "0.01", "--dt-max", "5",
-                            "--dephase", "0.3", "--alice", "eb", "--eve", "lb", "--format", fmt])
+        code, _, out = run_main(["sweep", "--ghz", "--points", "50", "--dt-min", "0.01", "--dt-max", "5",
+                                 "--dephase", "0.3", "--alice", "eb", "--eve", "lb", "--format", fmt])
         assert code == 0
-    # one table for both formats: the GHZ state's, one row over all 16
-    # masks, built once per process; it is pure, so no eigensolve
-    assert tables == [(1, 16)] and solves == []
+    rows = json.loads(out)
+    assert len(rows) == 50 and all(row["mi_ch1"] == row["mi_avg"] == 2.0 and row["cmi"] == 1.0 for row in rows)
+    # no table is built and no state solved: the GHZ table is a constant
+    assert tables == [] and solves == []
 
 
 def test_dephased_negativities_keep_their_bits():

@@ -119,7 +119,8 @@ def test_splits_and_channels_derive_their_last_side():
     for ch in entanglement.enumerate_channels():
         p1 = sum(1 << (3 - m) for m in ch.p1)
         assert ch.p2 == mask_modes(0b1111 ^ p1)
-        assert ch.subsets == (0b1111, p1, 0b1111 ^ p1)
+        assert ch.split is ch.split and ch.split == EveSplit(ch.p1)
+        assert ch.split.subsets == (0b1111, p1, 0, p1, 0b1111 ^ p1)
 
 
 # --------------------------------------------------------------------------
@@ -285,14 +286,32 @@ def test_cmi_eve_late_x_never_beats_ghz():
             assert cmi <= 1.0 + 1e-9
 
 
-def test_cmi_with_empty_eve_reduces_to_mi():
-    rho = final_density(POINT)
-    for ch_id in (1, 2, 3, 4, 5):
-        ch = entanglement.channel_by_id(ch_id)
-        split = EveSplit(alice=ch.p1)
-        cmi = entanglement.conditional_mutual_information(rho, split)
-        mi = entanglement.mutual_information(rho, ch)
-        assert abs(cmi - mi) < 1e-10
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(ratio=st.floats(0.5, 4.0), d=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+       dts=st.lists(st.floats(0.01, 8.0), min_size=1, max_size=6))
+@example(ratio=2.0, d=1.0, dts=[LN2 / 2])
+def test_cmi_with_empty_eve_reduces_to_mi(ratio, d, dts):
+    # with no Eve the secret rate is the channel's mutual information, bit for
+    # bit S(p1) + S(p2) - S(p1 p2) of the same table (clamped at 0 as every
+    # rate is), on branch states and on 16x16 densities alike
+    branch = cascade.grid_amplitudes(ratio, 1.0, dts, d)
+    dense = grid_stack(grid_params(dts, gamma_b=ratio), d)
+    for rho in (branch, dense):
+        assert entanglement.subset_entropies(rho, [0])[0].tolist() == [0.0] * len(dts)
+        table = entanglement.subset_entropies(rho, range(16))
+        for ch in entanglement.enumerate_channels():
+            p1 = entanglement.mode_mask(ch.p1)
+            want = np.maximum(table[p1] + table[0b1111 ^ p1] - table[0b1111], 0.0).tobytes()
+            split = EveSplit(alice=ch.p1)
+            assert split == ch.split
+            for rate in (entanglement.cmi_from_table(table, split), entanglement.mutual_information(rho, ch),
+                         entanglement.conditional_mutual_information(rho, split)):
+                assert rate.tobytes() == want, ch.id
+    # the empty subset is no row of a plan: adding it changes no row or triple
+    channel_masks = [frozenset(ch.split.subsets) - {0} for ch in entanglement.enumerate_channels()]
+    for masks in (frozenset(range(1, 16)), *channel_masks):
+        for without, with_zero in zip(entanglement._table_plan(masks), entanglement._table_plan(masks | {0})):
+            np.testing.assert_array_equal(without, with_zero)
 
 
 def test_rates_from_a_table_refuse_a_value_far_below_zero():
@@ -302,10 +321,10 @@ def test_rates_from_a_table_refuse_a_value_far_below_zero():
     with pytest.raises(ArithmeticError, match="conditional mutual information came out -5.000e-01, far below zero"):
         entanglement.cmi_from_table({15: 0.0, 8: 1.0, 4: 1.0, 12: 0.0, 7: 0.5}, split)
     assert entanglement.cmi_from_table({15: 1e-10, 8: 1.0, 4: 1.0, 12: 0.0, 7: 1.0}, split) == 0.0
-    ch = entanglement.channel_by_id(1)  # subsets (15, 8, 7)
-    with pytest.raises(ArithmeticError, match="mutual information came out -1.000e\\+00, far below zero"):
-        entanglement.mi_from_table({15: 2.0, 8: 0.5, 7: 0.5}, ch)
-    assert entanglement.mi_from_table({15: 1.0 + 1e-10, 8: 0.5, 7: 0.5}, ch) == 0.0
+    split = entanglement.channel_by_id(1).split  # subsets (15, 8, 0, 8, 7)
+    with pytest.raises(ArithmeticError, match="conditional mutual information came out -1.000e\\+00, far below zero"):
+        entanglement.cmi_from_table({15: 2.0, 8: 0.5, 0: 0.0, 7: 0.5}, split)
+    assert entanglement.cmi_from_table({15: 1.0 + 1e-10, 8: 0.5, 0: 0.0, 7: 0.5}, split) == 0.0
 
 
 def test_cmi_rejects_invalid_splits():
@@ -341,8 +360,8 @@ def test_partial_transpose_product_state_stays_positive():
     # modes transposes the late factor, entry for entry
     rng = np.random.default_rng(3)
     early, late = random_density(rng, 4), random_density(rng, 4)
-    transposed = entanglement._partial_transpose(oracle_math.kron(early, late), frozenset({LB, LX}))
-    np.testing.assert_array_equal(transposed, oracle_math.kron(early, late.T))
+    transposed = entanglement._partial_transpose(np.kron(early, late), frozenset({LB, LX}))
+    np.testing.assert_array_equal(transposed, np.kron(early, late.T))
     assert qmath.eig_hermitian(transposed)[0] > -1e-12
 
 
@@ -549,7 +568,9 @@ def test_subset_entropies_equal_each_reduced_entropy(gb, dts, d, seed):
     table = entanglement.subset_entropies(stack, range(16))
     assert sorted(table) == list(range(16))
     for mask, entropy in table.items():
-        expected = qmath.vn_entropy(qmath.partial_trace(stack, FOUR_MODE_DIMS, mask_modes(mask)))
+        # the empty subset's entropy is 0 exactly, not the round-off of a 1x1 trace
+        expected = qmath.vn_entropy(qmath.partial_trace(stack, FOUR_MODE_DIMS, mask_modes(mask))) if mask else \
+            np.zeros(len(stack))
         assert entropy.tobytes() == expected.tobytes(), mask
 
 
@@ -615,7 +636,8 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
         alone = entanglement.subset_entropies(branch, [mask])[mask]
         assert got[mask].tobytes() == alone.tobytes(), mask
     for ch in entanglement.enumerate_channels():
-        np.testing.assert_allclose(entanglement.mi_from_table(got, ch), entanglement.mi_from_table(want, ch),
+        np.testing.assert_allclose(entanglement.cmi_from_table(got, ch.split),
+                                   entanglement.cmi_from_table(want, ch.split),
                                    rtol=0.0, atol=1e-12, err_msg=f"channel {ch.id}")
     for split in FIG4_SPLITS:
         np.testing.assert_allclose(entanglement.cmi_from_table(got, split), entanglement.cmi_from_table(want, split),
@@ -623,17 +645,20 @@ def test_branch_table_matches_the_dense_table(ratio, d, dts):
 
 
 def test_ghz_table_matches_the_dense_ghz_state():
-    # every grid command's GHZ baseline: the table, built once, against the
-    # 16x16 GHZ state for all 16 masks, the 7 channels and all 50 splits
-    table = cli._ghz_table()
-    assert cli._ghz_table() is table and list(table) == [0b1111, *range(15)]
-    assert table[0b1111] == 0.0  # pure: whole-state entropy 0.0 exactly
+    # every grid command's GHZ baseline: the closed-form table, read-only,
+    # against the 16x16 GHZ state for all 16 masks, the 7 channels and all 50 splits
+    table = cli._GHZ_TABLE
+    assert list(table) == [0b1111, *range(15)]
+    assert list(table.values()) == [0.0, 0.0] + [1.0] * 14  # pure, and the empty subset: 0.0 exactly
+    with pytest.raises(TypeError):
+        table[0] = 1.0
     dense = ghz_density()
     want = entanglement.subset_entropies(dense, range(16))
     for mask in range(16):
         np.testing.assert_allclose(table[mask], want[mask], rtol=0.0, atol=1e-12, err_msg=f"mask {mask:04b}")
     for ch in entanglement.enumerate_channels():
-        np.testing.assert_allclose(entanglement.mi_from_table(table, ch), entanglement.mutual_information(dense, ch),
+        np.testing.assert_allclose(entanglement.cmi_from_table(table, ch.split),
+                                   entanglement.mutual_information(dense, ch),
                                    rtol=0.0, atol=1e-12, err_msg=f"channel {ch.id}")
     assert len(set(oracle_math.ALL_SPLITS)) == 50
     for split in oracle_math.ALL_SPLITS:
@@ -655,11 +680,14 @@ def test_table_check_flags_one_entry_past_its_tolerance(point):
     # 200, one entry changed at one point; the pairwise loop names the pair
     # the check must name
     rho = cascade.grid_amplitudes(2.0, 1.0, cli.FIG_SPEC.grid())
-    masks = frozenset(mask for ch in entanglement.enumerate_channels() for mask in ch.subsets)
+    masks = frozenset(mask for ch in entanglement.enumerate_channels() for mask in ch.split.subsets)
     grid_table = entanglement.subset_entropies(rho, masks)
-    table = {mask: np.append(s, cli._ghz_table()[mask]) for mask, s in grid_table.items()}
-    order, *_, triples = entanglement._table_plan(masks)
-    assert len(table[0b1111]) == 201 and list(table) == list(order)
+    order, rows, *_, triples = entanglement._table_plan(masks)
+    # the empty subset, 0 exactly, is no row of the plan: 15 masks, 8 spectra, 25 triples
+    assert list(grid_table) == [0b1111, 0, *order[1:]] and not grid_table[0].any()
+    assert (len(order), rows.max() + 1, triples.shape[1]) == (15, 8, 25)
+    table = {mask: np.append(grid_table[mask], cli._GHZ_TABLE[mask]) for mask in order}
+    assert len(table[0b1111]) == 201
     atol = entanglement.ENTROPY_INEQUALITY_ATOL
     # S(1111) enters only |S(X) - S(~X)| - S(1111), Araki-Lieb of the
     # complementary pairs: at D - atol, D the largest |S(X) - S(~X)| at the

@@ -1,5 +1,6 @@
-"""The package's lazy namespace, each check in a fresh interpreter: the
-suite's own process has imported every module already."""
+"""The package's lazy namespace, checked in fresh interpreters, as the
+suite's own process has imported every module already: each load check in
+its own, the other checks in one, after a bare import."""
 
 import json
 import subprocess
@@ -44,29 +45,44 @@ def test_cli_import_loads_neither_the_oracles_nor_json():
     assert "json" not in loaded
 
 
-def test_star_import_binds_the_public_names_of_their_modules():
-    # each bound name, and whether it is the object of the module that defines it
-    bound = fresh(f"""
-import importlib, json
+@pytest.fixture(scope="module")
+def after_bare_import():
+    """What one fresh interpreter sees after a bare import: ``dir`` first,
+    while no module is loaded, then an unknown name, each module through the
+    lazy lookup (whether it was loaded before, and its name), in an order in
+    which none loads a later one, and the names a star import binds (whether
+    each is the object of the module that defines it)."""
+    return fresh(f"""
+import importlib, json, qdcascade
+seen = {{"dir": dir(qdcascade)}}
+try:
+    qdcascade.no_such_name
+except AttributeError as exc:
+    seen["unknown"] = str(exc)
+seen["modules"] = {{m: ["qdcascade." + m in sys.modules, getattr(qdcascade, m).__name__]
+                   for m in ("qmath", "cascade", "oracle", "entanglement", "cli")}}
 ns = {{}}
 exec("from qdcascade import *", ns)
 del ns["__builtins__"]
 module_of = {MODULE_OF!r}
-print(json.dumps({{name: name in module_of and value is getattr(importlib.import_module("qdcascade." + module_of[name]), name)
-                  for name, value in ns.items()}}))""")
-    assert bound == dict.fromkeys(MODULE_OF, True)
+seen["star"] = {{name: name in module_of
+                       and value is getattr(importlib.import_module("qdcascade." + module_of[name]), name)
+                for name, value in ns.items()}}
+print(json.dumps(seen))""")
+
+
+def test_star_import_binds_the_public_names_of_their_modules(after_bare_import):
+    assert after_bare_import["star"] == dict.fromkeys(MODULE_OF, True)
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_modules_resolve_after_a_bare_import(module):
-    assert fresh(f"import json, qdcascade\nprint(json.dumps(qdcascade.{module}.__name__))") == f"qdcascade.{module}"
+def test_modules_resolve_after_a_bare_import(after_bare_import, module):
+    assert after_bare_import["modules"][module] == [False, f"qdcascade.{module}"]
 
 
-def test_dir_lists_the_names_not_yet_loaded():
-    listed = fresh("import json, qdcascade\nprint(json.dumps(dir(qdcascade)))")
-    assert {*MODULE_OF, *MODULES} <= set(listed)
+def test_dir_lists_the_names_not_yet_loaded(after_bare_import):
+    assert {*MODULE_OF, *MODULES} <= set(after_bare_import["dir"])
 
 
-def test_an_unknown_name_raises_attribute_error():
-    assert fresh("import json, qdcascade\ntry:\n    qdcascade.no_such_name\nexcept AttributeError as exc:\n"
-                 "    print(json.dumps(str(exc)))") == "module 'qdcascade' has no attribute 'no_such_name'"
+def test_an_unknown_name_raises_attribute_error(after_bare_import):
+    assert after_bare_import["unknown"] == "module 'qdcascade' has no attribute 'no_such_name'"

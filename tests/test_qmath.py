@@ -1,4 +1,4 @@
-"""Linear-algebra core: products, reductions, spectra, entropies."""
+"""Linear-algebra core: reductions, spectra, entropies."""
 
 import math
 
@@ -29,38 +29,6 @@ def random_qubit_unitary(rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-# --------------------------------------------------------------------------
-# kron
-# --------------------------------------------------------------------------
-
-def test_kron_identities():
-    np.testing.assert_array_equal(oracle_math.kron(I2, I2), np.eye(4))
-
-
-def test_kron_basis_projectors():
-    a = np.diag([1.0, 0.0]).astype(complex)
-    b = np.diag([0.0, 1.0]).astype(complex)
-    np.testing.assert_array_equal(oracle_math.kron(a, b), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_kron_xx_flips_both_qubits():
-    # hand expansion of the 4x4 product
-    expected = np.array(
-        [
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [1, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
-    xx = oracle_math.kron(PAULI_X, PAULI_X)
-    np.testing.assert_array_equal(xx, expected)
-    ket00 = np.array([1, 0, 0, 0], dtype=complex)
-    ket11 = np.array([0, 0, 0, 1], dtype=complex)
-    np.testing.assert_array_equal(xx @ ket00, ket11)
 
 
 # --------------------------------------------------------------------------
@@ -229,9 +197,9 @@ def test_eig_spectrum_sums_to_trace():
 def test_eig_invariant_under_product_unitary_conjugation():
     rng = np.random.default_rng(31)
     rho = random_density(rng, 16)
-    u = oracle_math.kron(
-        oracle_math.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
-        oracle_math.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
+    u = np.kron(
+        np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
+        np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
     )
     before = qmath.eig_hermitian(rho)
     after = qmath.eig_hermitian(u @ rho @ u.conj().T)
@@ -279,9 +247,9 @@ def test_vn_entropy_rejects_bad_spectrum():
 def test_vn_entropy_invariant_under_conjugation():
     rng = np.random.default_rng(43)
     rho = random_density(rng, 16)
-    u = oracle_math.kron(
-        oracle_math.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
-        oracle_math.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
+    u = np.kron(
+        np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
+        np.kron(random_qubit_unitary(rng), random_qubit_unitary(rng)),
     )
     assert abs(qmath.vn_entropy(rho) - qmath.vn_entropy(u @ rho @ u.conj().T)) < 1e-8
 
